@@ -2,7 +2,7 @@
 
 from .gf import BaseField, TowerField, make_tower, is_prime_power, smallest_prime_power_at_least
 from .params import CodeParams, derive_params, rate_bound, small_field_sc2
-from .codec import (CodedPacket, Decoder, Encoder, LrscCode, MdsDeCode,
+from .codec import (CodedPacket, DecodeError, Decoder, Encoder, LrscCode, MdsDeCode,
                     PacketOutcome, make_lrsc)
 from .oracle import VerificationReport, verify_scalar, verify_stream
 from .sim import PecChannel, ReplayChannel, SimResult, run_sim, sweep
@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseField", "TowerField", "make_tower", "is_prime_power", "smallest_prime_power_at_least",
     "CodeParams", "derive_params", "rate_bound", "small_field_sc2",
-    "CodedPacket", "Decoder", "Encoder", "LrscCode", "MdsDeCode", "PacketOutcome", "make_lrsc",
+    "CodedPacket", "DecodeError", "Decoder", "Encoder", "LrscCode", "MdsDeCode", "PacketOutcome", "make_lrsc",
     "VerificationReport", "verify_scalar", "verify_stream",
     "PecChannel", "ReplayChannel", "SimResult", "run_sim", "sweep",
     "__version__",

@@ -10,7 +10,7 @@ import sys
 
 import click
 
-from .codec import CodedPacket, Decoder, Encoder, LrscCode, MdsDeCode
+from .codec import CodedPacket, DecodeError, Decoder, Encoder, LrscCode, MdsDeCode
 from .oracle import verify_scalar, verify_stream
 from .params import derive_params, rate_bound
 from .sim import csv_rows, hist_rows, sweep
@@ -206,11 +206,14 @@ def cmd_encode(a, tau, r, q, infile, outfile):
     """Encode a message trace into a coded packet trace."""
     code = _build_code(a, tau, r, q, "lrsc")
     try:
-        messages = trace_io.read_message_trace(infile, code.field, code.k)
+        records = list(trace_io.iter_message_trace(infile, code.field, code.k))
+        for lineno, msg in records:
+            if msg is None:
+                raise trace_io.TraceError(lineno, "a LOST packet cannot be encoded")
     except trace_io.TraceError as e:
         raise click.ClickException(str(e))
     enc = Encoder(code)
-    packets = [enc.push(m) for m in messages]
+    packets = [enc.push(m) for _, m in records]
     trace_io.write_coded_trace(outfile, code.field, packets, code.k)
 
 
@@ -232,12 +235,15 @@ def cmd_decode(a, tau, r, q, infile, outfile):
     dec = Decoder(code)
     recovered = {}
     delays = {}
-    for t, syms in enumerate(slots):
-        pkt = CodedPacket(t, syms) if syms is not None else None
-        for ev in dec.push(t, pkt):
-            if ev.recovered:
-                recovered[ev.t] = ev.message
-                delays[ev.t] = ev.delay
+    try:
+        for t, syms in enumerate(slots):
+            pkt = CodedPacket(t, syms) if syms is not None else None
+            for ev in dec.push(t, pkt):
+                if ev.recovered:
+                    recovered[ev.t] = ev.message
+                    delays[ev.t] = ev.delay
+    except DecodeError as e:
+        raise click.ClickException(f"time {t}: {e}")
     messages = [recovered.get(t) for t in range(len(slots))]
     trace_io.write_message_trace(outfile, code.field, messages)
     lost = sum(1 for m in messages if m is None)

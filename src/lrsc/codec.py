@@ -1,9 +1,10 @@
-"""Encoders and the deadline-aware sliding-window decoder.
+"""Stream codes, the systematic encoder and the deadline-aware
+sliding-window decoder.
 
-Parity structure is expressed twice on purpose.  Encoders evaluate the
-closed-form diagonal expressions over a bounded message history, while the
-decoder consumes time-invariant coefficient templates derived from the same
-construction; a property test pins the two routes to identical values.
+Every parity symbol is a fixed linear combination of message symbols, held
+once per code as a time-invariant coefficient template.  The encoder and the
+decoder both read those templates; the closed-form diagonal expressions of
+the constructions live in the tests as the independent reference.
 
 The decoder keeps one global linear system over the currently-unknown
 message symbols, maintained in reduced row echelon form.  A symbol is
@@ -35,30 +36,16 @@ class PacketOutcome:
     message: tuple | None = None
 
 
-def diagonal_slice(history, start, width):
-    """[m_0(start), m_1(start+1), ..., m_{width-1}(start+width-1)].
-
-    Negative times read as zero; a missing nonnegative time is a sequencing
-    bug and raises KeyError.
-    """
-    out = []
-    for i in range(width):
-        tt = start + i
-        out.append(history[tt][i] if tt >= 0 else 0)
-    return out
+class DecodeError(ValueError):
+    """The received packets contradict each other or the decoder's state."""
 
 
-def block_slice(history, block, start, span, width):
-    """Diagonal read of message block `block`: symbol block*span+w of the
-    packet at time start+w for w < width, zero padded out to span entries."""
-    out = []
-    for w in range(span):
-        if w < width:
-            tt = start + w
-            out.append(history[tt][block * span + w] if tt >= 0 else 0)
-        else:
-            out.append(0)
-    return out
+def _check_symbols(field, symbols):
+    """Raise ValueError unless every symbol is an element of the field."""
+    order = field.order
+    for s in symbols:
+        if not isinstance(s, int) or not 0 <= s < order:
+            raise ValueError(f"symbol {s!r} is not an element of the field of order {order}")
 
 
 def _sort_template(terms):
@@ -71,7 +58,16 @@ def _sort_template(terms):
     return tuple(terms)
 
 
-class LrscCode:
+class _TemplateCode:
+    """Base of the stream codes, which hold every parity in ``templates``."""
+
+    def parity_terms(self, i, t):
+        """Parity i at time t as [((time, symbol), coeff), ...], nonnegative
+        times only."""
+        return [((t - d, j), c) for (j, d, c) in self.templates[i] if d <= t]
+
+
+class LrscCode(_TemplateCode):
     """Stream code for one (a, tau, r) triple: field, weights, and per-parity
     coefficient templates.
 
@@ -130,62 +126,8 @@ class LrscCode:
                     terms.append((block * r + w, v + ii + j * (r + 1) - w, col[w]))
         return _sort_template(terms)
 
-    def parity_terms(self, i, t):
-        """Parity i at time t as [((time, symbol), coeff), ...], nonnegative
-        times only."""
-        return [((t - d, j), c) for (j, d, c) in self.templates[i] if d <= t]
 
-    def parity_value(self, i, history, t):
-        """Closed-form evaluation of parity i at time t over the history."""
-        if self.params.regime == "short":
-            return self._parity_value_short(i, history, t)
-        return self._parity_value_exact(history, t)
-
-    def _parity_value_exact(self, history, t):
-        f = self.field
-        p = self.params
-        acc = 0
-        for j in range(p.a):
-            vec = diagonal_slice(history, t - p.r - j * (p.r + 1), p.r)
-            col = self.weights.column(j)
-            for w in range(p.r):
-                if vec[w]:
-                    acc = f.add(acc, f.mul(vec[w], col[w]))
-        return acc
-
-    def _parity_value_short(self, i, history, t):
-        f = self.field
-        p = self.params
-        u, v, ell, r, a = p.u, p.v, p.ell, p.r, p.a
-
-        def dot(vec, col):
-            nonlocal acc
-            for w in range(r):
-                if vec[w]:
-                    acc = f.add(acc, f.mul(vec[w], col[w]))
-
-        acc = 0
-        if i < u:
-            for j in range(i + 1):
-                block = i - j
-                vec = block_slice(history, block, t - r - j * (r + 1), r, r)
-                dot(vec, self.weights.column(j))
-            for j in range(i, u):
-                block = u + i - j
-                width = v if block == u else r
-                vec = block_slice(history, block, t - r - j * (r + 1) - v - ell, r, width)
-                dot(vec, self.weights.column(a - u + j))
-        else:
-            ii = i - u
-            for j in range(u + 1):
-                block = u - j
-                width = v if block == u else r
-                vec = block_slice(history, block, t - v - ii - j * (r + 1), r, width)
-                dot(vec, self.weights.column(j + ii))
-        return acc
-
-
-class MdsDeCode:
+class MdsDeCode(_TemplateCode):
     """Baseline (a, tau) stream code: each stream diagonal carries a codeword
     of a systematic [tau+1, tau+1-a] MDS block code."""
 
@@ -227,20 +169,6 @@ class MdsDeCode:
         terms = [(j, self.k + i - j, self.pg[j][i]) for j in range(self.k)]
         return _sort_template(terms)
 
-    def parity_terms(self, i, t):
-        return [((t - d, j), c) for (j, d, c) in self.templates[i] if d <= t]
-
-    def parity_value(self, i, history, t):
-        f = self.field
-        acc = 0
-        for j, d, c in self.templates[i]:
-            tt = t - d
-            if tt >= 0:
-                x = history[tt][j]
-                if x:
-                    acc = f.add(acc, f.mul(x, c))
-        return acc
-
 
 def make_lrsc(a: int, tau: int, r: int, q_override: int | None = None) -> LrscCode:
     return LrscCode(derive_params(a, tau, r, q_override))
@@ -253,22 +181,31 @@ class Encoder:
         self.code = code
         self.history = {}
         self.next_t = 0
+        f = code.field
+        self._add, self._mul = f.add, f.mul
 
     def push(self, message) -> CodedPacket:
         code = self.code
         msg = tuple(message)
         if len(msg) != code.k:
             raise ValueError(f"expected {code.k} message symbols, got {len(msg)}")
-        order = code.field.order
-        for s in msg:
-            if not isinstance(s, int) or not 0 <= s < order:
-                raise ValueError(f"symbol {s!r} is not an element of the field of order {order}")
+        _check_symbols(code.field, msg)
         t = self.next_t
         self.next_t += 1
-        self.history[t] = msg
-        parities = tuple(code.parity_value(i, self.history, t) for i in range(code.n - code.k))
-        self.history.pop(t - code.tau - 1, None)
-        return CodedPacket(t, msg + parities)
+        history = self.history
+        history[t] = msg
+        add, mul = self._add, self._mul
+        parities = []
+        for template in code.templates:
+            acc = 0
+            for j, d, c in template:
+                if d <= t:
+                    x = history[t - d][j]
+                    if x:
+                        acc = add(acc, mul(x, c))
+            parities.append(acc)
+        history.pop(t - code.tau - 1, None)
+        return CodedPacket(t, msg + tuple(parities))
 
 
 class Decoder:
@@ -295,6 +232,8 @@ class Decoder:
         self.rows = {}           # pivot id -> [coeff dict, rhs]; reduced echelon form
         self.missing = {}        # t -> set of unresolved symbol indices
         self.lost = set()        # packets already reported lost
+        # any horizon > tau gives the same outcomes: no parity reaches further
+        # back, and _drop_unknown eliminates an unknown exactly
         self.horizon = 4 * (code.tau + 1)
 
     def push(self, t, packet) -> list[PacketOutcome]:
@@ -316,6 +255,7 @@ class Decoder:
             syms = packet.symbols
             if len(syms) != self.n:
                 raise ValueError(f"expected {self.n} coded symbols, got {len(syms)}")
+            _check_symbols(self.code.field, syms)
             known = self.known
             for j in range(self.k):
                 known[(t, j)] = syms[j]
@@ -346,46 +286,46 @@ class Decoder:
             elif sid in unknowns:
                 coeffs[sid] = c
             else:
-                raise AssertionError(f"symbol {sid} neither known nor tracked")
-        self._insert(coeffs, rhs, t, out)
+                raise DecodeError(f"symbol {sid} neither known nor tracked")
+        self._insert([coeffs, rhs], t, out)
 
-    def _insert(self, coeffs, rhs, now, out):
-        rows = self.rows
-        sub, mul, inv = self._sub, self._mul, self._inv
-        for pid in [p for p in coeffs if p in rows]:
-            f = coeffs.pop(pid)
-            prow, prhs = rows[pid]
-            for cid, cval in prow.items():
-                if cid == pid:
-                    continue
+    def _eliminate(self, row, pid, pivot):
+        """Clear unknown pid from row [coeffs, rhs] by subtracting the
+        matching multiple of pivot, a row whose coefficient at pid is 1."""
+        sub, mul = self._sub, self._mul
+        coeffs = row[0]
+        f = coeffs.pop(pid)
+        for cid, cval in pivot[0].items():
+            if cid != pid:
                 nv = sub(coeffs.get(cid, 0), mul(f, cval))
                 if nv:
                     coeffs[cid] = nv
                 else:
                     coeffs.pop(cid, None)
-            rhs = sub(rhs, mul(f, prhs))
-        if not coeffs:
-            assert rhs == 0, "received parity inconsistent with resolved symbols"
+        row[1] = sub(row[1], mul(f, pivot[1]))
+
+    def _normalized(self, row, pid):
+        """Row [coeffs, rhs] scaled so that its coefficient at pid is 1."""
+        s = self._inv(row[0][pid])
+        if s == 1:
+            return row
+        mul = self._mul
+        return [{cid: mul(s, cv) for cid, cv in row[0].items()}, mul(s, row[1])]
+
+    def _insert(self, row, now, out):
+        rows = self.rows
+        for pid in [p for p in row[0] if p in rows]:
+            self._eliminate(row, pid, rows[pid])
+        if not row[0]:
+            if row[1]:
+                raise DecodeError("received parity inconsistent with resolved symbols")
             return
-        pid = min(coeffs)
-        s = inv(coeffs[pid])
-        if s != 1:
-            coeffs = {cid: mul(s, cv) for cid, cv in coeffs.items()}
-            rhs = mul(s, rhs)
-        coeffs[pid] = 1
-        for qid, qrow in rows.items():
-            qcoeffs, qrhs = qrow
-            f = qcoeffs.get(pid)
-            if f is None:
-                continue
-            for cid, cval in coeffs.items():
-                nv = sub(qcoeffs.get(cid, 0), mul(f, cval))
-                if nv:
-                    qcoeffs[cid] = nv
-                else:
-                    qcoeffs.pop(cid, None)
-            qrow[1] = sub(qrhs, mul(f, rhs))
-        rows[pid] = [coeffs, rhs]
+        pid = min(row[0])
+        row = self._normalized(row, pid)
+        for qrow in rows.values():
+            if pid in qrow[0]:
+                self._eliminate(qrow, pid, row)
+        rows[pid] = row
         done = [qid for qid, (qc, _) in rows.items() if len(qc) == 1]
         for qid in done:
             self._resolve(qid, rows.pop(qid)[1], now, out)
@@ -420,30 +360,17 @@ class Decoder:
 
     def _drop_unknown(self, sid):
         self.unknowns.discard(sid)
-        if self.rows.pop(sid, None) is not None:
+        rows = self.rows
+        if rows.pop(sid, None) is not None:
             return
-        holders = [p for p, (c, _) in self.rows.items() if sid in c]
+        holders = [p for p, (c, _) in rows.items() if sid in c]
         if not holders:
             return
-        sub, mul, inv = self._sub, self._mul, self._inv
         donor_pid = min(holders)
-        dcoeffs, drhs = self.rows.pop(donor_pid)
-        s = inv(dcoeffs[sid])
-        if s != 1:
-            dcoeffs = {cid: mul(s, cv) for cid, cv in dcoeffs.items()}
-            drhs = mul(s, drhs)
+        donor = self._normalized(rows.pop(donor_pid), sid)
         for pid in holders:
-            if pid == donor_pid:
-                continue
-            qcoeffs, qrhs = self.rows[pid]
-            f = qcoeffs[sid]
-            for cid, cval in dcoeffs.items():
-                nv = sub(qcoeffs.get(cid, 0), mul(f, cval))
-                if nv:
-                    qcoeffs[cid] = nv
-                else:
-                    qcoeffs.pop(cid, None)
-            self.rows[pid][1] = sub(qrhs, mul(f, drhs))
+            if pid != donor_pid:
+                self._eliminate(rows[pid], sid, donor)
 
     def _check_invariants(self):
         """Debug hook used by tests."""

@@ -32,26 +32,6 @@ def mat_vec(field, rows, vec):
     return out
 
 
-def mat_mul(field, a, b):
-    n = len(b)
-    cols = len(b[0])
-    out = []
-    for row in a:
-        orow = []
-        for j in range(cols):
-            acc = 0
-            for i in range(n):
-                if row[i] and b[i][j]:
-                    acc = field.add(acc, field.mul(row[i], b[i][j]))
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
 def rref(field, rows, rhs=None):
     """Reduced row echelon form; returns (rows, rhs, pivot_columns)."""
     work = [list(r) for r in rows]

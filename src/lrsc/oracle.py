@@ -144,33 +144,3 @@ def verify_stream(code, budget, deadline, horizon=None, trials=1, seed=0) -> Ver
             count += enumerated
     report.pattern_count = count
     return report
-
-
-def stream_codeword(code, messages, t):
-    """Block codeword carried by the stream at offset t (exact regime):
-    the a diagonal slices starting at t, t+r+1, ... followed by the a
-    parities with earlier contributions stripped.  Satisfies H w = 0."""
-    from .codec import diagonal_slice
-
-    p = code.params
-    if p is None or p.regime == "short":
-        raise ValueError("stream codewords of this layout exist in the exact and long regimes only")
-    f = code.field
-    a, r = p.a, p.r
-    history = {i: m for i, m in enumerate(messages)}
-    enc = Encoder(code)
-    coded = [enc.push(m) for m in messages]
-    w = []
-    for j in range(a):
-        w.extend(diagonal_slice(history, t + j * (r + 1), r))
-    for ell in range(1, a + 1):
-        s = t + ell * (r + 1) - 1
-        acc = coded[s].symbols[code.k]
-        for j in range(ell, a):
-            vec = diagonal_slice(history, t + (ell - 1 - j) * (r + 1), r)
-            col = code.weights.column(j)
-            for ww in range(r):
-                if vec[ww]:
-                    acc = f.sub(acc, f.mul(vec[ww], col[ww]))
-        w.append(acc)
-    return w

@@ -1,6 +1,6 @@
 """Line-oriented packet trace files.
 
-Message trace:   ``t | s0,s1,...``                 one line per time step
+Message trace:   ``t | s0,s1,...``  or  ``t | LOST``  one line per time step
 Coded trace:     ``t | s0,... | p0,...``  or  ``t | ERASED``
 
 Symbols use the field's bracketed GF(p) coefficient form, e.g. "[2,0,1,0]".
@@ -55,20 +55,30 @@ def write_message_trace(fh, field, messages):
             fh.write(f"{t} | {_format_symbols(field, msg)}\n")
 
 
-def read_message_trace(fh, field, k):
-    out = []
-    lineno = 0
-    for raw in fh:
-        lineno += 1
+def _records(fh):
+    """(lineno, '|'-separated fields) of every line that is neither blank
+    nor a comment."""
+    for lineno, raw in enumerate(fh, 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("|")
+        if line and not line.startswith("#"):
+            yield lineno, line.split("|")
+
+
+def iter_message_trace(fh, field, k):
+    """Yields (lineno, symbol tuple) per time step, None for LOST slots."""
+    for t, (lineno, parts) in enumerate(_records(fh)):
         if len(parts) != 2:
-            raise TraceError(lineno, "expected 't | symbols'")
-        _parse_time(parts[0], lineno, len(out))
-        out.append(_parse_symbols(field, parts[1], lineno, k))
-    return out
+            raise TraceError(lineno, "expected 't | symbols' or 't | LOST'")
+        _parse_time(parts[0], lineno, t)
+        if parts[1].strip() == "LOST":
+            yield lineno, None
+        else:
+            yield lineno, _parse_symbols(field, parts[1], lineno, k)
+
+
+def read_message_trace(fh, field, k):
+    """Returns a list of symbol tuples with None for LOST slots."""
+    return [msg for _, msg in iter_message_trace(fh, field, k)]
 
 
 def write_coded_trace(fh, field, packets, k):
@@ -84,13 +94,7 @@ def write_coded_trace(fh, field, packets, k):
 def read_coded_trace(fh, field, k, n):
     """Returns a list of symbol tuples with None for erased slots."""
     out = []
-    lineno = 0
-    for raw in fh:
-        lineno += 1
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("|")
+    for lineno, parts in _records(fh):
         _parse_time(parts[0], lineno, len(out))
         if len(parts) == 2 and parts[1].strip() == "ERASED":
             out.append(None)

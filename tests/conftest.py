@@ -4,12 +4,17 @@ the library's own code paths.
 The naive tower multiplier works on nested coefficient tuples with its own
 base-field polynomial arithmetic; the Leibniz determinant expands over
 permutations.  Both exist so that construction checks inside the library
-(elimination-based) are cross-examined by a different route here.
+(elimination-based) are cross-examined by a different route here.  The
+closed-form parity expressions read the constructions' diagonal sums
+straight off the message history, as the reference for the coefficient
+templates that the encoder and decoder use.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from lrsc.codec import Encoder
 
 
 # -- independent base field arithmetic on ints, via polynomial reduction --
@@ -142,3 +147,99 @@ def all_minors_nonzero(field, rows):
 
 def random_stream(rng, order, k, length):
     return [tuple(rng.randrange(order) for _ in range(k)) for _ in range(length)]
+
+
+# -- closed-form parity values over diagonals of the message history --
+
+def diagonal_slice(history, start, width):
+    """[m_0(start), m_1(start+1), ..., m_{width-1}(start+width-1)].
+
+    Negative times read as zero; a missing nonnegative time is a sequencing
+    bug and raises KeyError.
+    """
+    out = []
+    for i in range(width):
+        tt = start + i
+        out.append(history[tt][i] if tt >= 0 else 0)
+    return out
+
+
+def block_slice(history, block, start, span, width):
+    """Diagonal read of message block `block`: symbol block*span+w of the
+    packet at time start+w for w < width, zero padded out to span entries."""
+    out = []
+    for w in range(span):
+        if w < width:
+            tt = start + w
+            out.append(history[tt][block * span + w] if tt >= 0 else 0)
+        else:
+            out.append(0)
+    return out
+
+
+def closed_form_parity(code, i, history, t):
+    """Parity i at time t from the construction's diagonal sums, as
+    (message slice, weight column) dot products."""
+    p = code.params
+    if p is None:
+        # diagonal MDS baseline: parity i closes the diagonal that started
+        # at t - (k+i)
+        parts = [(diagonal_slice(history, t - code.k - i, code.k), [row[i] for row in code.pg])]
+    elif p.regime != "short":
+        parts = [(diagonal_slice(history, t - p.r - j * (p.r + 1), p.r), code.weights.column(j))
+                 for j in range(p.a)]
+    else:
+        column = code.weights.column
+        u, v, ell, r, a = p.u, p.v, p.ell, p.r, p.a
+        parts = []
+        if i < u:
+            for j in range(i + 1):
+                block = i - j
+                parts.append((block_slice(history, block, t - r - j * (r + 1), r, r), column(j)))
+            for j in range(i, u):
+                block = u + i - j
+                width = v if block == u else r
+                parts.append((block_slice(history, block, t - r - j * (r + 1) - v - ell, r, width),
+                              column(a - u + j)))
+        else:
+            ii = i - u
+            for j in range(u + 1):
+                block = u - j
+                width = v if block == u else r
+                parts.append((block_slice(history, block, t - v - ii - j * (r + 1), r, width),
+                              column(j + ii)))
+    f = code.field
+    acc = 0
+    for vec, col in parts:
+        for x, c in zip(vec, col):
+            if x:
+                acc = f.add(acc, f.mul(x, c))
+    return acc
+
+
+def stream_codeword(code, messages, t):
+    """Block codeword carried by the stream at offset t (exact regime):
+    the a diagonal slices starting at t, t+r+1, ... followed by the a
+    parities with earlier contributions stripped.  Satisfies H w = 0."""
+    p = code.params
+    if p is None or p.regime == "short":
+        raise ValueError("stream codewords of this layout exist in the exact and long regimes only")
+    f = code.field
+    a, r = p.a, p.r
+    history = {i: m for i, m in enumerate(messages)}
+    enc = Encoder(code)
+    coded = [enc.push(m) for m in messages]
+    w = []
+    for j in range(a):
+        w.extend(diagonal_slice(history, t + j * (r + 1), r))
+    for ell in range(1, a + 1):
+        s = t + ell * (r + 1) - 1
+        acc = coded[s].symbols[code.k]
+        for j in range(ell, a):
+            vec = diagonal_slice(history, t + (ell - 1 - j) * (r + 1), r)
+            col = code.weights.column(j)
+            for ww in range(r):
+                if vec[ww]:
+                    acc = f.sub(acc, f.mul(vec[ww], col[ww]))
+        w.append(acc)
+    return w

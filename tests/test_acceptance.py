@@ -21,11 +21,11 @@ from lrsc.codec import Encoder, LrscCode, MdsDeCode, make_lrsc
 from lrsc.gf import make_tower
 from lrsc.matrix import (mat_add, mat_vec, parity_weights, stacked_parity_check,
                          superregular_matrix, subfield_perturbation)
-from lrsc.oracle import stream_codeword, verify_scalar, verify_stream
+from lrsc.oracle import verify_scalar, verify_stream
 from lrsc.params import derive_params, rate_bound
 from lrsc.sim import PecChannel, run_sim
 
-from conftest import all_minors_nonzero, random_stream
+from conftest import all_minors_nonzero, random_stream, stream_codeword
 
 EXACT_GRID = [(a, r) for a in (2, 3, 4) for r in (1, 2, 3)]
 SHORT_SETS = [(2, 4, 2), (3, 7, 2), (3, 8, 3), (4, 9, 3)]

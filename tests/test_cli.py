@@ -139,6 +139,30 @@ def test_decode_lost_packet_exits_one(tmp_path):
     assert "LOST" in back.read_text()
 
 
+def test_encode_rejects_lost_line(tmp_path):
+    msg = tmp_path / "msg.trace"
+    msg.write_text("# header\n0 | [1],[2]\n1 | LOST\n")
+    res = _run("encode", "2", "5", "2", "--in", str(msg))
+    assert res.exit_code == 1
+    assert "line 3" in res.output and "LOST" in res.output
+
+
+def test_decode_inconsistent_parity_exits_one(tmp_path):
+    msg = tmp_path / "msg.trace"
+    coded = tmp_path / "coded.trace"
+    msg.write_text("".join(f"{t} | [{t % 3}],[{(t + 1) % 3}]\n" for t in range(21)))
+    _run("encode", "2", "5", "2", "--in", str(msg), "--out", str(coded))
+    lines = coded.read_text().splitlines()
+    for t in (9, 10, 11):
+        lines[t] = f"{t} | ERASED"
+    head, parity = lines[20].rsplit("| ", 1)
+    lines[20] = head + ("| [1]" if parity == "[0]" else "| [0]")
+    coded.write_text("\n".join(lines) + "\n")
+    res = _run("decode", "2", "5", "2", "--in", str(coded))
+    assert res.exit_code == 1
+    assert "time 20: received parity inconsistent" in res.output
+
+
 def test_decode_malformed_trace_reports_line(tmp_path):
     coded = tmp_path / "coded.trace"
     coded.write_text("0 | [1],[2] | [0]\nnonsense\n")

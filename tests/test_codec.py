@@ -1,15 +1,15 @@
-"""Encoders: closed-form parity values, templates, and stream properties."""
+"""Encoder: parity values against the closed forms, templates, and stream
+properties."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrsc.codec import (Encoder, LrscCode, MdsDeCode, block_slice,
-                        diagonal_slice, make_lrsc)
+from lrsc.codec import Encoder, LrscCode, MdsDeCode, make_lrsc
 from lrsc.params import derive_params
 
-from conftest import random_stream
+from conftest import block_slice, closed_form_parity, diagonal_slice, random_stream
 
 
 def _encode(code, msgs):
@@ -166,7 +166,7 @@ def test_templates_match_closed_forms(make):
             via_terms = 0
             for (tt, j), c in code.parity_terms(i, t):
                 via_terms = f.add(via_terms, f.mul(c, msgs[tt][j]))
-            assert via_terms == code.parity_value(i, hist, t)
+            assert via_terms == closed_form_parity(code, i, hist, t)
 
 
 def test_templates_sorted_by_time_then_symbol():
@@ -245,4 +245,4 @@ def test_hypothesis_template_equals_closed_form_242(msgs):
             via = 0
             for (tt, j), c in code.parity_terms(i, t):
                 via = code.field.add(via, code.field.mul(c, msgs[tt][j]))
-            assert via == code.parity_value(i, hist, t)
+            assert via == closed_form_parity(code, i, hist, t)

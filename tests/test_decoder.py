@@ -1,10 +1,16 @@
 """Sliding-window decoder: deadlines, recovery delays, best-effort behavior."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import lrsc
 from lrsc.codec import CodedPacket, Decoder, Encoder, MdsDeCode, make_lrsc
+from lrsc.sim import PecChannel
 
 from conftest import random_stream
 
@@ -139,6 +145,56 @@ def test_decoder_packet_shape_validation():
     dec2 = Decoder(code)
     with pytest.raises(ValueError):
         dec2.push(0, CodedPacket(1, (1, 2, 0)))
+    for syms in [(7, 1, 0), (1, "x", 0)]:      # 7 is outside GF(3), "x" is no element
+        with pytest.raises(ValueError):
+            Decoder(code).push(0, CodedPacket(0, syms))
+
+
+def test_inconsistent_parity_raises_under_optimize():
+    # the check must not be an assert: run it with python -O
+    script = textwrap.dedent("""
+        import random
+        from lrsc.codec import CodedPacket, DecodeError, Decoder, Encoder, make_lrsc
+        code = make_lrsc(2, 5, 2)
+        enc, dec = Encoder(code), Decoder(code)
+        rng = random.Random(0)
+        coded = [enc.push((rng.randrange(3), rng.randrange(3))) for _ in range(21)]
+        for t in range(20):
+            dec.push(t, None if t in (9, 10, 11) else coded[t])
+        bad = coded[20].symbols[:2] + ((coded[20].symbols[2] + 1) % 3,)
+        try:
+            dec.push(20, CodedPacket(20, bad))
+        except DecodeError as e:
+            print("DecodeError:", e)
+    """)
+    src = os.path.dirname(os.path.dirname(lrsc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "DecodeError: received parity inconsistent" in res.stdout
+
+
+@pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: MdsDeCode(2, 5),
+                                  lambda: make_lrsc(3, 7, 2)])
+@pytest.mark.parametrize("eps", [0.2, 0.4])
+def test_outcomes_do_not_depend_on_horizon(make, eps):
+    code = make()
+    rng = random.Random(11)
+    msgs = random_stream(rng, code.field.order, code.k, 3000)
+    coded = _coded(code, msgs)
+    channel = PecChannel(eps, 3)
+    streams = []
+    for windows in (1, 4, 16):
+        dec = Decoder(code)
+        dec.horizon = windows * (code.tau + 1)
+        stream = []
+        for t, pkt in enumerate(coded):
+            for ev in dec.push(t, None if channel.erased(t) else pkt):
+                stream.append((ev.t, ev.recovered, ev.delay))
+        streams.append(stream)
+    assert streams[0] == streams[1] == streams[2]
+    assert not all(recovered for _, recovered, _ in streams[0])
 
 
 def test_unknown_retention_horizon_prunes():

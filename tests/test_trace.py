@@ -86,5 +86,7 @@ def test_blank_lines_and_comments_skipped():
 def test_lost_packets_render_as_lost():
     code = make_lrsc(2, 5, 2)
     buf = io.StringIO()
-    trace_io.write_message_trace(buf, code.field, [(1, 2), None])
+    trace_io.write_message_trace(buf, code.field, [(1, 2), None, (0, 1)])
     assert buf.getvalue().splitlines()[1] == "1 | LOST"
+    buf.seek(0)
+    assert trace_io.read_message_trace(buf, code.field, 2) == [(1, 2), None, (0, 1)]

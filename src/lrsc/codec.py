@@ -37,7 +37,8 @@ class PacketOutcome:
 
 
 class DecodeError(ValueError):
-    """The received packets contradict each other or the decoder's state."""
+    """A parity the decoder read contradicts the resolved symbols or its
+    state; ``Decoder`` says which parities it reads."""
 
 
 def _check_symbols(field, symbols):
@@ -53,7 +54,8 @@ def _sort_template(terms):
     terms = sorted(terms, key=lambda s: (-s[1], s[0]))
     seen = set()
     for sym, delta, _ in terms:
-        assert (sym, delta) not in seen, "duplicate term in parity template"
+        if (sym, delta) in seen:
+            raise RuntimeError(f"duplicate term {(sym, delta)} in parity template")
         seen.add((sym, delta))
     return tuple(terms)
 
@@ -217,6 +219,10 @@ class Decoder:
     once time moves past the t+tau deadline.  Unknowns of lost packets stay
     live for a few windows so later parities can still be stripped; a late
     resolution never un-marks the loss.
+
+    Parities are read, and so checked, only on pushes made while some symbol
+    is unresolved.  On a clean stretch a corrupted parity passes unnoticed:
+    checking it would cost an encoder's worth of field work per packet.
     """
 
     def __init__(self, code):

@@ -14,6 +14,11 @@ leans on:
 * GF(q) matrix entries embed into the top field unchanged,
 * addition is digit-wise and never carries.
 
+Every field of order at most 2^16 computes with the same few reads of
+its exp, log and Zech tables, whatever p, m and level.  Level 1 builds
+them from GF(q)'s polynomial product and each higher level from the
+quadratic product over the level below; a larger field uses that directly.
+
 Construction is deterministic: the base irreducible and every level
 quadratic are the lexicographically smallest valid choices, comparing
 coefficient vectors constant term first.  Two towers built from equal
@@ -54,31 +59,10 @@ def smallest_prime_power_at_least(n: int) -> int:
     return c
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-# -- polynomials over GF(p), tuples of coefficients, constant term first --
-
-def _poly_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
+# -- polynomials over GF(p), sequences of coefficients, constant term first --
 
 def _poly_mod(num, den, p):
-    """Remainder of num modulo monic den, coefficients mod p."""
+    """Remainder of num modulo monic den, as deg(den) coefficients mod p."""
     num = list(num)
     dd = len(den) - 1
     for i in range(len(num) - 1, dd - 1, -1):
@@ -86,7 +70,7 @@ def _poly_mod(num, den, p):
         if c:
             for j in range(dd + 1):
                 num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
-    return _poly_trim([c % p for c in num[:dd]])
+    return [c % p for c in num[:dd]]
 
 
 def _is_irreducible(poly, p):
@@ -95,7 +79,7 @@ def _is_irreducible(poly, p):
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
             div = tail + (1,)
-            if not _poly_mod(poly, div, p):
+            if not any(_poly_mod(poly, div, p)):
                 return False
     return True
 
@@ -111,8 +95,46 @@ def _monic_irreducible(p: int, m: int):
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")
 
 
+def _log_tables(order, add, mul):
+    """exp, log and Zech tables of GF(order), from its add and mul.
+
+    g is the smallest element whose powers take n = order - 1 steps to
+    return to 1.  ``exp`` holds its powers twice, then n zeros; ``zech[d]``
+    is log(1 + g^d), or 2n, which reads that zero tail, where 1 + g^d = 0.
+    Stored twice, ``zech`` wraps any index in (-n, 2n).  -1 = g^half."""
+    n = order - 1
+    for g in range(1, order):
+        powers = [1]
+        x = g
+        while x != 1 and len(powers) <= n:
+            powers.append(x)
+            x = mul(x, g)
+        if len(powers) == n:
+            break
+    else:
+        raise RuntimeError(f"no multiplicative generator of GF({order})")
+    log = [0] * order
+    for i, x in enumerate(powers):
+        log[x] = i
+    zech = [log[s] if s else 2 * n for s in (add(1, x) for x in powers)]
+    half = zech.index(2 * n)
+    return powers * 2 + [0] * n, log, zech * 2, half
+
+
+def _find_quadratic(field):
+    """Smallest (const, lin) with t^2 + lin*t + const irreducible over field."""
+    add, mul, size = field.add, field.mul, field.order
+    for const in range(1, size):
+        minus_const = field.neg(const)
+        for lin in range(size):
+            if all(mul(x, add(x, lin)) != minus_const for x in range(size)):
+                return (lin, const)
+    raise RuntimeError(f"no irreducible quadratic over GF({size})")
+
+
 class BaseField:
-    """GF(p^m) with elements 0..q-1 encoded as base-p coefficient vectors."""
+    """GF(p^m) with elements 0..q-1 encoded as base-p coefficient vectors.
+    Its ``add`` and ``mul`` only build a tower's level-1 tables."""
 
     def __init__(self, q: int):
         pm = is_prime_power(q)
@@ -120,13 +142,9 @@ class BaseField:
             raise ValueError(f"field order {q} is not a prime power")
         self.p, self.m = pm
         self.q = q
+        if q > (_LOG_TABLE_MAX if self.m == 1 else _BASE_TABLE_MAX):
+            raise ValueError(f"base field GF({q}) exceeds the supported desk scale")
         self.poly = _monic_irreducible(self.p, self.m)
-        self._mul_table = None
-        self._inv_table = None
-        if self.m > 1:
-            if q > _BASE_TABLE_MAX:
-                raise ValueError(f"base extension field GF({q}) exceeds the supported desk scale")
-            self._build_tables()
 
     def _digits(self, a):
         out = []
@@ -141,61 +159,21 @@ class BaseField:
             acc = acc * self.p + d
         return acc
 
-    def _mul_poly(self, a, b):
+    def add(self, a, b):
+        if self.m == 1:
+            return (a + b) % self.p
+        return self._undigits([(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))])
+
+    def mul(self, a, b):
+        if self.m == 1:
+            return a * b % self.p
         da, db = self._digits(a), self._digits(b)
         prod = [0] * (2 * self.m - 1)
         for i, x in enumerate(da):
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % self.p
-        rem = _poly_mod(prod, self.poly, self.p)
-        return self._undigits(list(rem) + [0] * (self.m - len(rem)))
-
-    def _build_tables(self):
-        q = self.q
-        tbl = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_poly(a, b)
-                tbl[a][b] = v
-                tbl[b][a] = v
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if tbl[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._mul_table = tbl
-        self._inv_table = inv
-
-    def add(self, a, b):
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self._undigits([(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))])
-
-    def neg(self, a):
-        if self.m == 1:
-            return (self.p - a) % self.p
-        if self.p == 2:
-            return a
-        return self._undigits([(self.p - x) % self.p for x in self._digits(a)])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        if self.m == 1:
-            return (a * b) % self.p
-        return self._mul_table[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._inv_table[a]
+        return self._undigits(_poly_mod(prod, self.poly, self.p))
 
 
 class TowerField:
@@ -204,6 +182,10 @@ class TowerField:
     ``level_order(j)`` gives the order of the level-j subfield (levels 0 and
     1 both mean GF(q)); ``order`` is the top level's.  All arithmetic acts
     on ints below ``order``; lower-level elements are already embedded.
+
+    A tower of L >= 2 levels holds the tower of L - 1 levels.  Up to order
+    2^16 every operation reads this level's tables; above that ``_log`` is
+    None and the operations are the pair arithmetic over the level below.
     """
 
     def __init__(self, base: BaseField, levels: int):
@@ -216,150 +198,86 @@ class TowerField:
         self.order = self._sizes[levels]
         self.dim = 1 << (levels - 1)          # over GF(q)
         self.dim_p = base.m * self.dim        # over GF(p)
-        self._digit_vecs = None
-        self._exp = None
-        self._log = None
-        self.quads = {}                       # level -> (lin, const), coeffs in the level below
-        for j in range(2, levels + 1):
-            self.quads[j] = self._find_quadratic(j)
-        if levels >= 2 and self.order <= _LOG_TABLE_MAX:
-            self._digit_vecs = [self._to_digits(x) for x in range(self.order)]
-            self._build_log_tables()
+        if levels == 1:
+            self.quads = {}                   # level -> (lin, const), coeffs in the level below
+            add, mul = base.add, base.mul
+        else:
+            below = TowerField(base, levels - 1)
+            self._s = below.order
+            self._badd, self._bsub, self._bneg, self._bmul = below.add, below.sub, below.neg, below.mul
+            self._lin, self._const = _find_quadratic(below)
+            self.quads = {**below.quads, levels: (self._lin, self._const)}
+            add, mul = self._pair_add, self._pair_mul
+        if self.order <= _LOG_TABLE_MAX:
+            self._exp, self._log, self._zech, self._half = _log_tables(self.order, add, mul)
+        else:
+            self._log = None
+            self.add, self.sub, self.neg = self._pair_add, self._pair_sub, self._pair_neg
+            self.mul, self.pow = self._pair_mul, self._pair_pow
 
-    # -- construction helpers --
-
-    def _find_quadratic(self, j):
-        """Smallest (const, lin) with t^2 + lin*t + const irreducible over level j-1."""
-        size = self._sizes[j - 1]
-        for const in range(1, size):
-            for lin in range(size):
-                if not self._has_root(j - 1, lin, const, size):
-                    return (lin, const)
-        raise RuntimeError(f"no irreducible quadratic over level {j - 1}")
-
-    def _has_root(self, lvl, lin, const, size):
-        for x in range(size):
-            v = self.add(self._mul_lvl(lvl, x, x), self.add(self._mul_lvl(lvl, lin, x), const))
-            if v == 0:
-                return True
-        return False
-
-    def _build_log_tables(self):
-        o = self.order
-        factors = _prime_factors(o - 1)
-        gen = None
-        for cand in range(2, o):
-            if all(self._pow_slow(cand, (o - 1) // f) != 1 for f in factors):
-                gen = cand
-                break
-        if gen is None:
-            raise RuntimeError("no multiplicative generator found")
-        exp = [1] * (2 * (o - 1) - 1)
-        cur = 1
-        for i in range(1, o - 1):
-            cur = self._mul_lvl(self.levels, cur, gen)
-            exp[i] = cur
-        for i in range(o - 1, len(exp)):
-            exp[i] = exp[i - (o - 1)]
-        log = [0] * o
-        for i in range(o - 1):
-            log[exp[i]] = i
-        self._exp = exp
-        self._log = log
-
-    def _to_digits(self, x):
-        out = []
-        for _ in range(self.dim):
-            x, d = divmod(x, self.q)
-            out.append(d)
-        return tuple(out)
-
-    # -- arithmetic --
+    # -- arithmetic from the tables --
 
     def add(self, x, y):
-        if self.base.p == 2:
-            return x ^ y
-        if self.levels == 1:
-            return self.base.add(x, y)
-        badd = self.base.add
-        q = self.q
-        if self._digit_vecs is not None:
-            dx, dy = self._digit_vecs[x], self._digit_vecs[y]
-        else:
-            dx, dy = self._to_digits(x), self._to_digits(y)
-        acc = 0
-        for i in range(self.dim - 1, -1, -1):
-            acc = acc * q + badd(dx[i], dy[i])
-        return acc
-
-    def neg(self, x):
-        if self.base.p == 2:
-            return x
-        if self.levels == 1:
-            return self.base.neg(x)
-        bneg = self.base.neg
-        q = self.q
-        dx = self._digit_vecs[x] if self._digit_vecs is not None else self._to_digits(x)
-        acc = 0
-        for i in range(self.dim - 1, -1, -1):
-            acc = acc * q + bneg(dx[i])
-        return acc
+        if x and y:
+            lx = self._log[x]
+            return self._exp[lx + self._zech[self._log[y] - lx]]
+        return x or y
 
     def sub(self, x, y):
-        if self.base.p == 2:
-            return x ^ y
-        return self.add(x, self.neg(y))
+        if x and y:
+            lx = self._log[x]
+            return self._exp[lx + self._zech[self._log[y] + self._half - lx]]
+        return x or self.neg(y)
+
+    def neg(self, x):
+        return x and self._exp[self._log[x] + self._half]
 
     def mul(self, x, y):
-        if self.levels == 1:
-            return self.base.mul(x, y)
-        if self._log is not None:
-            if x == 0 or y == 0:
-                return 0
-            return self._exp[self._log[x] + self._log[y]]
-        return self._mul_lvl(self.levels, x, y)
-
-    def _mul_lvl(self, lvl, x, y):
-        if lvl == 1:
-            return self.base.mul(x, y)
-        size = self._sizes[lvl - 1]
-        x0, x1 = x % size, x // size
-        y0, y1 = y % size, y // size
-        if x1 == 0 and y1 == 0:
-            return self._mul_lvl(lvl - 1, x0, y0)
-        lin, const = self.quads[lvl]
-        p00 = self._mul_lvl(lvl - 1, x0, y0)
-        p11 = self._mul_lvl(lvl - 1, x1, y1)
-        cross = self.add(self._mul_lvl(lvl - 1, x0, y1), self._mul_lvl(lvl - 1, x1, y0))
-        lo = self.sub(p00, self._mul_lvl(lvl - 1, const, p11))
-        hi = self.sub(cross, self._mul_lvl(lvl - 1, lin, p11))
-        return lo + hi * size
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self.levels == 1:
-            return self.base.inv(x)
-        if self._log is not None:
-            return self._exp[(self.order - 1) - self._log[x]]
-        return self._pow_slow(x, self.order - 2)
+        return x and y and self._exp[self._log[x] + self._log[y]]
 
     def pow(self, x, e):
         if e < 0:
             raise ValueError("negative exponent")
         if x == 0:
             return 0 if e else 1
-        if self.levels >= 2 and self._log is not None:
-            return self._exp[(self._log[x] * e) % (self.order - 1)]
-        return self._pow_slow(x, e)
+        return self._exp[self._log[x] * e % (self.order - 1)]
 
-    def _pow_slow(self, x, e):
+    def inv(self, x):
+        if x == 0:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return self.pow(x, self.order - 2)
+
+    # -- arithmetic as pairs (x0, x1) = x0 + x1*t over the level below --
+
+    def _pair_add(self, x, y):
+        s = self._s
+        return self._badd(x % s, y % s) + self._badd(x // s, y // s) * s
+
+    def _pair_sub(self, x, y):
+        return self._pair_add(x, self._pair_neg(y))
+
+    def _pair_neg(self, x):
+        s = self._s
+        return self._bneg(x % s) + self._bneg(x // s) * s
+
+    def _pair_mul(self, x, y):
+        """(x0 + x1 t)(y0 + y1 t) with t^2 = -lin*t - const."""
+        s, add, sub, mul = self._s, self._badd, self._bsub, self._bmul
+        x1, x0 = divmod(x, s)
+        y1, y0 = divmod(y, s)
+        p11 = mul(x1, y1)
+        lo = sub(mul(x0, y0), mul(self._const, p11))
+        hi = sub(add(mul(x0, y1), mul(x1, y0)), mul(self._lin, p11))
+        return lo + hi * s
+
+    def _pair_pow(self, x, e):
+        if e < 0:
+            raise ValueError("negative exponent")
         acc = 1
-        cur = x
         while e:
             if e & 1:
-                acc = self._mul_lvl(self.levels, acc, cur)
-            cur = self._mul_lvl(self.levels, cur, cur)
+                acc = self._pair_mul(acc, x)
+            x = self._pair_mul(x, x)
             e >>= 1
         return acc
 

@@ -11,8 +11,9 @@ Two layers of ground truth:
   (plus an anchor at t=0 to exercise the zero prehistory), asserting the
   anchored packet comes back correct within the deadline.
 
-Pattern enumeration counts are asserted against the closed-form binomial
-totals so a silent enumeration bug cannot pass as success.
+Pattern enumeration counts are checked against the closed-form binomial
+totals, raising RuntimeError also under ``python -O``, so a silent
+enumeration bug cannot pass as success.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def verify_scalar(weights: ParityWeights) -> VerificationReport:
                 report.failures.append(Failure(
                     pattern=pattern, packet_t=None,
                     detail=f"coordinate {i} lies in the span of later erased columns"))
-    assert count == math.comb(n_len, a)
+    if count != math.comb(n_len, a):
+        raise RuntimeError(f"enumerated {count} patterns, expected {math.comb(n_len, a)}")
     report.pattern_count = count
     return report
 
@@ -140,7 +142,9 @@ def verify_stream(code, budget, deadline, horizon=None, trials=1, seed=0) -> Ver
                     h = len(pattern)
                     if delay > report.max_delay.get(h, -1):
                         report.max_delay[h] = delay
-            assert enumerated == per_anchor
+            if enumerated != per_anchor:
+                raise RuntimeError(f"enumerated {enumerated} patterns at anchor {anchor}, "
+                                   f"expected {per_anchor}")
             count += enumerated
     report.pattern_count = count
     return report

@@ -69,10 +69,12 @@ def derive_params(a: int, tau: int, r: int, q_override: int | None = None) -> Co
         regime, k, n = "short", tau + 1 - a, tau + 1
         u, v = divmod(k, r)
         ell = a - u
-        assert 0 <= u < a and 0 <= v < r and ell >= 1
+        if not (0 <= u < a and 0 <= v < r and ell >= 1):
+            raise RuntimeError(f"short-regime split out of range: u={u}, v={v}, ell={ell}")
 
     rate = Fraction(k, n)
-    assert rate == rate_bound(a, tau, r)
+    if rate != rate_bound(a, tau, r):
+        raise RuntimeError(f"rate {rate} misses the bound {rate_bound(a, tau, r)}")
     return CodeParams(a=a, tau=tau, r=r, regime=regime, k=k, n=n, q=q,
                       field_order=field_order, rate=rate, u=u, v=v, ell=ell)
 

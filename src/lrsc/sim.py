@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import random
 import time
+import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -101,7 +102,8 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
                 else:
                     lost += 1
     recovered = sum(hist.values())
-    assert recovered + lost == packets
+    if recovered + lost != packets:
+        raise RuntimeError(f"{recovered} recovered + {lost} lost != {packets} packets")
     p = lost / packets
     ci = 1.96 * (p * (1.0 - p) / packets) ** 0.5
     mean = sum(d * c for d, c in hist.items()) / recovered if recovered else None
@@ -134,19 +136,25 @@ def _sweep_point(args):
 def sweep(code, eps_list, packets: int, seed: int = 0, threads: int | None = None):
     """One run per eps, with channel and message seeds derived from (seed,
     index) so a second sweep with the same seed pairs up packet for packet.
-    LRSC_THREADS (or `threads`) > 1 fans points out to worker processes."""
+    LRSC_THREADS (or `threads`) > 1 fans points out to worker processes, or
+    warns and runs serially if no pool starts."""
     jobs = [
         (code, eps, packets, splitmix64(seed ^ (2 * i + 1)), splitmix64(seed ^ (2 * i + 2)))
         for i, eps in enumerate(eps_list)
     ]
     if threads is None:
-        threads = int(os.environ.get("LRSC_THREADS", "1") or "1")
+        raw = os.environ.get("LRSC_THREADS", "1") or "1"
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(f"LRSC_THREADS must be an integer, got {raw!r}") from None
     if threads > 1 and len(jobs) > 1:
         try:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 return list(pool.map(_sweep_point, jobs))
-        except OSError:
-            pass
+        except OSError as e:
+            warnings.warn(f"process pool unavailable ({e!r}); running serially",
+                          RuntimeWarning, stacklevel=2)
     return [_sweep_point(j) for j in jobs]
 
 

@@ -116,6 +116,11 @@ def naive_tower_add(tower, x, y):
     return _from_pair(tower, _pair_add(tower, _to_pair(tower, x, lvl), _to_pair(tower, y, lvl), lvl), lvl)
 
 
+def naive_tower_neg(tower, x):
+    lvl = tower.levels
+    return _from_pair(tower, _pair_neg(tower, _to_pair(tower, x, lvl), lvl), lvl)
+
+
 # -- independent determinant and minor enumeration --
 
 def leibniz_det(field, rows):

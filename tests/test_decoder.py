@@ -167,12 +167,36 @@ def test_inconsistent_parity_raises_under_optimize():
         except DecodeError as e:
             print("DecodeError:", e)
     """)
-    src = os.path.dirname(os.path.dirname(lrsc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                         env=env, timeout=60)
+    res = _run_optimized(script)
     assert res.returncode == 0, res.stderr
     assert "DecodeError: received parity inconsistent" in res.stdout
+
+
+def test_miscounted_enumeration_raises_under_optimize():
+    # the oracle's enumeration-count checks must not be asserts either
+    script = textwrap.dedent("""
+        import math, types
+        import lrsc.oracle as oracle
+        from lrsc.codec import make_lrsc
+        oracle.math = types.SimpleNamespace(comb=lambda n, k: math.comb(n, k) + 1)
+        code = make_lrsc(2, 5, 2)
+        for check in (lambda: oracle.verify_scalar(code.weights),
+                      lambda: oracle.verify_stream(code, 1, 2)):
+            try:
+                check()
+            except RuntimeError as e:
+                print("RuntimeError:", e)
+    """)
+    res = _run_optimized(script)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.count("RuntimeError: enumerated") == 2, res.stdout
+
+
+def _run_optimized(script):
+    src = os.path.dirname(os.path.dirname(lrsc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
 
 
 @pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: MdsDeCode(2, 5),

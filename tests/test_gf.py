@@ -9,7 +9,21 @@ from hypothesis import given, settings, strategies as st
 from lrsc.gf import (BaseField, TowerField, is_prime_power, make_tower,
                      smallest_prime_power_at_least)
 
-from conftest import naive_tower_add, naive_tower_mul
+from conftest import naive_tower_add, naive_tower_mul, naive_tower_neg
+
+# (q, a) for every field shape the package builds: prime and extension base
+# fields at level 1, and towers over both, in characteristic 2 and odd
+SMALL_SHAPES = [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2), (16, 2), (2, 3),
+                (3, 3), (4, 3), (5, 3), (7, 3), (9, 3), (2, 4), (3, 4)]      # order <= 81
+LARGE_SHAPES = [(4, 4), (16, 3), (5, 4), (7, 4)]                            # 256, 625, 2401
+
+
+def _check_against_oracle(f, pairs):
+    for x, y in pairs:
+        assert f.mul(x, y) == naive_tower_mul(f, x, y)
+        assert f.add(x, y) == naive_tower_add(f, x, y)
+        assert f.sub(x, y) == naive_tower_add(f, x, naive_tower_neg(f, y))
+        assert f.neg(x) == naive_tower_neg(f, x)
 
 
 def test_prime_power_detection():
@@ -73,15 +87,16 @@ def test_gf16_mul_table_against_polynomial_oracle():
             assert f.add(x, y) == naive_tower_add(f, x, y)
 
 
-@pytest.mark.parametrize("q,a", [(3, 4), (5, 3), (7, 4)])
+@pytest.mark.parametrize("q,a", SMALL_SHAPES + LARGE_SHAPES)
 def test_mul_against_naive_oracle_sampled(q, a):
+    # every pair up to order 81, sampled above
     f = make_tower(q, a)
     rng = random.Random(2024)
-    for _ in range(250):
-        x = rng.randrange(f.order)
-        y = rng.randrange(f.order)
-        assert f.mul(x, y) == naive_tower_mul(f, x, y)
-        assert f.add(x, y) == naive_tower_add(f, x, y)
+    if f.order <= 81:
+        pairs = itertools.product(range(f.order), repeat=2)
+    else:
+        pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(250)]
+    _check_against_oracle(f, pairs)
 
 
 @pytest.mark.parametrize("q,a", [(3, 3), (4, 3), (5, 4)])
@@ -102,12 +117,12 @@ def test_field_axioms_exhaustive_or_sampled(q, a):
         assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
 
 
-@pytest.mark.parametrize("q,a", [(4, 3), (3, 4)])
+@pytest.mark.parametrize("q,a", SMALL_SHAPES + LARGE_SHAPES)
 def test_inverses(q, a):
     f = make_tower(q, a)
     for x in range(1, f.order):
-        assert f.mul(x, f.inv(x)) == 1
-        assert f.add(x, f.neg(x)) == 0
+        assert naive_tower_mul(f, x, f.inv(x)) == 1
+        assert naive_tower_add(f, x, f.neg(x)) == 0
 
 
 def test_level_scalars():
@@ -217,16 +232,17 @@ def test_base_field_irreducibles():
 
 
 def test_large_tower_without_log_tables():
-    # above the table limit the slow recursive path must still be exact
+    # above the table limit the pair arithmetic over the level below must
+    # still be exact
     f = TowerField(BaseField(5), 4)   # order 5^8 = 390625
     assert f.order == 390625
     assert f._log is None
     rng = random.Random(14)
-    for _ in range(25):
-        x, y = rng.randrange(f.order), rng.randrange(f.order)
-        assert f.mul(x, y) == naive_tower_mul(f, x, y)
+    pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(25)]
+    _check_against_oracle(f, pairs + [(0, 7), (7, 0), (0, 0)])
+    for x, _ in pairs:
         if x:
-            assert f.mul(x, f.inv(x)) == 1
+            assert naive_tower_mul(f, x, f.inv(x)) == 1
 
 
 @settings(max_examples=60, deadline=None)

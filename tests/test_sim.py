@@ -100,6 +100,19 @@ def test_sweep_parallel_matches_sequential():
     assert seq == par
 
 
+def test_sweep_serial_fallback_warns(monkeypatch):
+    def no_pool(**kwargs):
+        raise OSError("no semaphores")
+    monkeypatch.setattr("lrsc.sim.ProcessPoolExecutor", no_pool)
+    code = make_lrsc(2, 5, 2)
+    with pytest.warns(RuntimeWarning, match="no semaphores"):
+        par = sweep(code, [0.1, 0.25], 600, seed=11, threads=2)
+    assert par == sweep(code, [0.1, 0.25], 600, seed=11, threads=1)
+    monkeypatch.setenv("LRSC_THREADS", "two")
+    with pytest.raises(ValueError, match="LRSC_THREADS"):
+        sweep(code, [0.1], 100)
+
+
 def test_csv_schema():
     code = make_lrsc(2, 5, 2)
     res = run_sim(code, PecChannel(0.1, 2), 1200, seed=2)

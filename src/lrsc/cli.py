@@ -152,8 +152,10 @@ def cmd_verify(a, tau, r, q, kind, budget, deadline, horizon, trials, seed):
 @click.option("--T", "-T", "packets", type=int, default=100000, help="Message packets per run.")
 @click.option("--seed", type=int, default=0, help="Master seed for channel and messages.")
 @click.option("--codes", type=click.Choice(["both", "lrsc", "mds"]), default="both")
-@click.option("--out", type=click.Path(writable=True), default=None, help="CSV output path (default stdout).")
-@click.option("--hist-out", type=click.Path(writable=True), default=None, help="Delay histogram CSV path.")
+@click.option("--out", type=click.File("w", lazy=False), default=None,
+              help="CSV output path (default stdout).")
+@click.option("--hist-out", type=click.File("w", lazy=False), default=None,
+              help="Delay histogram CSV path.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "text"]), default="csv")
 def cmd_simulate(a, tau, r, q, eps, packets, seed, codes, out, hist_out, fmt):
     """Monte Carlo erasure-channel sweep; emits one CSV row per (eps, code)."""
@@ -177,22 +179,22 @@ def cmd_simulate(a, tau, r, q, eps, packets, seed, codes, out, hist_out, fmt):
             click.echo(f"warning: loss count {res.lost} < 20 at eps={res.eps} "
                        f"for {res.code_label}; estimate unstable", err=True)
     if fmt == "text":
-        lines = [f"{'eps':>8} {'code':>16} {'loss_prob':>12} {'ci':>10} {'mean_delay':>11}"]
+        lines = [f"{'eps':>8} {'code':>16} {'loss_prob':>12} {'ci':>10} {'mean_delay':>11} "
+                 f"{'mean(erased)':>13}"]
         for res in results:
             mean = f"{res.mean_delay:.4f}" if res.mean_delay is not None else "-"
+            mer = f"{res.mean_delay_erased:.3f}" if res.mean_delay_erased is not None else "-"
             lines.append(f"{res.eps:>8} {res.code_label:>16} {res.loss_prob:>12.6f} "
-                         f"{res.loss_ci:>10.6f} {mean:>11}")
+                         f"{res.loss_ci:>10.6f} {mean:>11} {mer:>13}")
     else:
         lines = list(csv_rows(results))
     if out:
-        with open(out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     else:
         for line in lines:
             click.echo(line)
     if hist_out:
-        with open(hist_out, "w") as fh:
-            fh.write("\n".join(hist_rows(results)) + "\n")
+        hist_out.write("\n".join(hist_rows(results)) + "\n")
 
 
 @main.command("encode")

@@ -237,9 +237,9 @@ class Decoder:
         self.unknowns = set()    # (t, j) still unresolved
         self.rows = {}           # pivot id -> [coeff dict, rhs]; reduced echelon form
         self.missing = {}        # t -> set of unresolved symbol indices
-        self.lost = set()        # packets already reported lost
         # any horizon > tau gives the same outcomes: no parity reaches further
-        # back, and _drop_unknown eliminates an unknown exactly
+        # back, and _drop_unknown eliminates an unknown exactly.  A longer one
+        # keeps reading, and so checking, parities for longer after a loss.
         self.horizon = 4 * (code.tau + 1)
 
     def push(self, t, packet) -> list[PacketOutcome]:
@@ -248,8 +248,7 @@ class Decoder:
         self.next_t += 1
         out = []
         dead = t - self.tau - 1
-        if dead >= 0 and dead in self.missing and dead not in self.lost:
-            self.lost.add(dead)
+        if dead in self.missing:
             out.append(PacketOutcome(dead, recovered=False))
         if packet is None:
             self.missing[t] = set(range(self.k))
@@ -310,13 +309,17 @@ class Decoder:
                     coeffs.pop(cid, None)
         row[1] = sub(row[1], mul(f, pivot[1]))
 
-    def _normalized(self, row, pid):
-        """Row [coeffs, rhs] scaled so that its coefficient at pid is 1."""
+    def _pivot(self, row, pid):
+        """Scale row [coeffs, rhs] to 1 at unknown pid and clear pid from
+        every stored row with it; returns the scaled row."""
         s = self._inv(row[0][pid])
-        if s == 1:
-            return row
-        mul = self._mul
-        return [{cid: mul(s, cv) for cid, cv in row[0].items()}, mul(s, row[1])]
+        if s != 1:
+            mul = self._mul
+            row = [{cid: mul(s, cv) for cid, cv in row[0].items()}, mul(s, row[1])]
+        for qrow in self.rows.values():
+            if pid in qrow[0]:
+                self._eliminate(qrow, pid, row)
+        return row
 
     def _insert(self, row, now, out):
         rows = self.rows
@@ -327,11 +330,7 @@ class Decoder:
                 raise DecodeError("received parity inconsistent with resolved symbols")
             return
         pid = min(row[0])
-        row = self._normalized(row, pid)
-        for qrow in rows.values():
-            if pid in qrow[0]:
-                self._eliminate(qrow, pid, row)
-        rows[pid] = row
+        rows[pid] = self._pivot(row, pid)
         done = [qid for qid, (qc, _) in rows.items() if len(qc) == 1]
         for qid in done:
             self._resolve(qid, rows.pop(qid)[1], now, out)
@@ -346,7 +345,7 @@ class Decoder:
         miss.discard(j)
         if not miss:
             del self.missing[t]
-            if t not in self.lost:
+            if now - t <= self.tau:      # later, push already reported it lost
                 msg = tuple(self.known[(t, jj)] for jj in range(self.k))
                 out.append(PacketOutcome(t, recovered=True, delay=now - t, message=msg))
 
@@ -362,7 +361,6 @@ class Decoder:
             if sid in self.unknowns:
                 self._drop_unknown(sid)
         self.missing.pop(tp, None)
-        self.lost.discard(tp)
 
     def _drop_unknown(self, sid):
         self.unknowns.discard(sid)
@@ -370,19 +368,5 @@ class Decoder:
         if rows.pop(sid, None) is not None:
             return
         holders = [p for p, (c, _) in rows.items() if sid in c]
-        if not holders:
-            return
-        donor_pid = min(holders)
-        donor = self._normalized(rows.pop(donor_pid), sid)
-        for pid in holders:
-            if pid != donor_pid:
-                self._eliminate(rows[pid], sid, donor)
-
-    def _check_invariants(self):
-        """Debug hook used by tests."""
-        for pid, (coeffs, _) in self.rows.items():
-            assert coeffs.get(pid) == 1
-            assert set(coeffs) <= self.unknowns
-            for qid, (qc, _) in self.rows.items():
-                if qid != pid:
-                    assert pid not in qc
+        if holders:
+            self._pivot(rows.pop(min(holders)), sid)

@@ -316,9 +316,6 @@ class TowerField:
             raise ValueError(f"{x!r} is not an element of a field of order {self.order}")
         return x
 
-    def elements(self):
-        return range(self.order)
-
     # -- textual element format: GF(p) coefficient vector, low index first --
 
     def element_coeffs(self, x):

@@ -9,12 +9,9 @@ depend on them, so this choice only exercises best-effort paths.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .codec import Decoder, Encoder
@@ -128,34 +125,14 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     )
 
 
-def _sweep_point(args):
-    code, eps, packets, chan_seed, msg_seed = args
-    return run_sim(code, PecChannel(eps, chan_seed), packets, msg_seed)
-
-
-def sweep(code, eps_list, packets: int, seed: int = 0, threads: int | None = None):
+def sweep(code, eps_list, packets: int, seed: int = 0):
     """One run per eps, with channel and message seeds derived from (seed,
-    index) so a second sweep with the same seed pairs up packet for packet.
-    LRSC_THREADS (or `threads`) > 1 fans points out to worker processes, or
-    warns and runs serially if no pool starts."""
-    jobs = [
-        (code, eps, packets, splitmix64(seed ^ (2 * i + 1)), splitmix64(seed ^ (2 * i + 2)))
+    index) so a second sweep with the same seed pairs up packet for packet."""
+    return [
+        run_sim(code, PecChannel(eps, splitmix64(seed ^ (2 * i + 1))), packets,
+                splitmix64(seed ^ (2 * i + 2)))
         for i, eps in enumerate(eps_list)
     ]
-    if threads is None:
-        raw = os.environ.get("LRSC_THREADS", "1") or "1"
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"LRSC_THREADS must be an integer, got {raw!r}") from None
-    if threads > 1 and len(jobs) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(_sweep_point, jobs))
-        except OSError as e:
-            warnings.warn(f"process pool unavailable ({e!r}); running serially",
-                          RuntimeWarning, stacklevel=2)
-    return [_sweep_point(j) for j in jobs]
 
 
 CSV_HEADER = "epsilon,code,T,seed,loss_prob,loss_ci,mean_delay,delay_p50,delay_p99"

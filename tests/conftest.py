@@ -150,6 +150,17 @@ def all_minors_nonzero(field, rows):
     return True
 
 
+def check_decoder_invariants(dec):
+    """Assert the decoder's rows are in reduced echelon form over its live
+    unknowns: each row is 1 at its own pivot, which no other row holds."""
+    for pid, (coeffs, _) in dec.rows.items():
+        assert coeffs.get(pid) == 1
+        assert set(coeffs) <= dec.unknowns
+        for qid, (qc, _) in dec.rows.items():
+            if qid != pid:
+                assert pid not in qc
+
+
 def random_stream(rng, order, k, length):
     return [tuple(rng.randrange(order) for _ in range(k)) for _ in range(length)]
 

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import pytest
 from click.testing import CliRunner
 
 from lrsc.cli import main
@@ -92,7 +93,20 @@ def test_simulate_text_format():
     res = _run("simulate", "2", "5", "2", "--eps", "0.2", "-T", "300",
                "--codes", "lrsc", "--format", "text")
     assert res.exit_code == 0
-    assert "loss_prob" in res.output
+    header, row = [l for l in res.output.splitlines() if not l.startswith("warning:")][:2]
+    assert "loss_prob" in header
+    assert header.split()[-1] == "mean(erased)"
+    assert float(row.split()[-1]) >= 1.0       # an erased packet waits at least one step
+
+
+def test_simulate_bad_output_path_fails_before_running(tmp_path, monkeypatch):
+    monkeypatch.setattr("lrsc.cli.sweep",
+                        lambda *a, **kw: pytest.fail("simulated before opening the outputs"))
+    missing = str(tmp_path / "no-such-dir" / "out.csv")
+    for opt in ("--out", "--hist-out"):
+        res = _run("simulate", "2", "5", "2", "--eps", "0.1", opt, missing)
+        assert res.exit_code == 2
+        assert f"Invalid value for '{opt}'" in res.output
 
 
 def test_encode_decode_round_trip(tmp_path):

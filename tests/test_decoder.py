@@ -1,5 +1,6 @@
 """Sliding-window decoder: deadlines, recovery delays, best-effort behavior."""
 
+import functools
 import os
 import random
 import subprocess
@@ -7,12 +8,14 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lrsc
 from lrsc.codec import CodedPacket, Decoder, Encoder, MdsDeCode, make_lrsc
+from lrsc.matrix import pinned_coordinates
 from lrsc.sim import PecChannel
 
-from conftest import random_stream
+from conftest import check_decoder_invariants, random_stream
 
 
 def _coded(code, msgs):
@@ -98,7 +101,7 @@ def test_beyond_guarantee_burst():
     assert by_t[11].recovered and by_t[11].delay == 5 and by_t[11].message == msgs[11]
     for t in range(12, 24):
         assert by_t[t].recovered and by_t[t].delay == 0
-    dec._check_invariants()
+    check_decoder_invariants(dec)
 
 
 def test_late_resolution_strips_for_later_packets():
@@ -234,7 +237,7 @@ def test_unknown_retention_horizon_prunes():
     assert all(t >= 140 - horizon - 1 for (t, _) in dec.unknowns)
     assert all(t >= 140 - horizon - 1 for (t, _) in dec.known)
     assert all(t >= 140 - horizon - 1 for (t, _) in dec.rows)
-    dec._check_invariants()
+    check_decoder_invariants(dec)
 
 
 def test_long_regime_decoding():
@@ -245,3 +248,79 @@ def test_long_regime_decoding():
     _, events = _drive(code, coded, {9, 12})
     ev = next(e for e in events if e.t == 9)
     assert ev.recovered and ev.delay <= 7 and ev.message == msgs[9]
+
+
+_DENSE_CODES = {"lrsc-2-5-2": lambda: make_lrsc(2, 5, 2),
+                "lrsc-3-7-2": lambda: make_lrsc(3, 7, 2),
+                "mds-de-2-5": lambda: MdsDeCode(2, 5)}
+
+
+@functools.cache
+def _dense_code(name):
+    return _DENSE_CODES[name]()
+
+
+def _dense_pinned(code, coded, erased, now):
+    """Erased symbols (t, j), t <= now, that the parities received up to now
+    pin, with their values: one dense system over all of them, no horizon."""
+    cols = [(t, j) for t in sorted(erased) if t <= now for j in range(code.k)]
+    index = {sid: c for c, sid in enumerate(cols)}
+    f = code.field
+    rows, rhs = [], []
+    for s in range(now + 1):
+        if s in erased:
+            continue
+        for i, template in enumerate(code.templates):
+            row = [0] * len(cols)
+            b = coded[s].symbols[code.k + i]
+            for j, d, c in template:
+                if d > s:
+                    continue
+                sid = (s - d, j)
+                if sid in index:
+                    row[index[sid]] = f.add(row[index[sid]], c)
+                else:
+                    b = f.sub(b, f.mul(c, coded[s - d].symbols[j]))
+            if any(row):
+                rows.append(row)
+                rhs.append(b)
+    if not rows:
+        return {}
+    return {cols[c]: v for c, v in pinned_coordinates(f, rows, rhs).items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_DENSE_CODES)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       erased=st.sets(st.integers(0, 47), max_size=10),
+       windows=st.sampled_from([1, 4]))
+def test_hypothesis_decoder_matches_dense_reference(name, seed, erased, windows):
+    # after every push the decoder settles exactly the packets the dense
+    # system over every erased symbol settles: recovered once all k symbols
+    # are pinned within tau, lost at t+tau+1 otherwise
+    code = _dense_code(name)
+    msgs = random_stream(random.Random(seed), code.field.order, code.k, 48)
+    coded = _coded(code, msgs)
+    dec = Decoder(code)
+    dec.horizon = windows * (code.tau + 1)
+    tau = code.tau
+    settled = set()
+    for now in range(48):
+        got = sorted((ev.t, ev.recovered, ev.delay, ev.message)
+                     for ev in dec.push(now, None if now in erased else coded[now]))
+        pinned = _dense_pinned(code, coded, erased, now)
+        for (t, j), v in pinned.items():
+            assert v == msgs[t][j]
+        want = []
+        if now not in erased:
+            want.append((now, True, 0, msgs[now]))
+        for t in sorted(erased):
+            if t in settled or t > now:
+                continue
+            if now - t > tau:
+                want.append((t, False, None, None))
+                settled.add(t)
+            elif all((t, j) in pinned for j in range(code.k)):
+                want.append((t, True, now - t, msgs[t]))
+                settled.add(t)
+        assert got == sorted(want), now

@@ -79,14 +79,6 @@ def test_gf16_generator_square_reduces_by_quadratic():
     assert f.mul(4, 4) == 9
 
 
-def test_gf16_mul_table_against_polynomial_oracle():
-    f = make_tower(4, 3)
-    for x in range(16):
-        for y in range(16):
-            assert f.mul(x, y) == naive_tower_mul(f, x, y)
-            assert f.add(x, y) == naive_tower_add(f, x, y)
-
-
 @pytest.mark.parametrize("q,a", SMALL_SHAPES + LARGE_SHAPES)
 def test_mul_against_naive_oracle_sampled(q, a):
     # every pair up to order 81, sampled above

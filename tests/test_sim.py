@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from lrsc.codec import MdsDeCode, make_lrsc
 from lrsc.oracle import verify_stream
 from lrsc.sim import (CSV_HEADER, PecChannel, ReplayChannel, csv_rows,
@@ -91,26 +89,6 @@ def test_sweep_derives_paired_seeds():
 
 def test_sweep_empty():
     assert sweep(make_lrsc(2, 5, 2), [], 100, seed=0) == []
-
-
-def test_sweep_parallel_matches_sequential():
-    code = make_lrsc(2, 5, 2)
-    seq = sweep(code, [0.1, 0.25], 600, seed=11, threads=1)
-    par = sweep(code, [0.1, 0.25], 600, seed=11, threads=2)
-    assert seq == par
-
-
-def test_sweep_serial_fallback_warns(monkeypatch):
-    def no_pool(**kwargs):
-        raise OSError("no semaphores")
-    monkeypatch.setattr("lrsc.sim.ProcessPoolExecutor", no_pool)
-    code = make_lrsc(2, 5, 2)
-    with pytest.warns(RuntimeWarning, match="no semaphores"):
-        par = sweep(code, [0.1, 0.25], 600, seed=11, threads=2)
-    assert par == sweep(code, [0.1, 0.25], 600, seed=11, threads=1)
-    monkeypatch.setenv("LRSC_THREADS", "two")
-    with pytest.raises(ValueError, match="LRSC_THREADS"):
-        sweep(code, [0.1], 100)
 
 
 def test_csv_schema():

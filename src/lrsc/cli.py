@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification or decode failure, 2 usage error.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 
 import click
@@ -143,6 +144,17 @@ def cmd_verify(a, tau, r, q, kind, budget, deadline, horizon, trials, seed):
     sys.exit(1 if failed else 0)
 
 
+def _open_output(path, option):
+    """Open an output path for writing (a no-op context for None); a path
+    that cannot be opened is a usage error against that option."""
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return click.open_file(path, "w")
+    except OSError as e:
+        raise click.BadParameter(f"'{path}': {e.strerror}", param_hint=f"'{option}'")
+
+
 @main.command("simulate")
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
@@ -152,10 +164,8 @@ def cmd_verify(a, tau, r, q, kind, budget, deadline, horizon, trials, seed):
 @click.option("--T", "-T", "packets", type=int, default=100000, help="Message packets per run.")
 @click.option("--seed", type=int, default=0, help="Master seed for channel and messages.")
 @click.option("--codes", type=click.Choice(["both", "lrsc", "mds"]), default="both")
-@click.option("--out", type=click.File("w", lazy=False), default=None,
-              help="CSV output path (default stdout).")
-@click.option("--hist-out", type=click.File("w", lazy=False), default=None,
-              help="Delay histogram CSV path.")
+@click.option("--out", default=None, help="CSV output path (default stdout).")
+@click.option("--hist-out", default=None, help="Delay histogram CSV path.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "text"]), default="csv")
 def cmd_simulate(a, tau, r, q, eps, packets, seed, codes, out, hist_out, fmt):
     """Monte Carlo erasure-channel sweep; emits one CSV row per (eps, code)."""
@@ -163,38 +173,31 @@ def cmd_simulate(a, tau, r, q, eps, packets, seed, codes, out, hist_out, fmt):
         eps_list = [float(x) for x in eps.split(",") if x.strip()]
     except ValueError:
         raise click.UsageError(f"bad --eps list {eps!r}")
-    targets = []
-    if codes in ("both", "lrsc"):
-        targets.append(_build_code(a, tau, r, q, "lrsc"))
-    if codes in ("both", "mds"):
-        try:
-            targets.append(MdsDeCode(a, tau))
-        except ValueError as e:
-            raise click.UsageError(str(e))
-    results = []
-    for code in targets:
-        results.extend(sweep(code, eps_list, packets, seed=seed))
-    for res in results:
-        if res.low_confidence:
-            click.echo(f"warning: loss count {res.lost} < 20 at eps={res.eps} "
-                       f"for {res.code_label}; estimate unstable", err=True)
-    if fmt == "text":
-        lines = [f"{'eps':>8} {'code':>16} {'loss_prob':>12} {'ci':>10} {'mean_delay':>11} "
-                 f"{'mean(erased)':>13}"]
+    kinds = ["lrsc", "mds"] if codes == "both" else [codes]
+    targets = [_build_code(a, tau, r, q, kind) for kind in kinds]
+    with _open_output(out, "--out") as out_fh, _open_output(hist_out, "--hist-out") as hist_fh:
+        results = [res for code in targets for res in sweep(code, eps_list, packets, seed=seed)]
         for res in results:
-            mean = f"{res.mean_delay:.4f}" if res.mean_delay is not None else "-"
-            mer = f"{res.mean_delay_erased:.3f}" if res.mean_delay_erased is not None else "-"
-            lines.append(f"{res.eps:>8} {res.code_label:>16} {res.loss_prob:>12.6f} "
-                         f"{res.loss_ci:>10.6f} {mean:>11} {mer:>13}")
-    else:
-        lines = list(csv_rows(results))
-    if out:
-        out.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            click.echo(line)
-    if hist_out:
-        hist_out.write("\n".join(hist_rows(results)) + "\n")
+            if res.low_confidence:
+                click.echo(f"warning: loss count {res.lost} < 20 at eps={res.eps} "
+                           f"for {res.code_label}; estimate unstable", err=True)
+        if fmt == "text":
+            lines = [f"{'eps':>8} {'code':>16} {'loss_prob':>12} {'ci':>10} {'mean_delay':>11} "
+                     f"{'mean(erased)':>13}"]
+            for res in results:
+                mean = f"{res.mean_delay:.4f}" if res.mean_delay is not None else "-"
+                mer = f"{res.mean_delay_erased:.3f}" if res.mean_delay_erased is not None else "-"
+                lines.append(f"{res.eps:>8} {res.code_label:>16} {res.loss_prob:>12.6f} "
+                             f"{res.loss_ci:>10.6f} {mean:>11} {mer:>13}")
+        else:
+            lines = list(csv_rows(results))
+        if out_fh:
+            out_fh.write("\n".join(lines) + "\n")
+        else:
+            for line in lines:
+                click.echo(line)
+        if hist_fh:
+            hist_fh.write("\n".join(hist_rows(results)) + "\n")
 
 
 @main.command("encode")

@@ -292,24 +292,12 @@ class TowerField:
         """1 for the first two levels; above that, the root adjoined at level j.
 
         The returned element lies in level j but outside level j-1, which is
-        what the staggered parity constructions need.
+        what the staggered parity constructions need: as the basis element
+        above level j-1, its int is the order of level j-1.
         """
         if not 0 <= j <= self.levels:
             raise ValueError(f"level {j} out of range [0:{self.levels}]")
-        if j <= 1:
-            return 1
-        return self.q ** (1 << (j - 2))
-
-    def in_subfield(self, x, j):
-        """True iff x lies in the level-j subfield."""
-        if not 1 <= j <= self.levels:
-            raise ValueError(f"level {j} out of range [1:{self.levels}]")
-        self.check(x)
-        return x < self._sizes[j]
-
-    def frobenius_fixed(self, x, j):
-        """Field-theoretic membership test: x**level_order(j) == x."""
-        return self.pow(x, self._sizes[j]) == x
+        return 1 if j <= 1 else self.level_order(j - 1)
 
     def check(self, x):
         if not isinstance(x, int) or not 0 <= x < self.order:

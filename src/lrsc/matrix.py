@@ -1,17 +1,17 @@
-"""Structured matrix constructions and exact linear algebra over a tower field.
+"""Structured matrix constructions and a rank test over a tower field.
 
 Matrices are tuples/lists of row sequences holding field ints, with the
 owning TowerField passed alongside.  Everything here is desk scale (at most
-a few dozen rows), so the linear algebra is dense Gaussian elimination with
-first-nonzero pivoting, and superregularity of the constructed matrices is
-confirmed by enumerating every square submatrix rather than trusted from
+a few dozen rows), so the one linear-algebra question, whether a set of
+columns is independent, is answered by ``rank``: dense forward elimination
+with first-nonzero pivoting.  Superregularity of the constructed matrices
+is confirmed by ranking every square submatrix rather than trusted from
 theory.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .gf import TowerField
@@ -21,98 +21,26 @@ def _freeze(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def mat_vec(field, rows, vec):
-    out = []
-    for row in rows:
-        acc = 0
-        for c, x in zip(row, vec):
-            if c and x:
-                acc = field.add(acc, field.mul(c, x))
-        out.append(acc)
-    return out
-
-
-def rref(field, rows, rhs=None):
-    """Reduced row echelon form; returns (rows, rhs, pivot_columns)."""
+def rank(field, rows):
+    """Pivot count of forward elimination with first-nonzero pivoting."""
     work = [list(r) for r in rows]
-    b = list(rhs) if rhs is not None else None
     nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots = []
     pr = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(pr, nrows):
-            if work[i][col]:
-                piv = i
-                break
+    for col in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(pr, nrows) if work[i][col]), None)
         if piv is None:
             continue
         work[pr], work[piv] = work[piv], work[pr]
-        if b is not None:
-            b[pr], b[piv] = b[piv], b[pr]
-        s = field.inv(work[pr][col])
-        if s != 1:
-            work[pr] = [field.mul(s, v) for v in work[pr]]
-            if b is not None:
-                b[pr] = field.mul(s, b[pr])
-        for i in range(nrows):
-            if i != pr and work[i][col]:
-                f = work[i][col]
-                prow = work[pr]
+        prow = work[pr]
+        inv_p = field.inv(prow[col])
+        for i in range(pr + 1, nrows):
+            if work[i][col]:
+                f = field.mul(work[i][col], inv_p)
                 work[i] = [field.sub(v, field.mul(f, pv)) for v, pv in zip(work[i], prow)]
-                if b is not None:
-                    b[i] = field.sub(b[i], field.mul(f, b[pr]))
-        pivots.append(col)
         pr += 1
         if pr == nrows:
             break
-    return work, b, pivots
-
-
-def rank(field, rows):
-    if not rows:
-        return 0
-    _, _, pivots = rref(field, rows)
-    return len(pivots)
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    status: str                 # "unique" | "underdetermined" | "inconsistent"
-    solution: tuple | None
-    free_count: int = 0
-
-
-def solve(field, rows, rhs):
-    """Solve rows * x = rhs exactly, classifying the solution set."""
-    if len(rows) != len(rhs):
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    work, b, pivots = rref(field, rows, rhs)
-    ncols = len(rows[0]) if rows else 0
-    for i in range(len(pivots), len(work)):
-        if b[i] != 0:
-            return SolveResult("inconsistent", None)
-    if len(pivots) < ncols:
-        return SolveResult("underdetermined", None, ncols - len(pivots))
-    x = [0] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = b[i]
-    return SolveResult("unique", tuple(x))
-
-
-def pinned_coordinates(field, rows, rhs):
-    """Coordinates forced to a single value by the system, even when the
-    system as a whole is underdetermined."""
-    work, b, pivots = rref(field, rows, rhs)
-    for i in range(len(pivots), len(work)):
-        if b[i] != 0:
-            raise ValueError("inconsistent system")
-    out = {}
-    for i, col in enumerate(pivots):
-        if sum(1 for v in work[i] if v) == 1:
-            out[col] = b[i]
-    return out
+    return pr
 
 
 def in_span(field, vec, vectors):
@@ -125,31 +53,6 @@ def in_span(field, vec, vectors):
     return rank(field, aug) == base
 
 
-def det(field, rows):
-    """Determinant via forward elimination."""
-    n = len(rows)
-    work = [list(r) for r in rows]
-    acc = 1
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            acc = field.neg(acc)
-        acc = field.mul(acc, work[col][col])
-        inv_p = field.inv(work[col][col])
-        for i in range(col + 1, n):
-            if work[i][col]:
-                f = field.mul(work[i][col], inv_p)
-                work[i] = [field.sub(v, field.mul(f, pv)) for v, pv in zip(work[i], work[col])]
-    return acc
-
-
 def is_superregular(field, rows):
     """Every square submatrix nonsingular, checked exhaustively."""
     nr = len(rows)
@@ -158,7 +61,7 @@ def is_superregular(field, rows):
         for ii in itertools.combinations(range(nr), z):
             for jj in itertools.combinations(range(nc), z):
                 sub = [[rows[i][j] for j in jj] for i in ii]
-                if det(field, sub) == 0:
+                if rank(field, sub) < z:
                     return False
     return True
 
@@ -279,10 +182,6 @@ class ParityCheckMatrix:
     def block_len(self):
         return self.lags * (self.span + 1)
 
-    @property
-    def msg_len(self):
-        return self.lags * self.span
-
     def column(self, j):
         return tuple(row[j] for row in self.rows)
 
@@ -305,28 +204,3 @@ def stacked_parity_check(weights: ParityWeights) -> ParityCheckMatrix:
         row.extend(neg_one if i2 == i else 0 for i2 in range(a))
         rows.append(tuple(row))
     return ParityCheckMatrix(tower=tower, rows=tuple(rows), lags=a, span=r)
-
-
-def subfield_perturbation(tower: TowerField, nrows: int, ncols: int, seed: int):
-    """Seeded random matrix vanishing on the first two lag columns, with
-    lag-j entries confined to the level-(j-1) subfield."""
-    if ncols - 1 > tower.levels:
-        raise ValueError(f"{ncols} columns need a tower with at least {ncols - 1} levels")
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(nrows):
-        row = [0, 0][:min(2, ncols)]
-        for j in range(2, ncols):
-            row.append(rng.randrange(tower.level_order(j - 1)))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def mat_add(field, a, b):
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def format_matrix(field, rows):
-    """Golden-file dump: row-major, one row per line, elements in the
-    bracketed coefficient form."""
-    return "\n".join(" ".join(field.format_element(v) for v in row) for row in rows)

@@ -30,9 +30,7 @@ from .matrix import ParityWeights, in_span, stacked_parity_check
 @dataclass(frozen=True)
 class Failure:
     pattern: tuple
-    packet_t: int | None
     detail: str
-    deadline: int | None = None
 
 
 @dataclass
@@ -72,8 +70,7 @@ def verify_scalar(weights: ParityWeights) -> VerificationReport:
             later = [cols[j] for j in pattern if j > i]
             if in_span(f, cols[i], later):
                 report.failures.append(Failure(
-                    pattern=pattern, packet_t=None,
-                    detail=f"coordinate {i} lies in the span of later erased columns"))
+                    pattern, f"coordinate {i} lies in the span of later erased columns"))
     if count != math.comb(n_len, a):
         raise RuntimeError(f"enumerated {count} patterns, expected {math.comb(n_len, a)}")
     report.pattern_count = count
@@ -130,14 +127,12 @@ def verify_stream(code, budget, deadline, horizon=None, trials=1, seed=0) -> Ver
                     got = _anchor_recovery(code, coded, frozenset(pattern), anchor, deadline)
                     if got is None:
                         report.failures.append(Failure(
-                            pattern=pattern, packet_t=anchor, deadline=deadline,
-                            detail=f"packet {anchor} not recovered by {anchor + deadline}"))
+                            pattern, f"packet {anchor} not recovered by {anchor + deadline}"))
                         continue
                     delay, message = got
                     if message != messages[anchor]:
                         report.failures.append(Failure(
-                            pattern=pattern, packet_t=anchor, deadline=deadline,
-                            detail=f"packet {anchor} recovered with wrong symbols"))
+                            pattern, f"packet {anchor} recovered with wrong symbols"))
                         continue
                     h = len(pattern)
                     if delay > report.max_delay.get(h, -1):

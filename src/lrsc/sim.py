@@ -2,15 +2,14 @@
 
 The channel is a pure function of (seed, t): each packet's erasure decision
 comes from a splitmix64 mix of the two, so runs are reproducible across
-machines, order independent, and safe to shard.  Message symbols come from
-a separate seeded generator; recoverability inside the guarantee does not
-depend on them, so this choice only exercises best-effort paths.
+machines and order independent.  Message symbols come from a separate
+seeded generator; recoverability inside the guarantee does not depend on
+them, so this choice only exercises best-effort paths.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
@@ -62,7 +61,6 @@ class SimResult:
     delay_p99: int | None
     delay_hist: dict = dc_field(default_factory=dict)
     low_confidence: bool = False
-    wall_clock: float = dc_field(default=0.0, compare=False)
 
 
 def _percentile(hist, total, frac):
@@ -80,7 +78,6 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     decoder, then tau+1 further steps so every counted packet meets its
     deadline.  A packet counts as lost iff it is not fully recovered by
     t+tau."""
-    start = time.perf_counter()
     enc = Encoder(code)
     dec = Decoder(code)
     rng = random.Random(seed)
@@ -121,7 +118,6 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
         delay_p99=_percentile(hist, recovered, 0.99),
         delay_hist=dict(sorted(hist.items())),
         low_confidence=lost < 20,
-        wall_clock=time.perf_counter() - start,
     )
 
 

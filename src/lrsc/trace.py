@@ -76,11 +76,6 @@ def iter_message_trace(fh, field, k):
             yield lineno, _parse_symbols(field, parts[1], lineno, k)
 
 
-def read_message_trace(fh, field, k):
-    """Returns a list of symbol tuples with None for LOST slots."""
-    return [msg for _, msg in iter_message_trace(fh, field, k)]
-
-
 def write_coded_trace(fh, field, packets, k):
     for t, pkt in enumerate(packets):
         if pkt is None:

@@ -4,15 +4,18 @@ the library's own code paths.
 The naive tower multiplier works on nested coefficient tuples with its own
 base-field polynomial arithmetic; the Leibniz determinant expands over
 permutations.  Both exist so that construction checks inside the library
-(elimination-based) are cross-examined by a different route here.  The
-closed-form parity expressions read the constructions' diagonal sums
-straight off the message history, as the reference for the coefficient
-templates that the encoder and decoder use.
+(elimination-based) are cross-examined by a different route here.  ``rref``
+and ``pinned_coordinates`` are the dense Gauss-Jordan reference for the
+library's forward-elimination ``rank`` and for the decoder's sparse
+incremental elimination.  The closed-form parity expressions read the
+constructions' diagonal sums straight off the message history, as the
+reference for the coefficient templates that the encoder and decoder use.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from lrsc.codec import Encoder
 
@@ -148,6 +151,102 @@ def all_minors_nonzero(field, rows):
                 if leibniz_det(field, sub) == 0:
                     return False
     return True
+
+
+# -- subfield membership, read two ways --
+
+def in_subfield(f, x, j):
+    """Membership in the level-j subfield read off the int encoding."""
+    return x < f.level_order(j)
+
+
+def frobenius_fixed(f, x, j):
+    """Field-theoretic membership test: x**level_order(j) == x."""
+    return f.pow(x, f.level_order(j)) == x
+
+
+# -- dense reference linear algebra --
+
+def mat_vec(field, rows, vec):
+    out = []
+    for row in rows:
+        acc = 0
+        for c, x in zip(row, vec):
+            if c and x:
+                acc = field.add(acc, field.mul(c, x))
+        out.append(acc)
+    return out
+
+
+def mat_add(field, a, b):
+    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def rref(field, rows, rhs=None):
+    """Gauss-Jordan reduced row echelon form; returns (rows, rhs, pivot_columns)."""
+    work = [list(r) for r in rows]
+    b = list(rhs) if rhs is not None else None
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    pr = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(pr, nrows):
+            if work[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[pr], work[piv] = work[piv], work[pr]
+        if b is not None:
+            b[pr], b[piv] = b[piv], b[pr]
+        s = field.inv(work[pr][col])
+        if s != 1:
+            work[pr] = [field.mul(s, v) for v in work[pr]]
+            if b is not None:
+                b[pr] = field.mul(s, b[pr])
+        for i in range(nrows):
+            if i != pr and work[i][col]:
+                f = work[i][col]
+                prow = work[pr]
+                work[i] = [field.sub(v, field.mul(f, pv)) for v, pv in zip(work[i], prow)]
+                if b is not None:
+                    b[i] = field.sub(b[i], field.mul(f, b[pr]))
+        pivots.append(col)
+        pr += 1
+        if pr == nrows:
+            break
+    return work, b, pivots
+
+
+def pinned_coordinates(field, rows, rhs):
+    """Coordinates forced to a single value by the system, even when the
+    system as a whole is underdetermined."""
+    work, b, pivots = rref(field, rows, rhs)
+    for i in range(len(pivots), len(work)):
+        if b[i] != 0:
+            raise ValueError("inconsistent system")
+    out = {}
+    for i, col in enumerate(pivots):
+        if sum(1 for v in work[i] if v) == 1:
+            out[col] = b[i]
+    return out
+
+
+def subfield_perturbation(tower, nrows, ncols, seed):
+    """Seeded random matrix vanishing on the first two lag columns, with
+    lag-j entries confined to the level-(j-1) subfield."""
+    if ncols - 1 > tower.levels:
+        raise ValueError(f"{ncols} columns need a tower with at least {ncols - 1} levels")
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(nrows):
+        row = [0, 0][:min(2, ncols)]
+        for j in range(2, ncols):
+            row.append(rng.randrange(tower.level_order(j - 1)))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def check_decoder_invariants(dec):

@@ -19,13 +19,13 @@ import pytest
 from lrsc.cli import parity_table, render_parity_expr
 from lrsc.codec import Encoder, LrscCode, MdsDeCode, make_lrsc
 from lrsc.gf import make_tower
-from lrsc.matrix import (mat_add, mat_vec, parity_weights, stacked_parity_check,
-                         superregular_matrix, subfield_perturbation)
+from lrsc.matrix import parity_weights, stacked_parity_check, superregular_matrix
 from lrsc.oracle import verify_scalar, verify_stream
 from lrsc.params import derive_params, rate_bound
 from lrsc.sim import PecChannel, run_sim
 
-from conftest import all_minors_nonzero, random_stream, stream_codeword
+from conftest import (all_minors_nonzero, frobenius_fixed, in_subfield, mat_add, mat_vec,
+                      random_stream, stream_codeword, subfield_perturbation)
 
 EXACT_GRID = [(a, r) for a in (2, 3, 4) for r in (1, 2, 3)]
 SHORT_SETS = [(2, 4, 2), (3, 7, 2), (3, 8, 3), (4, 9, 3)]
@@ -114,7 +114,7 @@ def test_criterion_1_golden_parity_tables():
         for w in (0, 1):
             assert terms[(base + w, w)] == g.rows[w][lag]
     for w in (0, 1):
-        assert not f.in_subfield(g.rows[w][2], 1)
+        assert not in_subfield(f, g.rows[w][2], 1)
         assert g.rows[w][2] == f.mul(f.level_scalar(2), g.base[w][2])
         assert g.rows[w][0] == g.base[w][0]
         assert g.rows[w][1] == g.base[w][1]
@@ -256,7 +256,7 @@ def test_criterion_10_property_suites():
             f = make_tower(q, a)
             for x in range(f.order):
                 for j in range(1, f.levels + 1):
-                    assert f.in_subfield(x, j) == f.frobenius_fixed(x, j)
+                    assert in_subfield(f, x, j) == frobenius_fixed(f, x, j)
 
     # superregularity survives lower-subfield perturbation of the lagged
     # columns, 100 seeds per shape, r and a up to 4

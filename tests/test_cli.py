@@ -109,6 +109,38 @@ def test_simulate_bad_output_path_fails_before_running(tmp_path, monkeypatch):
         assert f"Invalid value for '{opt}'" in res.output
 
 
+def test_simulate_q_applies_to_baseline():
+    # the baseline gets the same --q as the lrsc code, as in `lrsc verify`
+    res = _run("simulate", "2", "5", "--codes", "mds", "--q", "2", "--eps", "0.1", "-T", "100")
+    assert res.exit_code == 2
+    assert "too small for the diagonal MDS code" in res.output
+    res = _run("simulate", "2", "5", "2", "--codes", "both", "--q", "4", "--eps", "0.1",
+               "-T", "100")
+    assert res.exit_code == 2
+    assert "too small for the diagonal MDS code" in res.output
+    res = _run("simulate", "2", "5", "--codes", "mds", "--q", "7", "--eps", "0.1", "-T", "100")
+    assert res.exit_code == 0
+    rows = [l for l in res.output.splitlines() if not l.startswith("warning:")]
+    assert rows[1].startswith("0.1,mds-de-2-5,100,")
+
+
+def test_simulate_usage_error_keeps_existing_outputs(tmp_path, monkeypatch):
+    monkeypatch.setattr("lrsc.cli.sweep",
+                        lambda *a, **kw: pytest.fail("simulated despite a usage error"))
+    out = tmp_path / "sweep.csv"
+    hist = tmp_path / "hist.csv"
+    out.write_text("old sweep\n")
+    hist.write_text("old hist\n")
+    outputs = ["--out", str(out), "--hist-out", str(hist)]
+    for args in (["1", "5", "2", "--eps", "0.1"],
+                 ["2", "5", "--codes", "mds", "--q", "2", "--eps", "0.1"],
+                 ["2", "5", "2", "--eps", "0.1,x"]):
+        res = _run("simulate", *args, *outputs)
+        assert res.exit_code == 2, args
+        assert out.read_text() == "old sweep\n"
+        assert hist.read_text() == "old hist\n"
+
+
 def test_encode_decode_round_trip(tmp_path):
     msg = tmp_path / "msg.trace"
     coded = tmp_path / "coded.trace"

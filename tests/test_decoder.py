@@ -12,10 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import lrsc
 from lrsc.codec import CodedPacket, Decoder, Encoder, MdsDeCode, make_lrsc
-from lrsc.matrix import pinned_coordinates
 from lrsc.sim import PecChannel
 
-from conftest import check_decoder_invariants, random_stream
+from conftest import check_decoder_invariants, pinned_coordinates, random_stream
 
 
 def _coded(code, msgs):

@@ -1,0 +1,105 @@
+"""The library keeps only what it uses.
+
+Every public name that ``src/lrsc`` defines (top-level functions and
+classes, methods, and dataclass fields) must be read somewhere outside its
+own definition: in the library, in ``scripts/`` or in the benchmark harness
+under ``perfbench/`` (its tests excluded).  The exceptions are the names
+the package exports in ``lrsc.__all__`` and the ``lrsc`` subcommands.
+A helper that only tests call belongs in ``tests/conftest.py``.
+"""
+
+import ast
+from pathlib import Path
+
+import lrsc
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "lrsc").glob("*.py"))
+USERS = LIBRARY + sorted((ROOT / "scripts").glob("*.py")) + sorted(
+    p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.relative_to(ROOT).parts)
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _is_command(fn):
+    # @main.command("name")
+    for dec in fn.decorator_list:
+        if (isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute)
+                and dec.func.attr == "command"):
+            return True
+    return False
+
+
+def definitions(path, tree):
+    """(name, path, first line, last line) of each public definition, and
+    the names exempt as subcommands."""
+    defs, commands = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+            defs.append((node.name, path, node.lineno, node.end_lineno))
+            if isinstance(node, ast.FunctionDef) and _is_command(node):
+                commands.add(node.name)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and _public(item.name):
+                defs.append((item.name, path, item.lineno, item.end_lineno))
+            elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                  and _is_dataclass(node) and _public(item.target.id)):
+                defs.append((item.target.id, path, item.lineno, item.end_lineno))
+    return defs, commands
+
+
+def references(path, tree):
+    """(name, path, line) of every name read and attribute accessed."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, path, node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, path, node.lineno))
+    return out
+
+
+def unused_names():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in USERS}
+    defs, exempt = [], set(lrsc.__all__)
+    for p in LIBRARY:
+        d, commands = definitions(p, trees[p])
+        defs.extend(d)
+        exempt |= commands
+    refs = [r for p, tree in trees.items() for r in references(p, tree)]
+    unused = []
+    for name, path, first, last in defs:
+        if name in exempt:
+            continue
+        if not any(rn == name and (rp != path or not first <= line <= last)
+                   for rn, rp, line in refs):
+            unused.append(f"{path.relative_to(ROOT)}:{first} {name}")
+    return unused
+
+
+def test_every_library_name_has_a_non_test_user():
+    assert unused_names() == []
+
+
+def test_guard_sees_a_test_only_helper(tmp_path, monkeypatch):
+    # a definition nothing reads is flagged, and a read elsewhere clears it
+    lib = tmp_path / "lib.py"
+    lib.write_text("def helper():\n    return helper\n\n\ndef used():\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from lib import used\nused()\n")
+    monkeypatch.setattr(f"{__name__}.ROOT", tmp_path)
+    monkeypatch.setattr(f"{__name__}.LIBRARY", [lib])
+    monkeypatch.setattr(f"{__name__}.USERS", [lib, user])
+    assert unused_names() == ["lib.py:1 helper"]

@@ -7,10 +7,10 @@ import pytest
 
 from lrsc.codec import Encoder, MdsDeCode, make_lrsc
 from lrsc.gf import make_tower
-from lrsc.matrix import mat_vec, parity_weights, stacked_parity_check, superregular_matrix
+from lrsc.matrix import parity_weights, stacked_parity_check, superregular_matrix
 from lrsc.oracle import verify_scalar, verify_stream
 
-from conftest import random_stream, stream_codeword
+from conftest import mat_vec, random_stream, stream_codeword
 
 
 def test_scalar_3_2_all_patterns_pass():

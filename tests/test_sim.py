@@ -28,7 +28,7 @@ def test_reproducibility_bit_identical():
     code = make_lrsc(2, 5, 2)
     r1 = run_sim(code, PecChannel(0.15, 9), 2000, seed=5)
     r2 = run_sim(code, PecChannel(0.15, 9), 2000, seed=5)
-    assert r1 == r2      # wall_clock excluded from comparison
+    assert r1 == r2
 
 
 def test_conservation():

@@ -35,7 +35,7 @@ def test_message_trace_round_trip():
     buf = io.StringIO()
     trace_io.write_message_trace(buf, code.field, msgs)
     buf.seek(0)
-    assert trace_io.read_message_trace(buf, code.field, 3) == msgs
+    assert [m for _, m in trace_io.iter_message_trace(buf, code.field, 3)] == msgs
 
 
 def test_coded_trace_round_trip_with_erasures():
@@ -79,7 +79,7 @@ def test_malformed_traces_carry_line_numbers():
 def test_blank_lines_and_comments_skipped():
     code = make_lrsc(2, 5, 2)
     text = "# header\n\n0 | [1],[2]\n1 | [0],[0]\n"
-    msgs = trace_io.read_message_trace(io.StringIO(text), code.field, 2)
+    msgs = [m for _, m in trace_io.iter_message_trace(io.StringIO(text), code.field, 2)]
     assert msgs == [(1, 2), (0, 0)]
 
 
@@ -89,4 +89,4 @@ def test_lost_packets_render_as_lost():
     trace_io.write_message_trace(buf, code.field, [(1, 2), None, (0, 1)])
     assert buf.getvalue().splitlines()[1] == "1 | LOST"
     buf.seek(0)
-    assert trace_io.read_message_trace(buf, code.field, 2) == [(1, 2), None, (0, 1)]
+    assert [m for _, m in trace_io.iter_message_trace(buf, code.field, 2)] == [(1, 2), None, (0, 1)]

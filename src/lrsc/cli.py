@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification or decode failure, 2 usage error.
 from __future__ import annotations
 
 import contextlib
+import os
 import sys
 
 import click
@@ -16,6 +17,9 @@ from .oracle import verify_scalar, verify_stream
 from .params import derive_params, rate_bound
 from .sim import csv_rows, hist_rows, sweep
 from . import trace as trace_io
+
+
+_POSITIVE = click.IntRange(min=1)
 
 
 def _params_or_usage(a, tau, r, q):
@@ -108,10 +112,10 @@ def _build_code(a, tau, r, q, kind):
 @click.argument("r", type=int, required=False)
 @click.option("--q", type=int, default=None, help="Base field order override.")
 @click.option("--code", "kind", type=click.Choice(["lrsc", "mds"]), default="lrsc")
-@click.option("--budget", type=int, default=None, help="Erasure budget h (runs a single stream suite).")
-@click.option("--deadline", type=int, default=None, help="Recovery deadline d for --budget.")
+@click.option("--budget", type=_POSITIVE, default=None, help="Erasure budget h (runs a single stream suite).")
+@click.option("--deadline", type=click.IntRange(min=0), default=None, help="Recovery deadline d for --budget.")
 @click.option("--horizon", type=int, default=None, help="Stream length (default 3*(tau+1)).")
-@click.option("--trials", type=int, default=1, help="Random message streams per pattern set.")
+@click.option("--trials", type=_POSITIVE, default=1, help="Random message streams per pattern set.")
 @click.option("--seed", type=int, default=0, help="Message stream seed.")
 def cmd_verify(a, tau, r, q, kind, budget, deadline, horizon, trials, seed):
     """Exhaustive recoverability check; exits 1 on any failure.
@@ -121,36 +125,36 @@ def cmd_verify(a, tau, r, q, kind, budget, deadline, horizon, trials, seed):
     --budget/--deadline to run one specific stream suite instead.
     """
     code = _build_code(a, tau, r, q, kind)
-    reports = []
-    if budget is not None or deadline is not None:
-        if budget is None or deadline is None:
-            raise click.UsageError("--budget and --deadline go together")
-        reports.append(verify_stream(code, budget, deadline, horizon=horizon,
-                                     trials=trials, seed=seed))
+    if (budget is None) != (deadline is None):
+        raise click.UsageError("--budget and --deadline go together")
+    if budget is not None:
+        suites = [(budget, deadline)]
     else:
-        if kind == "lrsc" and code.params.regime == "exact":
-            reports.append(verify_scalar(code.weights))
-        reports.append(verify_stream(code, a, tau, horizon=horizon, trials=trials, seed=seed))
-        if kind == "lrsc":
-            reports.append(verify_stream(code, 1, code.params.r, horizon=horizon,
-                                         trials=trials, seed=seed))
-    failed = False
+        suites = [(a, tau), (1, code.params.r)] if kind == "lrsc" else [(a, tau)]
+    exact = budget is None and kind == "lrsc" and code.params.regime == "exact"
+    reports = [verify_scalar(code.weights)] if exact else []
+    try:
+        reports += [verify_stream(code, h, d, horizon=horizon, trials=trials, seed=seed)
+                    for h, d in suites]
+    except DecodeError:
+        raise
+    except ValueError as e:
+        raise click.UsageError(str(e))
     for rep in reports:
         click.echo(f"{rep.description}: {rep.summary()}")
         for fail in rep.failures[:20]:
             click.echo(f"  FAIL pattern={fail.pattern} {fail.detail}")
-        if rep.failures:
-            failed = True
-    sys.exit(1 if failed else 0)
+    sys.exit(1 if any(rep.failures for rep in reports) else 0)
 
 
 def _open_output(path, option):
-    """Open an output path for writing (a no-op context for None); a path
-    that cannot be opened is a usage error against that option."""
+    """Open an output path to append, so a failed open of another output
+    leaves it whole (a no-op context for None); a path that cannot be
+    opened is a usage error against that option."""
     if path is None:
         return contextlib.nullcontext()
     try:
-        return click.open_file(path, "w")
+        return click.open_file(path, "a")
     except OSError as e:
         raise click.BadParameter(f"'{path}': {e.strerror}", param_hint=f"'{option}'")
 
@@ -161,7 +165,7 @@ def _open_output(path, option):
 @click.argument("r", type=int, required=False)
 @click.option("--q", type=int, default=None, help="Base field order override.")
 @click.option("--eps", required=True, help="Comma-separated erasure probabilities.")
-@click.option("--T", "-T", "packets", type=int, default=100000, help="Message packets per run.")
+@click.option("--T", "-T", "packets", type=_POSITIVE, default=100000, help="Message packets per run.")
 @click.option("--seed", type=int, default=0, help="Master seed for channel and messages.")
 @click.option("--codes", type=click.Choice(["both", "lrsc", "mds"]), default="both")
 @click.option("--out", default=None, help="CSV output path (default stdout).")
@@ -172,10 +176,15 @@ def cmd_simulate(a, tau, r, q, eps, packets, seed, codes, out, hist_out, fmt):
     try:
         eps_list = [float(x) for x in eps.split(",") if x.strip()]
     except ValueError:
-        raise click.UsageError(f"bad --eps list {eps!r}")
+        eps_list = []
+    if not eps_list or not all(0 <= e <= 1 for e in eps_list):
+        raise click.UsageError(f"bad --eps list {eps!r}: give probabilities in [0, 1]")
     kinds = ["lrsc", "mds"] if codes == "both" else [codes]
     targets = [_build_code(a, tau, r, q, kind) for kind in kinds]
     with _open_output(out, "--out") as out_fh, _open_output(hist_out, "--hist-out") as hist_fh:
+        for path, fh in ((out, out_fh), (hist_out, hist_fh)):
+            if fh is not None and path != "-" and os.path.isfile(path):
+                fh.truncate(0)
         results = [res for code in targets for res in sweep(code, eps_list, packets, seed=seed)]
         for res in results:
             if res.low_confidence:

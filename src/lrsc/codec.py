@@ -7,7 +7,8 @@ decoder both read those templates; the closed-form diagonal expressions of
 the constructions live in the tests as the independent reference.
 
 The decoder keeps one global linear system over the currently-unknown
-message symbols, maintained in reduced row echelon form.  A symbol is
+message symbols, held in ``matrix.Echelon``: the one incremental
+reduced-echelon system that ``rank`` and ``in_span`` also run on.  A symbol is
 emitted the moment the system pins it uniquely, which makes the same
 machinery serve the single-erasure deadline, the full-budget deadline, and
 best-effort recovery past the guarantee.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gf import TowerField, make_tower, smallest_prime_power_at_least
-from .matrix import is_superregular, parity_weights, superregular_matrix
+from .matrix import Echelon, is_superregular, parity_weights, superregular_matrix
 from .params import CodeParams, derive_params
 
 
@@ -210,7 +211,7 @@ class Encoder:
         return CodedPacket(t, msg + tuple(parities))
 
 
-class Decoder:
+class Decoder(Echelon):
     """Sliding-window decoder over one packet stream.
 
     Push packets (or None for an erasure) in time order starting at 0.
@@ -226,19 +227,17 @@ class Decoder:
     """
 
     def __init__(self, code):
+        super().__init__(code.field)     # rows: pivot id -> [coeff dict, rhs]
         self.code = code
         self.k = code.k
         self.n = code.n
         self.tau = code.tau
-        f = code.field
-        self._add, self._sub, self._mul, self._inv = f.add, f.sub, f.mul, f.inv
         self.next_t = 0
         self.known = {}          # (t, j) -> value
         self.unknowns = set()    # (t, j) still unresolved
-        self.rows = {}           # pivot id -> [coeff dict, rhs]; reduced echelon form
         self.missing = {}        # t -> set of unresolved symbol indices
         # any horizon > tau gives the same outcomes: no parity reaches further
-        # back, and _drop_unknown eliminates an unknown exactly.  A longer one
+        # back, and Echelon.drop eliminates an unknown exactly.  A longer one
         # keeps reading, and so checking, parities for longer after a loss.
         self.horizon = 4 * (code.tau + 1)
 
@@ -271,8 +270,6 @@ class Decoder:
         self._prune(t)
         return out
 
-    # -- linear system maintenance --
-
     def _absorb_parity(self, i, t, value, out):
         known = self.known
         unknowns = self.unknowns
@@ -292,56 +289,20 @@ class Decoder:
                 coeffs[sid] = c
             else:
                 raise DecodeError(f"symbol {sid} neither known nor tracked")
-        self._insert([coeffs, rhs], t, out)
-
-    def _eliminate(self, row, pid, pivot):
-        """Clear unknown pid from row [coeffs, rhs] by subtracting the
-        matching multiple of pivot, a row whose coefficient at pid is 1."""
-        sub, mul = self._sub, self._mul
-        coeffs = row[0]
-        f = coeffs.pop(pid)
-        for cid, cval in pivot[0].items():
-            if cid != pid:
-                nv = sub(coeffs.get(cid, 0), mul(f, cval))
-                if nv:
-                    coeffs[cid] = nv
-                else:
-                    coeffs.pop(cid, None)
-        row[1] = sub(row[1], mul(f, pivot[1]))
-
-    def _pivot(self, row, pid):
-        """Scale row [coeffs, rhs] to 1 at unknown pid and clear pid from
-        every stored row with it; returns the scaled row."""
-        s = self._inv(row[0][pid])
-        if s != 1:
-            mul = self._mul
-            row = [{cid: mul(s, cv) for cid, cv in row[0].items()}, mul(s, row[1])]
-        for qrow in self.rows.values():
-            if pid in qrow[0]:
-                self._eliminate(qrow, pid, row)
-        return row
-
-    def _insert(self, row, now, out):
-        rows = self.rows
-        for pid in [p for p in row[0] if p in rows]:
-            self._eliminate(row, pid, rows[pid])
-        if not row[0]:
+        row = [coeffs, rhs]
+        if self.insert(row) is None:
             if row[1]:
                 raise DecodeError("received parity inconsistent with resolved symbols")
             return
-        pid = min(row[0])
-        rows[pid] = self._pivot(row, pid)
-        done = [qid for qid, (qc, _) in rows.items() if len(qc) == 1]
-        for qid in done:
-            self._resolve(qid, rows.pop(qid)[1], now, out)
+        rows = self.rows
+        for qid in [qid for qid, (qc, _) in rows.items() if len(qc) == 1]:
+            self._resolve(qid, rows.pop(qid)[1], t, out)
 
     def _resolve(self, sid, value, now, out):
         self.unknowns.discard(sid)
         self.known[sid] = value
         t, j = sid
-        miss = self.missing.get(t)
-        if miss is None:
-            return
+        miss = self.missing[t]
         miss.discard(j)
         if not miss:
             del self.missing[t]
@@ -359,14 +320,6 @@ class Decoder:
             sid = (tp, j)
             self.known.pop(sid, None)
             if sid in self.unknowns:
-                self._drop_unknown(sid)
+                self.unknowns.discard(sid)
+                self.drop(sid)
         self.missing.pop(tp, None)
-
-    def _drop_unknown(self, sid):
-        self.unknowns.discard(sid)
-        rows = self.rows
-        if rows.pop(sid, None) is not None:
-            return
-        holders = [p for p, (c, _) in rows.items() if sid in c]
-        if holders:
-            self._pivot(rows.pop(min(holders)), sid)

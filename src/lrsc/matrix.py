@@ -1,12 +1,10 @@
-"""Structured matrix constructions and a rank test over a tower field.
+"""Structured matrix constructions and the library's one row reduction.
 
 Matrices are tuples/lists of row sequences holding field ints, with the
-owning TowerField passed alongside.  Everything here is desk scale (at most
-a few dozen rows), so the one linear-algebra question, whether a set of
-columns is independent, is answered by ``rank``: dense forward elimination
-with first-nonzero pivoting.  Superregularity of the constructed matrices
-is confirmed by ranking every square submatrix rather than trusted from
-theory.
+owning TowerField passed alongside.  One incremental reduced-echelon system
+(``Echelon``) is shared by the decoder, ``rank`` and ``in_span``.  The
+superregularity of a constructed matrix is checked by ranking every square
+submatrix rather than trusted from theory.
 """
 
 from __future__ import annotations
@@ -21,43 +19,91 @@ def _freeze(rows):
     return tuple(tuple(r) for r in rows)
 
 
+class Echelon:
+    """Sparse system in reduced row echelon form: ``rows`` maps pivot ids
+    (ordered hashables) to rows [coeff dict, rhs], 1 at a pivot no other row holds."""
+
+    def __init__(self, field):
+        self._sub, self._mul, self._inv = field.sub, field.mul, field.inv
+        self.rows = {}
+
+    def insert(self, row):
+        """Reduce row [coeffs, rhs] and store it under its smallest id, which
+        is returned; a row reducing to nothing returns None, rhs in row[1]."""
+        rows = self.rows
+        for pid in [p for p in row[0] if p in rows]:
+            self._eliminate(row, pid, rows[pid])
+        if not row[0]:
+            return None
+        pid = min(row[0])
+        rows[pid] = self._pivot(row, pid)
+        return pid
+
+    def drop(self, sid):
+        """Project id sid out: keep exactly what the rows imply without it."""
+        rows = self.rows
+        if rows.pop(sid, None) is not None:
+            return
+        holders = [p for p, (c, _) in rows.items() if sid in c]
+        if holders:
+            self._pivot(rows.pop(min(holders)), sid)
+
+    def _eliminate(self, row, pid, pivot):
+        """Clear id pid from row [coeffs, rhs] by subtracting the matching
+        multiple of pivot, a row whose coefficient at pid is 1."""
+        sub, mul = self._sub, self._mul
+        coeffs = row[0]
+        f = coeffs.pop(pid)
+        for cid, cval in pivot[0].items():
+            if cid != pid:
+                nv = sub(coeffs.get(cid, 0), mul(f, cval))
+                if nv:
+                    coeffs[cid] = nv
+                else:
+                    coeffs.pop(cid, None)
+        row[1] = sub(row[1], mul(f, pivot[1]))
+
+    def _pivot(self, row, pid):
+        """Scale row [coeffs, rhs] to 1 at id pid and clear pid from every
+        stored row with it; returns the scaled row."""
+        s = self._inv(row[0][pid])
+        if s != 1:
+            mul = self._mul
+            row = [{cid: mul(s, cv) for cid, cv in row[0].items()}, mul(s, row[1])]
+        for qrow in self.rows.values():
+            if pid in qrow[0]:
+                self._eliminate(qrow, pid, row)
+        return row
+
+
+def _sparse(row):
+    return {j: v for j, v in enumerate(row) if v}
+
+
 def rank(field, rows):
-    """Pivot count of forward elimination with first-nonzero pivoting."""
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    pr = 0
-    for col in range(len(work[0]) if work else 0):
-        piv = next((i for i in range(pr, nrows) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[pr], work[piv] = work[piv], work[pr]
-        prow = work[pr]
-        inv_p = field.inv(prow[col])
-        for i in range(pr + 1, nrows):
-            if work[i][col]:
-                f = field.mul(work[i][col], inv_p)
-                work[i] = [field.sub(v, field.mul(f, pv)) for v, pv in zip(work[i], prow)]
-        pr += 1
-        if pr == nrows:
-            break
-    return pr
+    """Number of linearly independent rows."""
+    ech = Echelon(field)
+    return sum(ech.insert([_sparse(r), 0]) is not None for r in rows)
 
 
 def in_span(field, vec, vectors):
     """True iff vec lies in the span of the given vectors (empty span = {0})."""
     if not vectors:
         return not any(vec)
-    rows = [list(col) for col in zip(*vectors)]
-    base = rank(field, rows)
-    aug = [row + [v] for row, v in zip(rows, vec)]
-    return rank(field, aug) == base
+    ech = Echelon(field)
+    for coords, v in zip(zip(*vectors), vec):
+        row = [_sparse(coords), v]
+        if ech.insert(row) is None and row[1]:
+            return False
+    return True
 
 
 def is_superregular(field, rows):
     """Every square submatrix nonsingular, checked exhaustively."""
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    for z in range(1, min(nr, nc) + 1):
+    if not all(all(row) for row in rows):      # the 1x1 minors
+        return False
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    for z in range(2, min(nr, nc) + 1):
         for ii in itertools.combinations(range(nr), z):
             for jj in itertools.combinations(range(nc), z):
                 sub = [[rows[i][j] for j in jj] for i in ii]
@@ -182,11 +228,8 @@ class ParityCheckMatrix:
     def block_len(self):
         return self.lags * (self.span + 1)
 
-    def column(self, j):
-        return tuple(row[j] for row in self.rows)
-
     def columns(self):
-        return [self.column(j) for j in range(self.block_len)]
+        return list(zip(*self.rows))
 
 
 def stacked_parity_check(weights: ParityWeights) -> ParityCheckMatrix:

@@ -84,11 +84,6 @@ def _random_stream(code, horizon, seed, trial):
     return [tuple(rng.randrange(order) for _ in range(k)) for _ in range(horizon)]
 
 
-def _encode_stream(code, messages):
-    enc = Encoder(code)
-    return [enc.push(m) for m in messages]
-
-
 def _anchor_recovery(code, coded, erased, anchor, deadline):
     """Run the decoder up to anchor+deadline; return (delay, message) for the
     anchored packet or None if it never resolved in time."""
@@ -104,6 +99,8 @@ def verify_stream(code, budget, deadline, horizon=None, trials=1, seed=0) -> Ver
     """Exhaust every erasure pattern of at most `budget` erasures inside the
     window [t, t+deadline] containing t, for anchors t across the middle
     third of the horizon and at t=0, over `trials` random message streams."""
+    if budget < 1 or deadline < 0 or trials < 1:
+        raise ValueError(f"need budget >= 1, deadline >= 0, trials >= 1; got {budget}, {deadline}, {trials}")
     span = max(code.tau, deadline)
     if horizon is None:
         horizon = 3 * (span + 1)
@@ -116,7 +113,8 @@ def verify_stream(code, budget, deadline, horizon=None, trials=1, seed=0) -> Ver
     count = 0
     for trial in range(trials):
         messages = _random_stream(code, horizon, seed, trial)
-        coded = _encode_stream(code, messages)
+        enc = Encoder(code)
+        coded = [enc.push(m) for m in messages]
         for anchor in anchors:
             enumerated = 0
             others = range(anchor + 1, anchor + deadline + 1)

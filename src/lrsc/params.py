@@ -59,11 +59,8 @@ def derive_params(a: int, tau: int, r: int, q_override: int | None = None) -> Co
     field_order = q ** (1 << (a - 2))
 
     window = a * (r + 1)
-    if tau + 1 == window:
-        regime, k, n = "exact", r, r + 1
-        u = v = ell = None
-    elif tau + 1 > window:
-        regime, k, n = "long", r, r + 1
+    if tau + 1 >= window:
+        regime, k, n = "exact" if tau + 1 == window else "long", r, r + 1
         u = v = ell = None
     else:
         regime, k, n = "short", tau + 1 - a, tau + 1

@@ -6,8 +6,8 @@ base-field polynomial arithmetic; the Leibniz determinant expands over
 permutations.  Both exist so that construction checks inside the library
 (elimination-based) are cross-examined by a different route here.  ``rref``
 and ``pinned_coordinates`` are the dense Gauss-Jordan reference for the
-library's forward-elimination ``rank`` and for the decoder's sparse
-incremental elimination.  The closed-form parity expressions read the
+library's one sparse incremental elimination, ``matrix.Echelon``, which
+``rank``, ``in_span`` and the decoder all run on.  The closed-form parity expressions read the
 constructions' diagonal sums straight off the message history, as the
 reference for the coefficient templates that the encoder and decoder use.
 """
@@ -251,7 +251,9 @@ def subfield_perturbation(tower, nrows, ncols, seed):
 
 def check_decoder_invariants(dec):
     """Assert the decoder's rows are in reduced echelon form over its live
-    unknowns: each row is 1 at its own pivot, which no other row holds."""
+    unknowns: each row is 1 at its own pivot, which no other row holds.  The
+    live unknowns are exactly the unresolved symbols of missing packets."""
+    assert dec.unknowns == {(t, j) for t, js in dec.missing.items() for j in js}
     for pid, (coeffs, _) in dec.rows.items():
         assert coeffs.get(pid) == 1
         assert set(coeffs) <= dec.unknowns

@@ -124,6 +124,34 @@ def test_simulate_q_applies_to_baseline():
     assert rows[1].startswith("0.1,mds-de-2-5,100,")
 
 
+SIMULATE_OUT_OF_RANGE = [
+    ["-T", "0"],
+    ["-T", "-3"],
+    ["--eps", "1.5"],
+    ["--eps", "-0.2"],
+    ["--eps", ","],
+    ["--eps", "0.1,nan"],
+]
+
+VERIFY_OUT_OF_RANGE = [
+    ["--trials", "0"],
+    ["--budget", "0", "--deadline", "3"],
+    ["--budget", "1", "--deadline", "-1"],
+    ["--horizon", "5"],
+]
+
+
+@pytest.mark.parametrize("cmd,args", [("simulate", a) for a in SIMULATE_OUT_OF_RANGE]
+                         + [("verify", a) for a in VERIFY_OUT_OF_RANGE])
+def test_out_of_range_number_is_usage_error(cmd, args, monkeypatch):
+    # exit 2 with a message, not a traceback (exit 1) or a vacuous pass (exit 0)
+    monkeypatch.setattr("lrsc.cli.sweep", lambda *a, **kw: pytest.fail("simulated"))
+    base = ["2", "5", "2", "--eps", "0.1"] if cmd == "simulate" else ["2", "5", "2"]
+    res = _run(cmd, *base, *args)
+    assert res.exit_code == 2, res.output
+    assert "Error" in res.output
+
+
 def test_simulate_usage_error_keeps_existing_outputs(tmp_path, monkeypatch):
     monkeypatch.setattr("lrsc.cli.sweep",
                         lambda *a, **kw: pytest.fail("simulated despite a usage error"))
@@ -132,13 +160,29 @@ def test_simulate_usage_error_keeps_existing_outputs(tmp_path, monkeypatch):
     out.write_text("old sweep\n")
     hist.write_text("old hist\n")
     outputs = ["--out", str(out), "--hist-out", str(hist)]
+    # a later option wins, so the last case swaps in a --hist-out that cannot open
+    bad_hist = ["--hist-out", str(tmp_path / "no-such-dir" / "hist.csv")]
     for args in (["1", "5", "2", "--eps", "0.1"],
                  ["2", "5", "--codes", "mds", "--q", "2", "--eps", "0.1"],
-                 ["2", "5", "2", "--eps", "0.1,x"]):
-        res = _run("simulate", *args, *outputs)
+                 ["2", "5", "2", "--eps", "0.1,x"],
+                 *(["2", "5", "2", "--eps", "0.1", *a] for a in SIMULATE_OUT_OF_RANGE),
+                 ["2", "5", "2", "--eps", "0.1", "-T", "10", *bad_hist]):
+        res = _run("simulate", *outputs, *args)
         assert res.exit_code == 2, args
         assert out.read_text() == "old sweep\n"
         assert hist.read_text() == "old hist\n"
+
+
+def test_simulate_rewrites_existing_outputs(tmp_path):
+    out = tmp_path / "sweep.csv"
+    hist = tmp_path / "hist.csv"
+    out.write_text("a much longer old sweep than the new one will replace\n" * 50)
+    hist.write_text("old hist\n" * 100)
+    res = _run("simulate", "2", "5", "2", "--eps", "0.1", "-T", "50", "--codes", "lrsc",
+               "--out", str(out), "--hist-out", str(hist))
+    assert res.exit_code == 0
+    assert out.read_text().startswith("epsilon,code,") and "old" not in out.read_text()
+    assert hist.read_text().startswith("delay,count\n") and "old" not in hist.read_text()
 
 
 def test_encode_decode_round_trip(tmp_path):

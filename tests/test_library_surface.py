@@ -3,8 +3,10 @@
 Every public name that ``src/lrsc`` defines (top-level functions and
 classes, methods, and dataclass fields) must be read somewhere outside its
 own definition: in the library, in ``scripts/`` or in the benchmark harness
-under ``perfbench/`` (its tests excluded).  The exceptions are the names
-the package exports in ``lrsc.__all__`` and the ``lrsc`` subcommands.
+under ``perfbench/`` (its tests excluded).  A method or field counts as read
+only through an attribute access (``x.name``), so a local variable that
+shares its name does not clear it.  The exceptions are the names the
+package exports in ``lrsc.__all__`` and the ``lrsc`` subcommands.
 A helper that only tests call belongs in ``tests/conftest.py``.
 """
 
@@ -41,33 +43,34 @@ def _is_command(fn):
 
 
 def definitions(path, tree):
-    """(name, path, first line, last line) of each public definition, and
-    the names exempt as subcommands."""
+    """(name, path, first line, last line, member?) of each public
+    definition, and the names exempt as subcommands."""
     defs, commands = [], set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
-            defs.append((node.name, path, node.lineno, node.end_lineno))
+            defs.append((node.name, path, node.lineno, node.end_lineno, False))
             if isinstance(node, ast.FunctionDef) and _is_command(node):
                 commands.add(node.name)
         if not isinstance(node, ast.ClassDef):
             continue
         for item in node.body:
             if isinstance(item, ast.FunctionDef) and _public(item.name):
-                defs.append((item.name, path, item.lineno, item.end_lineno))
+                defs.append((item.name, path, item.lineno, item.end_lineno, True))
             elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                   and _is_dataclass(node) and _public(item.target.id)):
-                defs.append((item.target.id, path, item.lineno, item.end_lineno))
+                defs.append((item.target.id, path, item.lineno, item.end_lineno, True))
     return defs, commands
 
 
 def references(path, tree):
-    """(name, path, line) of every name read and attribute accessed."""
+    """(name, path, line, attribute?) of every name read and attribute
+    accessed."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append((node.id, path, node.lineno))
+            out.append((node.id, path, node.lineno, False))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.append((node.attr, path, node.lineno))
+            out.append((node.attr, path, node.lineno, True))
     return out
 
 
@@ -80,11 +83,11 @@ def unused_names():
         exempt |= commands
     refs = [r for p, tree in trees.items() for r in references(p, tree)]
     unused = []
-    for name, path, first, last in defs:
+    for name, path, first, last, member in defs:
         if name in exempt:
             continue
-        if not any(rn == name and (rp != path or not first <= line <= last)
-                   for rn, rp, line in refs):
+        if not any(rn == name and (attr or not member) and (rp != path or not first <= line <= last)
+                   for rn, rp, line, attr in refs):
             unused.append(f"{path.relative_to(ROOT)}:{first} {name}")
     return unused
 
@@ -94,12 +97,16 @@ def test_every_library_name_has_a_non_test_user():
 
 
 def test_guard_sees_a_test_only_helper(tmp_path, monkeypatch):
-    # a definition nothing reads is flagged, and a read elsewhere clears it
+    # a definition nothing reads is flagged, and a read elsewhere clears it;
+    # a field is read only through an attribute, not by a same-named local
     lib = tmp_path / "lib.py"
-    lib.write_text("def helper():\n    return helper\n\n\ndef used():\n    pass\n")
+    lib.write_text("from dataclasses import dataclass\n\n\n"
+                   "def helper():\n    return helper\n\n\ndef used():\n    pass\n\n\n"
+                   "@dataclass\nclass Report:\n    shadowed: int\n    read: int\n")
     user = tmp_path / "user.py"
-    user.write_text("from lib import used\nused()\n")
+    user.write_text("from lib import Report, used\nused()\n"
+                    "shadowed = 1\nprint(shadowed, Report(shadowed, 2).read)\n")
     monkeypatch.setattr(f"{__name__}.ROOT", tmp_path)
     monkeypatch.setattr(f"{__name__}.LIBRARY", [lib])
     monkeypatch.setattr(f"{__name__}.USERS", [lib, user])
-    assert unused_names() == ["lib.py:1 helper"]
+    assert unused_names() == ["lib.py:4 helper", "lib.py:14 shadowed"]

@@ -117,6 +117,8 @@ def test_in_span_empty():
 
 
 def test_rank_full_iff_leibniz_det_nonzero():
+    """rank runs on matrix.Echelon, the decoder's elimination kernel, so this
+    also pins that kernel against the Leibniz determinant."""
     f = make_tower(4, 3)
     rng = random.Random(3)
     for _ in range(30):
@@ -131,6 +133,8 @@ RANK_FIELDS = [(2, 2), (5, 2), (16, 2), (3, 4), (5, 4)]
 
 @pytest.mark.parametrize("q,a", RANK_FIELDS)
 def test_rank_matches_rref_pivot_count(q, a):
+    """rank runs on matrix.Echelon, the decoder's elimination kernel, so this
+    also pins that kernel against dense Gauss-Jordan."""
     f = make_tower(q, a)
     rng = random.Random(q * 10 + a)
     for _ in range(60):
@@ -187,8 +191,10 @@ def test_perturbed_weights_stay_superregular():
 
 
 def test_span_criterion_matches_solvability():
-    # whenever a column avoids the span of the later erased columns, batch
-    # elimination on the erasure system pins that coordinate uniquely
+    """Whenever a column avoids the span of the later erased columns, batch
+    elimination on the erasure system pins that coordinate uniquely.  in_span
+    runs on matrix.Echelon, the decoder's elimination kernel, so this also
+    pins that kernel against dense Gauss-Jordan solvability."""
     f = make_tower(4, 3)
     w = parity_weights(f, superregular_matrix(f, 2, 3))
     pc = stacked_parity_check(w)

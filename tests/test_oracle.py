@@ -92,6 +92,13 @@ def test_horizon_validation():
         verify_stream(code, 2, 5, horizon=10)
 
 
+@pytest.mark.parametrize("budget,deadline,trials", [(0, 5, 1), (1, -1, 1), (2, 5, 0)])
+def test_stream_rejects_a_suite_that_checks_nothing(budget, deadline, trials):
+    # budget 0 or trials 0 would report patterns=0 failures=0 and pass
+    with pytest.raises(ValueError, match="need budget"):
+        verify_stream(make_lrsc(2, 5, 2), budget, deadline, trials=trials)
+
+
 def test_negative_control_de12():
     # the 1-erasure diagonal baseline is not a 2-erasure code: erasing
     # {t, t+1} orphans the second symbol, and {t, t+2} the first, because

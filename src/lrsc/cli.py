@@ -84,7 +84,7 @@ def parity_table(code, t_max):
 @click.argument("tau", type=int)
 @click.argument("r", type=int)
 @click.option("--q", type=int, default=None, help="Base field order override.")
-@click.option("--columns", type=int, default=None, help="Last time column to print (default 2*tau).")
+@click.option("--columns", type=click.IntRange(min=0), default=None, help="Last time column to print (default 2*tau).")
 def cmd_table(a, tau, r, q, columns):
     """Symbolic parity table, one line per time step: 't=T | p0 | p1 ...'."""
     p = _params_or_usage(a, tau, r, q)
@@ -247,21 +247,17 @@ def cmd_decode(a, tau, r, q, infile, outfile):
     except trace_io.TraceError as e:
         raise click.ClickException(str(e))
     dec = Decoder(code)
-    recovered = {}
-    delays = {}
+    recovered = {}      # t -> its recovered outcome
     try:
         for t, syms in enumerate(slots):
             pkt = CodedPacket(t, syms) if syms is not None else None
-            for ev in dec.push(t, pkt):
-                if ev.recovered:
-                    recovered[ev.t] = ev.message
-                    delays[ev.t] = ev.delay
+            recovered.update((ev.t, ev) for ev in dec.push(t, pkt) if ev.recovered)
     except DecodeError as e:
         raise click.ClickException(f"time {t}: {e}")
-    messages = [recovered.get(t) for t in range(len(slots))]
+    messages = [recovered[t].message if t in recovered else None for t in range(len(slots))]
     trace_io.write_message_trace(outfile, code.field, messages)
-    lost = sum(1 for m in messages if m is None)
-    max_delay = max(delays.values(), default=0)
+    lost = len(slots) - len(recovered)
+    max_delay = max((ev.delay for ev in recovered.values()), default=0)
     click.echo(f"packets={len(slots)} recovered={len(slots) - lost} lost={lost} "
                f"max_delay={max_delay}", err=True)
     if lost:

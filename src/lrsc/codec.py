@@ -6,12 +6,12 @@ once per code as a time-invariant coefficient template.  The encoder and the
 decoder both read those templates; the closed-form diagonal expressions of
 the constructions live in the tests as the independent reference.
 
-The decoder keeps one global linear system over the currently-unknown
-message symbols, held in ``matrix.Echelon``: the one incremental
-reduced-echelon system that ``rank`` and ``in_span`` also run on.  A symbol is
-emitted the moment the system pins it uniquely, which makes the same
-machinery serve the single-erasure deadline, the full-budget deadline, and
-best-effort recovery past the guarantee.
+The decoder keeps one record per live packet, its k message symbols with
+None where unresolved, beside one global linear system over the unresolved
+symbols in ``matrix.Echelon``, the reduced-echelon system that ``rank`` and
+``in_span`` also run on.  A packet is recovered the moment the system pins
+its last unresolved symbol, which serves the single-erasure deadline, the
+full-budget deadline, and best-effort recovery past the guarantee.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf import TowerField, make_tower, smallest_prime_power_at_least
+from .gf import make_tower, smallest_prime_power_at_least
 from .matrix import Echelon, is_superregular, parity_weights, superregular_matrix
 from .params import CodeParams, derive_params
 
@@ -78,9 +78,9 @@ class LrscCode(_TemplateCode):
     parity i at time t sums coeff * m_symbol(t - delta) over delta <= t.
     """
 
-    def __init__(self, params: CodeParams, tower: TowerField | None = None):
+    def __init__(self, params: CodeParams):
         self.params = params
-        self.field = tower if tower is not None else make_tower(params.q, params.a)
+        self.field = make_tower(params.q, params.a)
         base = superregular_matrix(self.field, params.r, params.a)
         self.weights = parity_weights(self.field, base)
         self.k = params.k
@@ -216,9 +216,10 @@ class Decoder(Echelon):
 
     Push packets (or None for an erasure) in time order starting at 0.
     Each push returns the packets whose fate was settled by it: a recovered
-    outcome the moment all k message symbols are pinned, or a lost outcome
-    once time moves past the t+tau deadline.  Unknowns of lost packets stay
-    live for a few windows so later parities can still be stripped; a late
+    outcome the moment the record ``known[t]`` holds all k message symbols,
+    or a lost outcome once time moves past the t+tau deadline.  Records of
+    lost packets stay live for a few windows, their unresolved symbols (t, j)
+    in the echelon rows, so later parities can still be stripped; a late
     resolution never un-marks the loss.
 
     Parities are read, and so checked, only on pushes made while some symbol
@@ -227,32 +228,34 @@ class Decoder(Echelon):
     """
 
     def __init__(self, code):
-        super().__init__(code.field)     # rows: pivot id -> [coeff dict, rhs]
+        super().__init__(code.field)     # rows: pivot id (t, j) -> [coeff dict, rhs]
         self.code = code
         self.k = code.k
         self.n = code.n
         self.tau = code.tau
         self.next_t = 0
-        self.known = {}          # (t, j) -> value
-        self.unknowns = set()    # (t, j) still unresolved
-        self.missing = {}        # t -> set of unresolved symbol indices
+        self.known = {}          # t -> list of k symbols, None where unresolved
+        self.missing = set()     # t whose record still holds a None
         # any horizon > tau gives the same outcomes: no parity reaches further
         # back, and Echelon.drop eliminates an unknown exactly.  A longer one
         # keeps reading, and so checking, parities for longer after a loss.
         self.horizon = 4 * (code.tau + 1)
+
+    @property
+    def unknowns(self):
+        """The unresolved symbols (t, j), derived from the records."""
+        return {(t, j) for t in self.missing for j, v in enumerate(self.known[t]) if v is None}
 
     def push(self, t, packet) -> list[PacketOutcome]:
         if t != self.next_t:
             raise ValueError(f"packets must be pushed in time order; expected t={self.next_t}, got t={t}")
         self.next_t += 1
         out = []
-        dead = t - self.tau - 1
-        if dead in self.missing:
-            out.append(PacketOutcome(dead, recovered=False))
+        if t - self.tau - 1 in self.missing:
+            out.append(PacketOutcome(t - self.tau - 1, recovered=False))
         if packet is None:
-            self.missing[t] = set(range(self.k))
-            for j in range(self.k):
-                self.unknowns.add((t, j))
+            self.known[t] = [None] * self.k
+            self.missing.add(t)
         else:
             if packet.t != t:
                 raise ValueError(f"packet time {packet.t} does not match push time {t}")
@@ -260,11 +263,10 @@ class Decoder(Echelon):
             if len(syms) != self.n:
                 raise ValueError(f"expected {self.n} coded symbols, got {len(syms)}")
             _check_symbols(self.code.field, syms)
-            known = self.known
-            for j in range(self.k):
-                known[(t, j)] = syms[j]
-            out.append(PacketOutcome(t, recovered=True, delay=0, message=syms[:self.k]))
-            if self.unknowns:
+            msg = syms[:self.k]
+            self.known[t] = list(msg)
+            out.append(PacketOutcome(t, recovered=True, delay=0, message=msg))
+            if self.missing:
                 for i in range(self.n - self.k):
                     self._absorb_parity(i, t, syms[self.k + i], out)
         self._prune(t)
@@ -272,7 +274,6 @@ class Decoder(Echelon):
 
     def _absorb_parity(self, i, t, value, out):
         known = self.known
-        unknowns = self.unknowns
         sub, mul = self._sub, self._mul
         coeffs = {}
         rhs = value
@@ -280,15 +281,14 @@ class Decoder(Echelon):
             tt = t - d
             if tt < 0:
                 continue
-            sid = (tt, j)
-            val = known.get(sid)
-            if val is not None:
-                if val:
-                    rhs = sub(rhs, mul(c, val))
-            elif sid in unknowns:
-                coeffs[sid] = c
-            else:
-                raise DecodeError(f"symbol {sid} neither known nor tracked")
+            record = known.get(tt)
+            if record is None:
+                raise DecodeError(f"symbol {(tt, j)} neither known nor tracked")
+            val = record[j]
+            if val is None:
+                coeffs[(tt, j)] = c
+            elif val:
+                rhs = sub(rhs, mul(c, val))
         row = [coeffs, rhs]
         if self.insert(row) is None:
             if row[1]:
@@ -299,16 +299,13 @@ class Decoder(Echelon):
             self._resolve(qid, rows.pop(qid)[1], t, out)
 
     def _resolve(self, sid, value, now, out):
-        self.unknowns.discard(sid)
-        self.known[sid] = value
         t, j = sid
-        miss = self.missing[t]
-        miss.discard(j)
-        if not miss:
-            del self.missing[t]
+        record = self.known[t]
+        record[j] = value
+        if None not in record:
+            self.missing.discard(t)
             if now - t <= self.tau:      # later, push already reported it lost
-                msg = tuple(self.known[(t, jj)] for jj in range(self.k))
-                out.append(PacketOutcome(t, recovered=True, delay=now - t, message=msg))
+                out.append(PacketOutcome(t, recovered=True, delay=now - t, message=tuple(record)))
 
     # -- retention --
 
@@ -316,10 +313,7 @@ class Decoder(Echelon):
         tp = t - self.horizon
         if tp < 0:
             return
-        for j in range(self.k):
-            sid = (tp, j)
-            self.known.pop(sid, None)
-            if sid in self.unknowns:
-                self.unknowns.discard(sid)
-                self.drop(sid)
-        self.missing.pop(tp, None)
+        for j, v in enumerate(self.known.pop(tp)):
+            if v is None:
+                self.drop((tp, j))
+        self.missing.discard(tp)

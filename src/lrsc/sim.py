@@ -32,8 +32,14 @@ class PecChannel:
     eps: float
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0 <= self.eps <= 1:
+            raise ValueError(f"eps must lie in [0, 1], got {self.eps!r}")
+        object.__setattr__(self, "_key", splitmix64(self.seed))
+        object.__setattr__(self, "_cut", int(self.eps * 2.0 ** 64))
+
     def erased(self, t: int) -> bool:
-        return splitmix64(splitmix64(self.seed) ^ t) < int(self.eps * 2.0 ** 64)
+        return splitmix64(self._key ^ t) < self._cut
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,8 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     decoder, then tau+1 further steps so every counted packet meets its
     deadline.  A packet counts as lost iff it is not fully recovered by
     t+tau."""
+    if packets < 1:
+        raise ValueError(f"packets must be at least 1, got {packets}")
     enc = Encoder(code)
     dec = Decoder(code)
     rng = random.Random(seed)

@@ -252,8 +252,9 @@ def subfield_perturbation(tower, nrows, ncols, seed):
 def check_decoder_invariants(dec):
     """Assert the decoder's rows are in reduced echelon form over its live
     unknowns: each row is 1 at its own pivot, which no other row holds.  The
-    live unknowns are exactly the unresolved symbols of missing packets."""
-    assert dec.unknowns == {(t, j) for t, js in dec.missing.items() for j in js}
+    missing packets are exactly those whose record holds an unresolved
+    symbol."""
+    assert dec.missing == {t for t, s in dec.known.items() if None in s}
     for pid, (coeffs, _) in dec.rows.items():
         assert coeffs.get(pid) == 1
         assert set(coeffs) <= dec.unknowns

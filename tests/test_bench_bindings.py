@@ -41,5 +41,5 @@ def test_decoder_exposes_rows_and_unknowns():
     dec = lrsc.sim.Decoder(code)
     dec.push(0, packet)
     dec.push(1, None)
-    assert len(dec.unknowns) == code.k
+    assert dec.unknowns == {(1, 0), (1, 1)}
     assert len(dec.rows) == 0

@@ -142,7 +142,8 @@ VERIFY_OUT_OF_RANGE = [
 
 
 @pytest.mark.parametrize("cmd,args", [("simulate", a) for a in SIMULATE_OUT_OF_RANGE]
-                         + [("verify", a) for a in VERIFY_OUT_OF_RANGE])
+                         + [("verify", a) for a in VERIFY_OUT_OF_RANGE]
+                         + [("table", ["--columns", "-1"])])
 def test_out_of_range_number_is_usage_error(cmd, args, monkeypatch):
     # exit 2 with a message, not a traceback (exit 1) or a vacuous pass (exit 0)
     monkeypatch.setattr("lrsc.cli.sweep", lambda *a, **kw: pytest.fail("simulated"))

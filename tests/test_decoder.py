@@ -105,12 +105,14 @@ def test_beyond_guarantee_burst():
 
 def test_late_resolution_strips_for_later_packets():
     # after the burst, the decoder keeps resolving old unknowns internally;
-    # the known map must hold correct values wherever it resolved them
+    # the packet records must hold correct values wherever they resolved them
     code = make_lrsc(2, 5, 2)
     msgs = random_stream(random.Random(6), 3, 2, 30)
     dec, _ = _drive(code, _coded(code, msgs), {9, 10, 11})
-    for (t, j), val in dec.known.items():
-        assert val == msgs[t][j], (t, j)
+    for t, record in dec.known.items():
+        for j, val in enumerate(record):
+            if val is not None:
+                assert val == msgs[t][j], (t, j)
 
 
 def test_random_in_guarantee_patterns_all_codes():
@@ -234,7 +236,7 @@ def test_unknown_retention_horizon_prunes():
         dec.push(t, None if t in erased else coded[t])
     horizon = 4 * (code.tau + 1)
     assert all(t >= 140 - horizon - 1 for (t, _) in dec.unknowns)
-    assert all(t >= 140 - horizon - 1 for (t, _) in dec.known)
+    assert all(t >= 140 - horizon - 1 for t in dec.known)
     assert all(t >= 140 - horizon - 1 for (t, _) in dec.rows)
     check_decoder_invariants(dec)
 
@@ -323,3 +325,9 @@ def test_hypothesis_decoder_matches_dense_reference(name, seed, erased, windows)
                 want.append((t, True, now - t, msgs[t]))
                 settled.add(t)
         assert got == sorted(want), now
+        # inside the horizon, an erased packet's record holds exactly the
+        # symbols the dense system pins, late resolutions included
+        for t in erased:
+            if now - dec.horizon < t <= now:
+                resolved = {(t, j): v for j, v in enumerate(dec.known[t]) if v is not None}
+                assert resolved == {sid: v for sid, v in pinned.items() if sid[0] == t}, (now, t)

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from lrsc.codec import MdsDeCode, make_lrsc
 from lrsc.oracle import verify_stream
 from lrsc.sim import (CSV_HEADER, PecChannel, ReplayChannel, csv_rows,
@@ -76,6 +78,33 @@ def test_splitmix_channel_is_counter_based():
     seq2 = [ch.erased(t) for t in reversed(range(50))]
     assert seq1 == list(reversed(seq2))
     assert splitmix64(0) == splitmix64(0)
+
+
+def _erased_by_rule(eps, seed, t):
+    # the channel's decision rule, written out: mix the seed, mix in t, and
+    # compare against eps scaled to 64 bits
+    return splitmix64(splitmix64(seed) ^ t) < int(eps * 2.0 ** 64)
+
+
+def test_channel_decisions_match_the_written_out_rule():
+    rng = random.Random(11)
+    for _ in range(2000):
+        eps = rng.choice([0.0, 1.0, rng.random()])
+        seed = rng.choice([rng.randrange(-2 ** 70, 2 ** 70), rng.randrange(2 ** 64)])
+        t = rng.randrange(10 ** 7)
+        assert PecChannel(eps, seed).erased(t) == _erased_by_rule(eps, seed, t), (eps, seed, t)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), 1.5, -0.2])
+def test_channel_rejects_eps_outside_unit_interval(eps):
+    with pytest.raises(ValueError, match="eps"):
+        PecChannel(eps, 3)
+
+
+@pytest.mark.parametrize("packets", [0, -4])
+def test_run_sim_rejects_non_positive_packet_count(packets):
+    with pytest.raises(ValueError, match="packets"):
+        run_sim(make_lrsc(2, 5, 2), PecChannel(0.1, 1), packets)
 
 
 def test_sweep_derives_paired_seeds():

@@ -61,16 +61,7 @@ def _sort_template(terms):
     return tuple(terms)
 
 
-class _TemplateCode:
-    """Base of the stream codes, which hold every parity in ``templates``."""
-
-    def parity_terms(self, i, t):
-        """Parity i at time t as [((time, symbol), coeff), ...], nonnegative
-        times only."""
-        return [((t - d, j), c) for (j, d, c) in self.templates[i] if d <= t]
-
-
-class LrscCode(_TemplateCode):
+class LrscCode:
     """Stream code for one (a, tau, r) triple: field, weights, and per-parity
     coefficient templates.
 
@@ -130,7 +121,7 @@ class LrscCode(_TemplateCode):
         return _sort_template(terms)
 
 
-class MdsDeCode(_TemplateCode):
+class MdsDeCode:
     """Baseline (a, tau) stream code: each stream diagonal carries a codeword
     of a systematic [tau+1, tau+1-a] MDS block code."""
 

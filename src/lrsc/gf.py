@@ -194,10 +194,14 @@ class TowerField:
         self.base = base
         self.levels = levels
         self.q = base.q
-        self._sizes = [base.q, base.q] + [base.q ** (1 << (j - 1)) for j in range(2, levels + 1)]
+        self._sizes = [base.q, base.q]        # level j has order q^(2^(j-1))
+        while len(self._sizes) <= levels:
+            if self._sizes[-1] > _LOG_TABLE_MAX:
+                raise ValueError(f"tower level GF({self._sizes[-1]}) below the top "
+                                 "exceeds the supported desk scale")
+            self._sizes.append(self._sizes[-1] ** 2)
         self.order = self._sizes[levels]
-        self.dim = 1 << (levels - 1)          # over GF(q)
-        self.dim_p = base.m * self.dim        # over GF(p)
+        self.dim_p = base.m << (levels - 1)   # over GF(p)
         if levels == 1:
             self.quads = {}                   # level -> (lin, const), coeffs in the level below
             add, mul = base.add, base.mul
@@ -309,11 +313,9 @@ class TowerField:
     def element_coeffs(self, x):
         self.check(x)
         out = []
-        for _ in range(self.dim):
-            x, d = divmod(x, self.q)
-            for _ in range(self.base.m):
-                d, c = divmod(d, self.base.p)
-                out.append(c)
+        for _ in range(self.dim_p):
+            x, c = divmod(x, self.base.p)
+            out.append(c)
         return tuple(out)
 
     def element_from_coeffs(self, coeffs):

@@ -177,73 +177,36 @@ def superregular_matrix(field: TowerField, nrows: int, ncols: int):
 
 @dataclass(frozen=True)
 class ParityWeights:
-    """Per-lag parity weight columns.
-
-    ``base`` is the superregular matrix over GF(q); ``rows`` is the same
-    matrix with column j scaled by the level-j tower scalar, so column j
-    lives in the level-j subfield and strictly outside level j-1 for j >= 2.
-    """
+    """Per-lag parity weight columns: the r x a superregular matrix over
+    GF(q) with column j scaled by the level-j tower scalar, so column j lives
+    in the level-j subfield and strictly outside level j-1 for j >= 2."""
     tower: TowerField
-    base: tuple
     rows: tuple
-
-    @property
-    def span(self):         # rows: symbols per diagonal slice
-        return len(self.rows)
-
-    @property
-    def lags(self):         # columns: number of staggered diagonal blocks
-        return len(self.rows[0])
 
     def column(self, j):
         return tuple(row[j] for row in self.rows)
 
 
 def parity_weights(tower: TowerField, base_rows) -> ParityWeights:
-    base = _freeze(base_rows)
-    ncols = len(base[0])
+    ncols = len(base_rows[0])
     if ncols - 1 > tower.levels:
         raise ValueError(f"{ncols} weight columns need a tower with at least {ncols - 1} levels")
-    rows = tuple(
-        tuple(tower.mul(base[i][j], tower.level_scalar(j)) for j in range(ncols))
-        for i in range(len(base))
-    )
-    return ParityWeights(tower=tower, base=base, rows=rows)
+    scalars = [tower.level_scalar(j) for j in range(ncols)]
+    return ParityWeights(tower, tuple(
+        tuple(tower.mul(x, s) for x, s in zip(row, scalars)) for row in base_rows))
 
 
-@dataclass(frozen=True)
-class ParityCheckMatrix:
+def stacked_parity_check(weights: ParityWeights):
     """Parity check [stacked weight blocks | -I] of the block code whose
-    erasure behavior carries the streaming guarantees.
+    erasure behavior carries the streaming guarantees, as a tuple of rows.
 
     Row i holds the transposed weight columns i, i-1, ..., 0 followed by
     zeros across the message positions, then -1 at identity position i.
     """
-    tower: TowerField
-    rows: tuple
-    lags: int
-    span: int
-
-    @property
-    def block_len(self):
-        return self.lags * (self.span + 1)
-
-    def columns(self):
-        return list(zip(*self.rows))
-
-
-def stacked_parity_check(weights: ParityWeights) -> ParityCheckMatrix:
-    tower = weights.tower
-    a, r = weights.lags, weights.span
-    neg_one = tower.neg(1)
-    rows = []
-    for i in range(a):
-        row = []
-        for j in range(a):
-            if j <= i:
-                row.extend(weights.rows[w][i - j] for w in range(r))
-            else:
-                row.extend([0] * r)
-        row.extend(neg_one if i2 == i else 0 for i2 in range(a))
-        rows.append(tuple(row))
-    return ParityCheckMatrix(tower=tower, rows=tuple(rows), lags=a, span=r)
+    w = weights.rows
+    r, a = len(w), len(w[0])
+    neg_one = weights.tower.neg(1)
+    return tuple(
+        tuple(w[x][i - j] if j <= i else 0 for j in range(a) for x in range(r))
+        + tuple(neg_one if i2 == i else 0 for i2 in range(a))
+        for i in range(a))

@@ -55,11 +55,10 @@ def verify_scalar(weights: ParityWeights) -> VerificationReport:
     """Exhaust every full-budget erasure pattern of the block code and check
     the span criterion for each erased coordinate of the first message
     block."""
-    pc = stacked_parity_check(weights)
-    f = pc.tower
-    a, r = pc.lags, pc.span
-    n_len = pc.block_len
-    cols = pc.columns()
+    f = weights.tower
+    r, a = len(weights.rows), len(weights.rows[0])
+    cols = list(zip(*stacked_parity_check(weights)))
+    n_len = len(cols)
     report = VerificationReport(description=f"scalar a={a} r={r}")
     count = 0
     for pattern in itertools.combinations(range(n_len), a):
@@ -95,17 +94,14 @@ def _anchor_recovery(code, coded, erased, anchor, deadline):
     return None
 
 
-def verify_stream(code, budget, deadline, horizon=None, trials=1, seed=0) -> VerificationReport:
+def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationReport:
     """Exhaust every erasure pattern of at most `budget` erasures inside the
     window [t, t+deadline] containing t, for anchors t across the middle
-    third of the horizon and at t=0, over `trials` random message streams."""
+    third of a 3*(max(tau, deadline)+1) horizon and at t=0, over `trials`
+    random message streams."""
     if budget < 1 or deadline < 0 or trials < 1:
         raise ValueError(f"need budget >= 1, deadline >= 0, trials >= 1; got {budget}, {deadline}, {trials}")
-    span = max(code.tau, deadline)
-    if horizon is None:
-        horizon = 3 * (span + 1)
-    if horizon < 3 * (span + 1):
-        raise ValueError(f"horizon must be at least 3*(max(tau, deadline)+1) = {3 * (span + 1)}")
+    horizon = 3 * (max(code.tau, deadline) + 1)
     anchors = [0] + list(range(horizon // 3, (2 * horizon) // 3))
     per_anchor = sum(math.comb(deadline, s - 1) for s in range(1, budget + 1))
     report = VerificationReport(

@@ -16,6 +16,9 @@ from fractions import Fraction
 from .gf import is_prime_power, smallest_prime_power_at_least
 
 
+_FIELD_ORDER_MAX = 1 << 32
+
+
 @dataclass(frozen=True)
 class CodeParams:
     a: int
@@ -56,6 +59,9 @@ def derive_params(a: int, tau: int, r: int, q_override: int | None = None) -> Co
         q = q_override
     else:
         q = smallest_prime_power_at_least(max(2, q_min))
+    # for a > 7 the order is at least 2^64: skip a power too large to compute
+    if a > 7 or q ** (1 << (a - 2)) > _FIELD_ORDER_MAX:
+        raise ValueError(f"field order {q}^{1 << (a - 2)} exceeds the supported desk scale 2^32")
     field_order = q ** (1 << (a - 2))
 
     window = a * (r + 1)

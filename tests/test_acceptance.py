@@ -108,16 +108,17 @@ def test_criterion_1_golden_parity_tables():
     code = LrscCode(derive_params(3, 8, 2))
     f = code.field
     g = code.weights
+    sr = superregular_matrix(f, 2, 3)
     t = 12
-    terms = {(tt, j): c for ((tt, j), c) in code.parity_terms(0, t)}
+    terms = {(t - d, j): c for (j, d, c) in code.templates[0] if d <= t}
     for lag, base in ((0, t - 2), (1, t - 5), (2, t - 8)):
         for w in (0, 1):
             assert terms[(base + w, w)] == g.rows[w][lag]
     for w in (0, 1):
         assert not in_subfield(f, g.rows[w][2], 1)
-        assert g.rows[w][2] == f.mul(f.level_scalar(2), g.base[w][2])
-        assert g.rows[w][0] == g.base[w][0]
-        assert g.rows[w][1] == g.base[w][1]
+        assert g.rows[w][2] == f.mul(f.level_scalar(2), sr[w][2])
+        assert g.rows[w][0] == sr[w][0]
+        assert g.rows[w][1] == sr[w][1]
 
     elapsed = time.perf_counter() - t0
     _report(1, elapsed < 1.0, f"golden parity tables match (in {elapsed:.2f}s)")
@@ -263,8 +264,9 @@ def test_criterion_10_property_suites():
     for a in (2, 3, 4):
         for r in (1, 2, 3, 4):
             f = make_tower(smallest_q(r, a), max(a, 2))
-            w = parity_weights(f, superregular_matrix(f, r, a))
-            assert all_minors_nonzero(f, w.base)
+            c = superregular_matrix(f, r, a)
+            w = parity_weights(f, c)
+            assert all_minors_nonzero(f, c)
             for seed in range(100):
                 d = subfield_perturbation(f, r, a, seed=seed)
                 assert all_minors_nonzero(f, mat_add(f, w.rows, d)), (a, r, seed)
@@ -280,7 +282,7 @@ def test_criterion_10_property_suites():
             msgs = random_stream(rng, code.field.order, code.k, horizon)
             t = rng.randrange(0, tau)
             w = stream_codeword(code, msgs, t)
-            assert mat_vec(code.field, pc.rows, w) == [0] * a
+            assert mat_vec(code.field, pc, w) == [0] * a
             checked += 1
     assert checked >= 1000
     _report(10, True, "Frobenius agreement, perturbed superregularity (100 seeds, r,a <= 4), "

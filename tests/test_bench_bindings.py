@@ -10,7 +10,8 @@ import importlib
 import pytest
 
 import lrsc.sim
-from lrsc.codec import Encoder, make_lrsc
+from lrsc.codec import Encoder, MdsDeCode, make_lrsc
+from lrsc.oracle import verify_scalar
 
 BOUND = [
     # rebound by the traced set-up, which wraps construction in spans
@@ -43,3 +44,14 @@ def test_decoder_exposes_rows_and_unknowns():
     dec.push(1, None)
     assert dec.unknowns == {(1, 0), (1, 1)}
     assert len(dec.rows) == 0
+
+
+def test_code_attributes_the_harness_reads():
+    # workloads label and size the codes, gate the scalar oracle on
+    # code.weights, and tell the kinds apart by params (a from either)
+    lrsc, mds = make_lrsc(2, 5, 2), MdsDeCode(2, 5)
+    assert verify_scalar(lrsc.weights).ok
+    assert lrsc.params.a == 2
+    assert mds.a == 2 and mds.params is None
+    assert [(c.label, c.k, c.tau, c.field.order) for c in (lrsc, mds)] == [
+        ("lrsc-2-5-2", 2, 5, 3), ("mds-de-2-5", 4, 5, 5)]

@@ -33,6 +33,15 @@ def test_params_invalid_is_usage_error():
     assert "a must exceed 1" in res.output
 
 
+@pytest.mark.parametrize("args", [("params", "14", "200", "1"), ("table", "6", "11", "1")])
+def test_field_above_desk_scale_is_usage_error(args):
+    # the first printed a 4933-digit order (int-to-str traceback, exit 1);
+    # the second hung building GF(7^16)
+    res = _run(*args)
+    assert res.exit_code == 2
+    assert "exceeds the supported desk scale" in res.output
+
+
 def test_table_252_golden_lines():
     res = _run("table", "2", "5", "2", "--columns", "6")
     assert res.exit_code == 0
@@ -137,7 +146,6 @@ VERIFY_OUT_OF_RANGE = [
     ["--trials", "0"],
     ["--budget", "0", "--deadline", "3"],
     ["--budget", "1", "--deadline", "-1"],
-    ["--horizon", "5"],
 ]
 
 

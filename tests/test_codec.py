@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lrsc.codec import Encoder, LrscCode, MdsDeCode, make_lrsc
+from lrsc.matrix import superregular_matrix
 from lrsc.params import derive_params
 
 from conftest import block_slice, closed_form_parity, diagonal_slice, random_stream
@@ -57,7 +58,7 @@ def test_parity_252_warmup_truncation():
 def test_parity_382_closed_form():
     code = make_lrsc(3, 8, 2)
     f = code.field
-    c = code.weights.base
+    c = superregular_matrix(f, 2, 3)
     alpha = f.level_scalar(2)
     msgs = random_stream(random.Random(3), 16, 2, 30)
     coded = _encode(code, msgs)
@@ -164,8 +165,9 @@ def test_templates_match_closed_forms(make):
     for t in range(40):
         for i in range(code.n - code.k):
             via_terms = 0
-            for (tt, j), c in code.parity_terms(i, t):
-                via_terms = f.add(via_terms, f.mul(c, msgs[tt][j]))
+            for j, d, c in code.templates[i]:
+                if d <= t:
+                    via_terms = f.add(via_terms, f.mul(c, msgs[t - d][j]))
             assert via_terms == closed_form_parity(code, i, hist, t)
 
 
@@ -243,6 +245,7 @@ def test_hypothesis_template_equals_closed_form_242(msgs):
     for t in range(len(msgs)):
         for i in range(2):
             via = 0
-            for (tt, j), c in code.parity_terms(i, t):
-                via = code.field.add(via, code.field.mul(c, msgs[tt][j]))
+            for j, d, c in code.templates[i]:
+                if d <= t:
+                    via = code.field.add(via, code.field.mul(c, msgs[t - d][j]))
             assert via == closed_form_parity(code, i, hist, t)

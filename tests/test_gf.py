@@ -55,6 +55,18 @@ def test_tower_rejects_bad_orders():
         make_tower(3, 1)
 
 
+def test_tower_above_desk_scale_fails_at_once():
+    # the level below GF(5^16) has 390625 elements: searching it for the
+    # top quadratic would run for minutes, so construction refuses it
+    with pytest.raises(ValueError, match="desk scale"):
+        make_tower(5, 6)
+    with pytest.raises(ValueError, match="desk scale"):
+        make_tower(2, 100)
+    f = make_tower(5, 5)            # GF(5^8) over GF(625), the largest 5-tower
+    assert f.order == 5 ** 8
+    assert f.mul(f.inv(12345), 12345) == 1
+
+
 def test_gf3_arithmetic():
     f = make_tower(3, 2)
     assert f.mul(2, 2) == 1

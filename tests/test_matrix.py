@@ -65,7 +65,7 @@ def test_parity_weights_identity_when_two_lags():
     f = make_tower(3, 2)
     c = superregular_matrix(f, 2, 2)
     w = parity_weights(f, c)
-    assert w.rows == w.base == c
+    assert w.rows == c
 
 
 def test_parity_weights_scales_third_lag():
@@ -87,27 +87,28 @@ def test_stacked_parity_check_structure():
     w = parity_weights(f, superregular_matrix(f, 2, 3))
     pc = stacked_parity_check(w)
     a, r = 3, 2
-    assert len(pc.rows) == a
-    assert len(pc.rows[0]) == a * (r + 1)
+    assert isinstance(pc, tuple) and all(isinstance(row, tuple) for row in pc)
+    assert len(pc) == a
+    assert len(pc[0]) == a * (r + 1)
     for i in range(a):
         for j in range(a):
-            block = pc.rows[i][j * r:(j + 1) * r]
+            block = pc[i][j * r:(j + 1) * r]
             if j <= i:
                 assert block == tuple(w.rows[x][i - j] for x in range(r))
             else:
                 assert block == (0,) * r
         for i2 in range(a):
-            assert pc.rows[i][a * r + i2] == (f.neg(1) if i2 == i else 0)
-    assert rank(f, [list(row) for row in pc.rows]) == 3
+            assert pc[i][a * r + i2] == (f.neg(1) if i2 == i else 0)
+    assert rank(f, [list(row) for row in pc]) == 3
 
 
 def test_stacked_parity_check_single_lag():
     f = make_tower(5, 2)
     w = parity_weights(f, superregular_matrix(f, 3, 1))
     pc = stacked_parity_check(w)
-    assert len(pc.rows) == 1
-    assert len(pc.rows[0]) == 4
-    assert pc.rows[0][3] == f.neg(1)
+    assert len(pc) == 1
+    assert len(pc[0]) == 4
+    assert pc[0][3] == f.neg(1)
 
 
 def test_in_span_empty():
@@ -198,20 +199,21 @@ def test_span_criterion_matches_solvability():
     f = make_tower(4, 3)
     w = parity_weights(f, superregular_matrix(f, 2, 3))
     pc = stacked_parity_check(w)
-    cols = pc.columns()
-    n_len = pc.block_len
+    lags, span = 3, 2
+    cols = list(zip(*pc))
+    n_len = len(cols)
     rng = random.Random(77)
-    msg_len = pc.lags * pc.span
+    msg_len = lags * span
     for pattern in itertools.combinations(range(n_len), 3):
         msg = [rng.randrange(16) for _ in range(msg_len)]
-        word = msg + list(mat_vec(f, [r[:msg_len] for r in pc.rows], msg))
-        rhs = [0] * pc.lags
+        word = msg + list(mat_vec(f, [r[:msg_len] for r in pc], msg))
+        rhs = [0] * lags
         for j in range(n_len):
             if j not in pattern:
-                for i in range(pc.lags):
-                    rhs[i] = f.sub(rhs[i], f.mul(pc.rows[i][j], word[j]))
-        system = [[pc.rows[i][j] for j in pattern] for i in range(pc.lags)]
+                for i in range(lags):
+                    rhs[i] = f.sub(rhs[i], f.mul(pc[i][j], word[j]))
+        system = [[pc[i][j] for j in pattern] for i in range(lags)]
         pinned = pinned_coordinates(f, system, rhs)
         for slot, j in enumerate(pattern):
-            if j < pc.span and not in_span(f, cols[j], [cols[x] for x in pattern if x > j]):
+            if j < span and not in_span(f, cols[j], [cols[x] for x in pattern if x > j]):
                 assert pinned.get(slot) == word[j]

@@ -61,6 +61,13 @@ def test_q_override():
         derive_params(2, 5, 2, q_override=6)      # not a prime power
 
 
+def test_field_order_capped_at_desk_scale():
+    assert derive_params(5, 64, 12).field_order == 16 ** 8 == 2 ** 32
+    for a, tau, r in [(5, 64, 13), (6, 11, 1), (14, 200, 1), (100, 200, 1)]:
+        with pytest.raises(ValueError, match="desk scale"):
+            derive_params(a, tau, r)
+
+
 def test_rate_examples():
     assert derive_params(2, 5, 2).rate == Fraction(2, 3)
     assert derive_params(2, 4, 2).rate == Fraction(3, 5)

@@ -82,8 +82,7 @@ def parity_table(code, t_max):
 @click.option("--columns", type=click.IntRange(min=0), default=None, help="Last time column to print (default 2*tau).")
 def cmd_table(a, tau, r, q, columns):
     """Symbolic parity table, one line per time step: 't=T | p0 | p1 ...'."""
-    p = _params_or_usage(a, tau, r, q)
-    code = LrscCode(p)
+    code = _build_code(a, tau, r, q, "lrsc")
     t_max = columns if columns is not None else 2 * tau
     for t, row in enumerate(parity_table(code, t_max)):
         cells = " | ".join(render_parity_expr(code.field, terms) for terms in row)
@@ -91,14 +90,12 @@ def cmd_table(a, tau, r, q, columns):
 
 
 def _build_code(a, tau, r, q, kind):
-    if kind == "mds":
-        try:
-            return MdsDeCode(a, tau, q_override=q)
-        except ValueError as e:
-            raise click.UsageError(str(e))
-    if r is None:
+    if kind == "lrsc" and r is None:
         raise click.UsageError("R is required for the lrsc code")
-    return LrscCode(_params_or_usage(a, tau, r, q))
+    try:
+        return MdsDeCode(a, tau, q_override=q) if kind == "mds" else LrscCode(derive_params(a, tau, r, q))
+    except ValueError as e:
+        raise click.UsageError(str(e))
 
 
 @main.command("verify")
@@ -154,7 +151,7 @@ def _open_output(path, option):
 @click.option("--q", type=int, default=None, help="Base field order override.")
 @click.option("--eps", required=True, help="Comma-separated erasure probabilities.")
 @click.option("--T", "-T", "packets", type=_POSITIVE, default=100000, help="Message packets per run.")
-@click.option("--seed", type=int, default=0, help="Master seed for channel and messages.")
+@click.option("--seed", type=int, default=0, help="Master seed: derives each point's channel seed and its CSV seed column.")
 @click.option("--codes", type=click.Choice(["both", "lrsc", "mds"]), default="both")
 @click.option("--out", default=None, help="CSV output path (default stdout).")
 @click.option("--hist-out", default=None, help="Delay histogram CSV path.")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf import make_tower, smallest_prime_power_at_least
+from .gf import check_base_order, make_tower, smallest_prime_power_at_least
 from .matrix import Echelon, is_superregular, parity_weights, superregular_matrix
 from .params import CodeParams, derive_params
 
@@ -142,7 +142,7 @@ class MdsDeCode:
                     f"(needs order >= {self.n - 1}, doubly extended)")
             q = q_override
         else:
-            q = smallest_prime_power_at_least(q_min)
+            q = smallest_prime_power_at_least(check_base_order(q_min))
         self.field = make_tower(q, 2)
         self.pg = self._parity_part()
         self.label = f"mds-de-{a}-{tau}"

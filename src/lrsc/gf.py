@@ -52,6 +52,13 @@ def is_prime_power(n: int):
     return (p, m) if n == 1 else None
 
 
+def check_base_order(q: int) -> int:
+    """q, or ValueError above the largest base order: call before any prime-power search."""
+    if q > _LOG_TABLE_MAX:
+        raise ValueError(f"base field order {q} exceeds the supported desk scale 2^16")
+    return q
+
+
 def smallest_prime_power_at_least(n: int) -> int:
     c = max(2, n)
     while is_prime_power(c) is None:
@@ -137,12 +144,12 @@ class BaseField:
     Its ``add`` and ``mul`` only build a tower's level-1 tables."""
 
     def __init__(self, q: int):
-        pm = is_prime_power(q)
+        pm = is_prime_power(check_base_order(q))
         if pm is None:
             raise ValueError(f"field order {q} is not a prime power")
         self.p, self.m = pm
         self.q = q
-        if q > (_LOG_TABLE_MAX if self.m == 1 else _BASE_TABLE_MAX):
+        if self.m > 1 and q > _BASE_TABLE_MAX:
             raise ValueError(f"base field GF({q}) exceeds the supported desk scale")
         self.poly = _monic_irreducible(self.p, self.m)
 

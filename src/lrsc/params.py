@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf import is_prime_power, smallest_prime_power_at_least
+from .gf import check_base_order, is_prime_power, smallest_prime_power_at_least
 
 
 _FIELD_ORDER_MAX = 1 << 32
@@ -52,13 +52,13 @@ def derive_params(a: int, tau: int, r: int, q_override: int | None = None) -> Co
 
     q_min = r + a - 1
     if q_override is not None:
-        if is_prime_power(q_override) is None:
+        if is_prime_power(check_base_order(q_override)) is None:
             raise ValueError(f"q={q_override} is not a prime power")
         if q_override < q_min:
             raise ValueError(f"q={q_override} is below the required minimum {q_min}")
         q = q_override
     else:
-        q = smallest_prime_power_at_least(max(2, q_min))
+        q = smallest_prime_power_at_least(check_base_order(max(2, q_min)))
     # for a > 7 the order is at least 2^64: skip a power too large to compute
     if a > 7 or q ** (1 << (a - 2)) > _FIELD_ORDER_MAX:
         raise ValueError(f"field order {q}^{1 << (a - 2)} exceeds the supported desk scale 2^32")

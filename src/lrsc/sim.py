@@ -2,18 +2,18 @@
 
 The channel is a pure function of (seed, t): each packet's erasure decision
 comes from a splitmix64 mix of the two, so runs are reproducible across
-machines and order independent.  Message symbols come from a separate
-seeded generator; recoverability inside the guarantee does not depend on
-them, so this choice only exercises best-effort paths.
+machines and order independent.  The codes are linear and the decoder's
+steps depend only on which packets are erased, never on symbol values, so
+a run pushes the all-zero stream and draws no messages.
 """
 
 from __future__ import annotations
 
-import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .codec import Decoder, Encoder
+from .codec import CodedPacket, Decoder, Encoder  # Encoder: unused, but perfbench's traced run rebinds it
 
 _M64 = (1 << 64) - 1
 
@@ -51,22 +51,33 @@ class ReplayChannel:
         return t in self.times
 
 
-@dataclass
+@dataclass(slots=True)
 class SimResult:
+    """One run's loss count and delay histogram (delay -> recovered packets,
+    delays ascending).  Each statistic derives from them when read, which
+    keeps small the many results that a long sweep or a benchmark holds."""
     code_label: str
     eps: float
     packets: int
     seed: int
-    recovered: int
     lost: int
-    loss_prob: float
-    loss_ci: float              # 95% normal-approximation half width
-    mean_delay: float | None            # over all recovered packets
-    mean_delay_erased: float | None     # over recovered packets that were erased
-    delay_p50: int | None
-    delay_p99: int | None
-    delay_hist: dict = dc_field(default_factory=dict)
-    low_confidence: bool = False
+    delay_hist: dict
+
+    recovered = property(lambda self: self.packets - self.lost)
+    loss_prob = property(lambda self: self.lost / self.packets)
+    # 95% normal-approximation half width
+    loss_ci = property(lambda self: 1.96 * (self.loss_prob * (1.0 - self.loss_prob) / self.packets) ** 0.5)
+    # over all recovered packets, and over those that were erased; None without any
+    mean_delay = property(lambda self: _mean(self.delay_hist.items()))
+    mean_delay_erased = property(lambda self: _mean([(d, c) for d, c in self.delay_hist.items() if d > 0]))
+    delay_p50 = property(lambda self: _percentile(self.delay_hist, self.recovered, 0.50))
+    delay_p99 = property(lambda self: _percentile(self.delay_hist, self.recovered, 0.99))
+    low_confidence = property(lambda self: self.lost < 20)
+
+
+def _mean(pairs):
+    n = sum(c for _, c in pairs)
+    return sum(d * c for d, c in pairs) / n if n else None
 
 
 def _percentile(hist, total, frac):
@@ -80,24 +91,19 @@ def _percentile(hist, total, frac):
 
 
 def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
-    """Drive `packets` random message packets through encoder -> channel ->
-    decoder, then tau+1 further steps so every counted packet meets its
-    deadline.  A packet counts as lost iff it is not fully recovered by
-    t+tau."""
+    """Drive `packets` all-zero packets through channel -> decoder, then
+    tau+1 further steps so every counted packet meets its deadline.  A
+    packet counts as lost iff it is not fully recovered by t+tau.  `seed`
+    changes no outcome; it is only reported."""
     if packets < 1:
         raise ValueError(f"packets must be at least 1, got {packets}")
-    enc = Encoder(code)
     dec = Decoder(code)
-    rng = random.Random(seed)
-    order = code.field.order
-    k = code.k
+    zeros = (0,) * code.n
     hist = Counter()
     lost = 0
     erased_fn = channel.erased
     for t in range(packets + code.tau + 1):
-        msg = tuple(rng.randrange(order) for _ in range(k))
-        pkt = enc.push(msg)
-        for ev in dec.push(t, None if erased_fn(t) else pkt):
+        for ev in dec.push(t, None if erased_fn(t) else CodedPacket(t, zeros)):
             if ev.t < packets:
                 if ev.recovered:
                     hist[ev.delay] += 1
@@ -106,32 +112,13 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     recovered = sum(hist.values())
     if recovered + lost != packets:
         raise RuntimeError(f"{recovered} recovered + {lost} lost != {packets} packets")
-    p = lost / packets
-    ci = 1.96 * (p * (1.0 - p) / packets) ** 0.5
-    mean = sum(d * c for d, c in hist.items()) / recovered if recovered else None
-    n_erased_rec = sum(c for d, c in hist.items() if d > 0)
-    mean_er = (sum(d * c for d, c in hist.items() if d > 0) / n_erased_rec) if n_erased_rec else None
-    return SimResult(
-        code_label=code.label,
-        eps=getattr(channel, "eps", -1.0),
-        packets=packets,
-        seed=seed,
-        recovered=recovered,
-        lost=lost,
-        loss_prob=p,
-        loss_ci=ci,
-        mean_delay=mean,
-        mean_delay_erased=mean_er,
-        delay_p50=_percentile(hist, recovered, 0.50),
-        delay_p99=_percentile(hist, recovered, 0.99),
-        delay_hist=dict(sorted(hist.items())),
-        low_confidence=lost < 20,
-    )
+    return SimResult(code.label, getattr(channel, "eps", -1.0), packets, seed, lost,
+                     dict(sorted(hist.items())))
 
 
 def sweep(code, eps_list, packets: int, seed: int = 0):
-    """One run per eps, with channel and message seeds derived from (seed,
-    index) so a second sweep with the same seed pairs up packet for packet."""
+    """One run per eps on a channel seed derived from (seed, index), so sweeps
+    with equal seeds pair up packet for packet; a second derived seed is only reported."""
     return [
         run_sim(code, PecChannel(eps, splitmix64(seed ^ (2 * i + 1))), packets,
                 splitmix64(seed ^ (2 * i + 2)))
@@ -166,14 +153,11 @@ def explain_losses(erased_times, lost_times, a, tau):
     length tau+1 window covering it, or by depending on an earlier explained
     loss within tau.  Returns the losses no such scan explains."""
     erased = sorted(erased_times)
-    explained = set()
-    for t in sorted(lost_times):
-        over = False
-        for w0 in range(t - tau, t + 1):
-            cnt = sum(1 for e in erased if w0 <= e <= w0 + tau)
-            if cnt > a:
-                over = True
-                break
-        if over or any(t - tau <= t2 < t for t2 in explained):
-            explained.add(t)
-    return sorted(set(lost_times) - explained)
+    unexplained, last = [], float("-inf")       # last: the latest explained loss
+    for t in sorted(set(lost_times)):
+        if t - last <= tau or any(bisect_right(erased, w0 + tau) - bisect_left(erased, w0) > a
+                                  for w0 in range(t - tau, t + 1)):
+            last = t
+        else:
+            unexplained.append(t)
+    return unexplained

@@ -10,6 +10,9 @@ library's one sparse incremental elimination, ``matrix.Echelon``, which
 ``rank``, ``in_span`` and the decoder all run on.  The closed-form parity expressions read the
 constructions' diagonal sums straight off the message history, as the
 reference for the coefficient templates that the encoder and decoder use.
+``value_path_outcomes`` is the encoder-and-decoder run on random messages
+that the simulator's all-zero stream stands for, and
+``explain_losses_reference`` the brute-force form of the loss-cause scan.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from lrsc.codec import Encoder
+from lrsc.codec import Decoder, Encoder
 
 
 # -- independent base field arithmetic on ints, via polynomial reduction --
@@ -361,3 +364,41 @@ def stream_codeword(code, messages, t):
                     acc = f.sub(acc, f.mul(vec[ww], col[ww]))
         w.append(acc)
     return w
+
+
+# -- the value path the simulator's all-zero stream stands for --
+
+def value_path_outcomes(code, channel, packets, seed):
+    """Random messages through encoder, channel and decoder for packets +
+    tau + 1 steps, the run that ``run_sim``'s all-zero stream stands for.
+    Asserts that every recovered message is the one sent; returns the
+    outcomes in the order the decoder settled them."""
+    rng = random.Random(seed)
+    enc, dec = Encoder(code), Decoder(code)
+    sent, outcomes = {}, []
+    for t in range(packets + code.tau + 1):
+        pkt = enc.push(tuple(rng.randrange(code.field.order) for _ in range(code.k)))
+        sent[t] = pkt.symbols[:code.k]
+        for ev in dec.push(t, None if channel.erased(t) else pkt):
+            if ev.recovered:
+                assert ev.message == sent[ev.t], (ev.t, ev.message, sent[ev.t])
+            outcomes.append(ev)
+    return outcomes
+
+
+def explain_losses_reference(erased_times, lost_times, a, tau):
+    """Brute force: a loss is explained by more than a erasures in some
+    length tau+1 window covering it, found by counting every erasure for
+    every window, or by an explained loss at most tau earlier."""
+    erased = sorted(erased_times)
+    explained = set()
+    for t in sorted(lost_times):
+        over = False
+        for w0 in range(t - tau, t + 1):
+            cnt = sum(1 for e in erased if w0 <= e <= w0 + tau)
+            if cnt > a:
+                over = True
+                break
+        if over or any(t - tau <= t2 < t for t2 in explained):
+            explained.add(t)
+    return sorted(set(lost_times) - explained)

@@ -1,5 +1,10 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
@@ -33,13 +38,33 @@ def test_params_invalid_is_usage_error():
     assert "a must exceed 1" in res.output
 
 
-@pytest.mark.parametrize("args", [("params", "14", "200", "1"), ("table", "6", "11", "1")])
+@pytest.mark.parametrize("args", [("params", "14", "200", "1"), ("table", "6", "11", "1"),
+                                  ("table", "2", "5", "2", "--q", "343"),
+                                  ("verify", "2", "5", "2", "--q", "343"),
+                                  ("simulate", "2", "5", "2", "--q", "343", "--eps", "0.1")])
 def test_field_above_desk_scale_is_usage_error(args):
     # the first printed a 4933-digit order (int-to-str traceback, exit 1);
-    # the second hung building GF(7^16)
+    # the second hung building GF(7^16); the rest ended in a traceback from
+    # building GF(7^3), above the 256 cap on a base field of prime powers
     res = _run(*args)
     assert res.exit_code == 2
     assert "exceeds the supported desk scale" in res.output
+
+
+def test_huge_base_order_fails_before_any_prime_power_search():
+    # each ran trial division on a 21- to 25-digit number for minutes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    huge_q, huge_tau = "1000000000000000000000007", "100000000000000000000"
+    for args in [("params", "2", "5", "2", "--q", huge_q),
+                 ("params", "2", huge_tau + "000", huge_tau),
+                 ("simulate", "2", "5", "2", "--codes", "mds", "--q", huge_q, "--eps", "0.1", "-T", "10"),
+                 ("simulate", "2", huge_tau, "1", "--codes", "mds", "--eps", "0.1", "-T", "10"),
+                 ("verify", "2", huge_tau, "--code", "mds")]:
+        res = subprocess.run([sys.executable, "-m", "lrsc.cli", *args], env=env,
+                             capture_output=True, text=True, timeout=20)
+        assert res.returncode == 2, (args, res.stderr)
+        assert "exceeds the supported desk scale 2^16" in res.stderr, args
 
 
 def test_table_252_golden_lines():

@@ -1,9 +1,13 @@
 """Channel simulation: determinism, conservation, and loss accounting."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+import lrsc.sim
+from conftest import explain_losses_reference, value_path_outcomes
 from lrsc.codec import MdsDeCode, make_lrsc
 from lrsc.oracle import verify_stream
 from lrsc.sim import (CSV_HEADER, PecChannel, ReplayChannel, csv_rows,
@@ -150,20 +154,14 @@ def test_isolated_erasures_recover_within_locality_deadline():
     code = make_lrsc(2, 5, 2)
     ch = PecChannel(0.04, 23)
     packets = 4000
-    from lrsc.codec import Decoder, Encoder
-    rng = random.Random(23)
-    enc, dec = Encoder(code), Decoder(code)
     erased = {t for t in range(packets + code.tau + 1) if ch.erased(t)}
     r = code.params.r
-    for t in range(packets + code.tau + 1):
-        msg = tuple(rng.randrange(3) for _ in range(2))
-        pkt = enc.push(msg)
-        for ev in dec.push(t, None if t in erased else pkt):
-            if ev.recovered and ev.delay and ev.t in erased:
-                isolated = not any(e != ev.t and ev.t - code.tau <= e <= ev.t + r
-                                   for e in erased)
-                if isolated:
-                    assert ev.delay <= r, (ev.t, ev.delay)
+    for ev in value_path_outcomes(code, ch, packets, 23):
+        if ev.recovered and ev.delay and ev.t in erased:
+            isolated = not any(e != ev.t and ev.t - code.tau <= e <= ev.t + r
+                               for e in erased)
+            if isolated:
+                assert ev.delay <= r, (ev.t, ev.delay)
 
 
 def test_every_loss_is_explained_by_a_window_overload():
@@ -173,15 +171,77 @@ def test_every_loss_is_explained_by_a_window_overload():
     res = run_sim(code, ch, packets, seed=17)
     erased = [t for t in range(packets + code.tau + 1) if ch.erased(t)]
     # recompute which packets were lost by rerunning the decoded stream
-    from lrsc.codec import Decoder, Encoder
-    rng = random.Random(17)
-    enc, dec = Encoder(code), Decoder(code)
-    lost = []
-    for t in range(packets + code.tau + 1):
-        msg = tuple(rng.randrange(3) for _ in range(2))
-        pkt = enc.push(msg)
-        for ev in dec.push(t, None if ch.erased(t) else pkt):
-            if ev.t < packets and not ev.recovered:
-                lost.append(ev.t)
+    lost = [ev.t for ev in value_path_outcomes(code, ch, packets, 17)
+            if ev.t < packets and not ev.recovered]
     assert len(lost) == res.lost
     assert explain_losses(erased, lost, 2, code.tau) == []
+
+
+def test_explain_losses_matches_brute_force():
+    rng = random.Random(5)
+    for _ in range(600):
+        a, tau = rng.randint(1, 4), rng.randint(1, 9)
+        span = rng.randint(1, 80)
+        erased = [t for t in range(span) if rng.random() < rng.random()]
+        lost = [rng.randrange(span) for _ in range(rng.randint(0, span))]
+        assert explain_losses(erased, lost, a, tau) == \
+            explain_losses_reference(erased, lost, a, tau), (a, tau, erased, lost)
+
+
+# codes of every kind: exact, long and short LRSCs, and two diagonal MDS baselines
+_SIM_CODES = [(make_lrsc, (2, 5, 2)), (make_lrsc, (3, 8, 2)), (make_lrsc, (2, 6, 2)),
+              (make_lrsc, (3, 7, 2)), (MdsDeCode, (2, 5)), (MdsDeCode, (3, 7))]
+
+
+def _bursts(a):
+    """Replay patterns around one time: bursts of a and a+1 erasures, back
+    to back, spread over a window, and two bursts at once."""
+    return [frozenset(range(9, 9 + a)), frozenset(range(9, 10 + a)),
+            frozenset(range(0, a)), frozenset(range(0, 2 * a + 1, 2)),
+            frozenset(range(9, 9 + a)) | frozenset(range(14 + a, 15 + 2 * a))]
+
+
+def _outcomes_of_run_sim(monkeypatch, code, channel, packets, seed):
+    """run_sim's result and its decoder's outcomes, recorded on the way."""
+    outcomes = []
+
+    class Recording(lrsc.sim.Decoder):
+        def push(self, t, packet):
+            out = super().push(t, packet)
+            outcomes.extend(out)
+            return out
+
+    monkeypatch.setattr(lrsc.sim, "Decoder", Recording)
+    return run_sim(code, channel, packets, seed), outcomes
+
+
+@pytest.mark.parametrize("make,args", _SIM_CODES, ids=lambda x: getattr(x, "__name__", str(x)))
+def test_run_sim_matches_value_path(monkeypatch, make, args):
+    # the all-zero stream settles every packet as random messages do: the
+    # outcome streams agree packet for packet, and so do the loss count and
+    # delay histogram that every SimResult statistic derives from
+    code = make(*args)
+    a = code.params.a if code.params else code.a
+    channels = [(PecChannel(eps, seed), 400, seed) for eps in (0.02, 0.15, 0.35) for seed in (1, 2)]
+    channels += [(ReplayChannel(pat), 40, 3) for pat in _bursts(a)]
+    for ch, packets, seed in channels:
+        res, zero_outcomes = _outcomes_of_run_sim(monkeypatch, code, ch, packets, seed)
+        values = value_path_outcomes(code, ch, packets, seed)
+        assert [(e.t, e.recovered, e.delay) for e in zero_outcomes] == \
+            [(e.t, e.recovered, e.delay) for e in values], ch
+        counted = [e for e in values if e.t < packets]
+        hist = Counter(e.delay for e in counted if e.recovered)
+        assert (res.recovered, res.lost, res.delay_hist) == \
+            (sum(hist.values()), len(counted) - sum(hist.values()), dict(sorted(hist.items()))), ch
+
+
+def test_run_sim_encodes_nothing_and_ignores_its_seed(monkeypatch):
+    def refuse(code):
+        raise AssertionError("run_sim built an encoder")
+
+    monkeypatch.setattr(lrsc.sim, "Encoder", refuse)
+    code = make_lrsc(2, 5, 2)
+    r1 = run_sim(code, PecChannel(0.2, 3), 600, seed=4)
+    r2 = run_sim(code, PecChannel(0.2, 3), 600, seed=5)
+    assert r1.lost > 0 and r1.recovered + r1.lost == 600
+    assert replace(r1, seed=5) == r2

@@ -12,7 +12,7 @@ import sys
 
 import click
 
-from .codec import CodedPacket, DecodeError, Decoder, Encoder, LrscCode, MdsDeCode
+from .codec import CodedPacket, DecodeError, Decoder, Encoder, MdsDeCode, make_lrsc
 from .oracle import verify_scalar, verify_stream
 from .params import derive_params, rate_bound
 from .sim import csv_rows, hist_rows, sweep
@@ -20,11 +20,15 @@ from . import trace as trace_io
 
 
 _POSITIVE = click.IntRange(min=1)
+_Q_HELP = ("Base field order override: a prime up to 65521 or a prime power up to 256, "
+           "whose tower levels below the top stay within 2^16 elements.")
 
 
-def _params_or_usage(a, tau, r, q):
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ValueError from deriving or building a code as a usage error."""
     try:
-        return derive_params(a, tau, r, q_override=q)
+        yield
     except ValueError as e:
         raise click.UsageError(str(e))
 
@@ -39,10 +43,11 @@ def main():
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
 @click.argument("r", type=int)
-@click.option("--q", type=int, default=None, help="Base field order override (prime power >= r+a-1).")
+@click.option("--q", type=int, default=None, help=_Q_HELP + " At least r+a-1.")
 def cmd_params(a, tau, r, q):
     """Derived parameters and the rate bound for an (A, TAU, R) code."""
-    p = _params_or_usage(a, tau, r, q)
+    with _usage_errors():
+        p = derive_params(a, tau, r, q)
     click.echo(f"a={p.a} tau={p.tau} r={p.r}")
     click.echo(f"regime: {p.regime}")
     click.echo(f"k={p.k} n={p.n}")
@@ -78,7 +83,7 @@ def parity_table(code, t_max):
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
 @click.argument("r", type=int)
-@click.option("--q", type=int, default=None, help="Base field order override.")
+@click.option("--q", type=int, default=None, help=_Q_HELP)
 @click.option("--columns", type=click.IntRange(min=0), default=None, help="Last time column to print (default 2*tau).")
 def cmd_table(a, tau, r, q, columns):
     """Symbolic parity table, one line per time step: 't=T | p0 | p1 ...'."""
@@ -92,17 +97,15 @@ def cmd_table(a, tau, r, q, columns):
 def _build_code(a, tau, r, q, kind):
     if kind == "lrsc" and r is None:
         raise click.UsageError("R is required for the lrsc code")
-    try:
-        return MdsDeCode(a, tau, q_override=q) if kind == "mds" else LrscCode(derive_params(a, tau, r, q))
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    with _usage_errors():
+        return MdsDeCode(a, tau, q) if kind == "mds" else make_lrsc(a, tau, r, q)
 
 
 @main.command("verify")
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
 @click.argument("r", type=int, required=False)
-@click.option("--q", type=int, default=None, help="Base field order override.")
+@click.option("--q", type=int, default=None, help=_Q_HELP)
 @click.option("--code", "kind", type=click.Choice(["lrsc", "mds"]), default="lrsc")
 @click.option("--budget", type=_POSITIVE, default=None, help="Erasure budget h (runs a single stream suite).")
 @click.option("--deadline", type=click.IntRange(min=0), default=None, help="Recovery deadline d for --budget.")
@@ -148,7 +151,7 @@ def _open_output(path, option):
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
 @click.argument("r", type=int, required=False)
-@click.option("--q", type=int, default=None, help="Base field order override.")
+@click.option("--q", type=int, default=None, help=_Q_HELP)
 @click.option("--eps", required=True, help="Comma-separated erasure probabilities.")
 @click.option("--T", "-T", "packets", type=_POSITIVE, default=100000, help="Message packets per run.")
 @click.option("--seed", type=int, default=0, help="Master seed: derives each point's channel seed and its CSV seed column.")
@@ -198,7 +201,7 @@ def cmd_simulate(a, tau, r, q, eps, packets, seed, codes, out, hist_out, fmt):
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
 @click.argument("r", type=int)
-@click.option("--q", type=int, default=None, help="Base field order override.")
+@click.option("--q", type=int, default=None, help=_Q_HELP)
 @click.option("--in", "infile", type=click.File("r"), default="-", help="Message trace (default stdin).")
 @click.option("--out", "outfile", type=click.File("w"), default="-", help="Coded trace (default stdout).")
 def cmd_encode(a, tau, r, q, infile, outfile):
@@ -220,7 +223,7 @@ def cmd_encode(a, tau, r, q, infile, outfile):
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
 @click.argument("r", type=int)
-@click.option("--q", type=int, default=None, help="Base field order override.")
+@click.option("--q", type=int, default=None, help=_Q_HELP)
 @click.option("--in", "infile", type=click.File("r"), default="-", help="Coded trace (default stdin).")
 @click.option("--out", "outfile", type=click.File("w"), default="-", help="Recovered message trace.")
 def cmd_decode(a, tau, r, q, infile, outfile):

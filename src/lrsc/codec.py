@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf import check_base_order, make_tower, smallest_prime_power_at_least
+from .gf import make_tower, smallest_prime_power_at_least
+# is_superregular: unused, but perfbench's traced set-up rebinds it
 from .matrix import Echelon, is_superregular, parity_weights, superregular_matrix
 from .params import CodeParams, derive_params
 
@@ -134,29 +135,17 @@ class MdsDeCode:
         self.tau = tau
         self.k = tau + 1 - a
         self.n = tau + 1
-        q_min = max(2, self.n - 1)
-        if q_override is not None:
-            if q_override < self.n - 1:
-                raise ValueError(
-                    f"field of order {q_override} too small for the diagonal MDS code "
-                    f"(needs order >= {self.n - 1}, doubly extended)")
-            q = q_override
-        else:
-            q = smallest_prime_power_at_least(check_base_order(q_min))
+        q = smallest_prime_power_at_least(self.n - 1) if q_override is None else q_override
+        if q < self.n - 1:
+            raise ValueError(
+                f"field of order {q} too small for the diagonal MDS code "
+                f"(needs order >= {self.n - 1}, doubly extended)")
         self.field = make_tower(q, 2)
-        self.pg = self._parity_part()
+        # k x a: row j holds message symbol j's weight in each parity
+        self.pg = tuple(zip(*superregular_matrix(self.field, a, self.k)))
         self.label = f"mds-de-{a}-{tau}"
         self.templates = tuple(self._template(i) for i in range(a))
         self.params = None
-
-    def _parity_part(self):
-        f = self.field
-        k, a = self.k, self.a
-        if f.q >= k + 1:
-            cand = [[f.pow(j + 1, i) for i in range(a)] for j in range(k)]
-            if is_superregular(f, cand):
-                return tuple(tuple(r) for r in cand)
-        return superregular_matrix(f, k, a)
 
     def _template(self, i):
         # parity i at time t closes the diagonal that started at t - (k+i)

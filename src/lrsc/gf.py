@@ -52,18 +52,57 @@ def is_prime_power(n: int):
     return (p, m) if n == 1 else None
 
 
-def check_base_order(q: int) -> int:
-    """q, or ValueError above the largest base order: call before any prime-power search."""
+def tower_orders(q: int, levels: int) -> list:
+    """Orders of levels 0..levels of the tower over GF(q), or ValueError if
+    no such tower can be built.  This is the one rule for which fields exist.
+
+    The base order is at most 2^16, checked before any prime-power search;
+    it is a prime power, and at most 256 unless prime.  Each level below
+    the top is at most 2^16, which bounds the search for the top quadratic.
+    """
     if q > _LOG_TABLE_MAX:
         raise ValueError(f"base field order {q} exceeds the supported desk scale 2^16")
-    return q
+    pm = is_prime_power(q)
+    if pm is None:
+        raise ValueError(f"field order {q} is not a prime power")
+    if pm[1] > 1 and q > _BASE_TABLE_MAX:
+        raise ValueError(f"base field GF({q}) exceeds the supported desk scale")
+    if levels < 1:
+        raise ValueError("a tower needs at least one level")
+    orders = [q, q]        # level j has order q^(2^(j-1))
+    while len(orders) <= levels:
+        if orders[-1] > _LOG_TABLE_MAX:
+            raise ValueError(f"tower level GF({orders[-1]}) below the top "
+                             "exceeds the supported desk scale")
+        orders.append(orders[-1] ** 2)
+    return orders
 
 
 def smallest_prime_power_at_least(n: int) -> int:
-    c = max(2, n)
-    while is_prime_power(c) is None:
-        c += 1
-    return c
+    """Smallest base order at least n that ``tower_orders`` accepts.  For n
+    above the largest, 65521, this raises the rule's ValueError."""
+    for c in itertools.count(max(2, n)):
+        try:
+            return tower_orders(c, 1)[0]
+        except ValueError:
+            if c >= _LOG_TABLE_MAX:
+                raise
+
+
+def _digits(x, p, count):
+    """The count lowest base-p digits of x, least significant first."""
+    out = []
+    for _ in range(count):
+        x, d = divmod(x, p)
+        out.append(d)
+    return out
+
+
+def _undigits(ds, p):
+    acc = 0
+    for d in reversed(ds):
+        acc = acc * p + d
+    return acc
 
 
 # -- polynomials over GF(p), sequences of coefficients, constant term first --
@@ -144,43 +183,28 @@ class BaseField:
     Its ``add`` and ``mul`` only build a tower's level-1 tables."""
 
     def __init__(self, q: int):
-        pm = is_prime_power(check_base_order(q))
-        if pm is None:
-            raise ValueError(f"field order {q} is not a prime power")
-        self.p, self.m = pm
+        tower_orders(q, 1)
+        self.p, self.m = is_prime_power(q)
         self.q = q
-        if self.m > 1 and q > _BASE_TABLE_MAX:
-            raise ValueError(f"base field GF({q}) exceeds the supported desk scale")
         self.poly = _monic_irreducible(self.p, self.m)
 
-    def _digits(self, a):
-        out = []
-        for _ in range(self.m):
-            a, d = divmod(a, self.p)
-            out.append(d)
-        return out
-
-    def _undigits(self, ds):
-        acc = 0
-        for d in reversed(ds):
-            acc = acc * self.p + d
-        return acc
-
     def add(self, a, b):
-        if self.m == 1:
-            return (a + b) % self.p
-        return self._undigits([(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))])
+        p, m = self.p, self.m
+        if m == 1:
+            return (a + b) % p
+        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))], p)
 
     def mul(self, a, b):
-        if self.m == 1:
-            return a * b % self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
+        p, m = self.p, self.m
+        if m == 1:
+            return a * b % p
+        db = _digits(b, p, m)
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(_digits(a, p, m)):
             if x:
                 for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self._undigits(_poly_mod(prod, self.poly, self.p))
+                    prod[i + j] = (prod[i + j] + x * y) % p
+        return _undigits(_poly_mod(prod, self.poly, p), p)
 
 
 class TowerField:
@@ -196,17 +220,10 @@ class TowerField:
     """
 
     def __init__(self, base: BaseField, levels: int):
-        if levels < 1:
-            raise ValueError("a tower needs at least one level")
+        self._sizes = tower_orders(base.q, levels)
         self.base = base
         self.levels = levels
         self.q = base.q
-        self._sizes = [base.q, base.q]        # level j has order q^(2^(j-1))
-        while len(self._sizes) <= levels:
-            if self._sizes[-1] > _LOG_TABLE_MAX:
-                raise ValueError(f"tower level GF({self._sizes[-1]}) below the top "
-                                 "exceeds the supported desk scale")
-            self._sizes.append(self._sizes[-1] ** 2)
         self.order = self._sizes[levels]
         self.dim_p = base.m << (levels - 1)   # over GF(p)
         if levels == 1:
@@ -318,22 +335,16 @@ class TowerField:
     # -- textual element format: GF(p) coefficient vector, low index first --
 
     def element_coeffs(self, x):
-        self.check(x)
-        out = []
-        for _ in range(self.dim_p):
-            x, c = divmod(x, self.base.p)
-            out.append(c)
-        return tuple(out)
+        return tuple(_digits(self.check(x), self.base.p, self.dim_p))
 
     def element_from_coeffs(self, coeffs):
+        p = self.base.p
         if len(coeffs) != self.dim_p:
             raise ValueError(f"expected {self.dim_p} coefficients, got {len(coeffs)}")
-        acc = 0
         for c in reversed(coeffs):
-            if not 0 <= c < self.base.p:
-                raise ValueError(f"coefficient {c} out of range for GF({self.base.p})")
-            acc = acc * self.base.p + c
-        return acc
+            if not 0 <= c < p:
+                raise ValueError(f"coefficient {c} out of range for GF({p})")
+        return _undigits(coeffs, p)
 
     def format_element(self, x):
         return "[" + ",".join(str(c) for c in self.element_coeffs(x)) + "]"
@@ -351,7 +362,7 @@ class TowerField:
 
 
 def make_tower(q: int, a: int) -> TowerField:
-    """Tower sized for an a-erasure code: max(a-1, 1) levels over GF(q)."""
+    """Tower sized for an a-erasure code: a-1 levels over GF(q)."""
     if a < 2:
         raise ValueError("a must be at least 2")
-    return TowerField(BaseField(q), max(a - 1, 1))
+    return TowerField(BaseField(q), a - 1)

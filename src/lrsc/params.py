@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf import check_base_order, is_prime_power, smallest_prime_power_at_least
-
-
-_FIELD_ORDER_MAX = 1 << 32
+from .gf import smallest_prime_power_at_least, tower_orders
 
 
 @dataclass(frozen=True)
@@ -51,18 +48,10 @@ def derive_params(a: int, tau: int, r: int, q_override: int | None = None) -> Co
         raise ValueError(f"r must be less than tau, got r={r}, tau={tau}")
 
     q_min = r + a - 1
-    if q_override is not None:
-        if is_prime_power(check_base_order(q_override)) is None:
-            raise ValueError(f"q={q_override} is not a prime power")
-        if q_override < q_min:
-            raise ValueError(f"q={q_override} is below the required minimum {q_min}")
-        q = q_override
-    else:
-        q = smallest_prime_power_at_least(check_base_order(max(2, q_min)))
-    # for a > 7 the order is at least 2^64: skip a power too large to compute
-    if a > 7 or q ** (1 << (a - 2)) > _FIELD_ORDER_MAX:
-        raise ValueError(f"field order {q}^{1 << (a - 2)} exceeds the supported desk scale 2^32")
-    field_order = q ** (1 << (a - 2))
+    q = smallest_prime_power_at_least(q_min) if q_override is None else q_override
+    if q < q_min:
+        raise ValueError(f"q={q} is below the required minimum {q_min}")
+    field_order = tower_orders(q, a - 1)[-1]
 
     window = a * (r + 1)
     if tau + 1 >= window:

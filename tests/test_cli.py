@@ -41,11 +41,15 @@ def test_params_invalid_is_usage_error():
 @pytest.mark.parametrize("args", [("params", "14", "200", "1"), ("table", "6", "11", "1"),
                                   ("table", "2", "5", "2", "--q", "343"),
                                   ("verify", "2", "5", "2", "--q", "343"),
-                                  ("simulate", "2", "5", "2", "--q", "343", "--eps", "0.1")])
+                                  ("simulate", "2", "5", "2", "--q", "343", "--eps", "0.1"),
+                                  ("params", "2", "5", "2", "--q", "343"),
+                                  ("params", "2", "5", "2", "--q", "625"),
+                                  ("params", "2", "5", "2", "--q", "289")])
 def test_field_above_desk_scale_is_usage_error(args):
     # the first printed a 4933-digit order (int-to-str traceback, exit 1);
-    # the second hung building GF(7^16); the rest ended in a traceback from
-    # building GF(7^3), above the 256 cap on a base field of prime powers
+    # the second hung building GF(7^16); the next three ended in a traceback
+    # from building GF(7^3), above the 256 cap on a base field of prime
+    # powers, and the last three printed Q for 7^3, 5^4 and 17^2
     res = _run(*args)
     assert res.exit_code == 2
     assert "exceeds the supported desk scale" in res.output
@@ -65,6 +69,16 @@ def test_huge_base_order_fails_before_any_prime_power_search():
                              capture_output=True, text=True, timeout=20)
         assert res.returncode == 2, (args, res.stderr)
         assert "exceeds the supported desk scale 2^16" in res.stderr, args
+
+
+def test_default_search_skips_base_orders_that_cannot_be_built():
+    # 289 = 17^2 is a prime power above the 256 cap; 293 is prime
+    res = _run("params", "2", "300", "287")
+    assert res.exit_code == 0
+    assert "q=293 Q=293" in res.output
+    res = _run("simulate", "2", "288", "--codes", "mds", "--eps", "0.1", "-T", "10")
+    assert res.exit_code == 0, res.output
+    assert "mds-de-2-288" in res.output
 
 
 def test_table_252_golden_lines():

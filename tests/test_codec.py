@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from lrsc.codec import Encoder, LrscCode, MdsDeCode, make_lrsc
 from lrsc.matrix import superregular_matrix
+from lrsc.oracle import verify_stream
 from lrsc.params import derive_params
+from lrsc.sim import PecChannel, run_sim
 
 from conftest import block_slice, closed_form_parity, diagonal_slice, random_stream
 
@@ -143,6 +145,24 @@ def test_mds_de_25_closed_form():
         p0 = (msgs[t - 4][0] + msgs[t - 3][1] + msgs[t - 2][2] + msgs[t - 1][3]) % 5
         p1 = (msgs[t - 5][0] + 2 * msgs[t - 4][1] + 3 * msgs[t - 3][2] + 4 * msgs[t - 2][3]) % 5
         assert coded[t].symbols[4:] == (p0, p1)
+
+
+# recorded with the power-form parity block the baseline tried before the
+# shared superregular search; every diagonal is an independent MDS
+# codeword, so the block that search returns changes no outcome
+@pytest.mark.parametrize("a,tau,summaries,eps,lost,hist", [
+    (3, 7, ["patterns=261 failures=0 max_delay[1]=5 max_delay[2]=6 max_delay[3]=7",
+            "patterns=576 failures=315 max_delay[1]=5 max_delay[2]=6 max_delay[3]=7"],
+     0.1, 125, {0: 17993, 5: 1183, 6: 563, 7: 136}),
+    (4, 9, ["patterns=1430 failures=0 max_delay[1]=6 max_delay[2]=7 max_delay[3]=8 max_delay[4]=9",
+            "patterns=2816 failures=1386 max_delay[1]=6 max_delay[2]=7 max_delay[3]=8 max_delay[4]=9"],
+     0.3, 2914, {0: 13970, 6: 695, 7: 1088, 8: 889, 9: 444}),
+])
+def test_mds_de_outcomes_pinned(a, tau, summaries, eps, lost, hist):
+    code = MdsDeCode(a, tau)
+    assert [verify_stream(code, h, tau).summary() for h in (a, a + 1)] == summaries
+    res = run_sim(code, PecChannel(eps, 1234), 20000)
+    assert (res.lost, dict(res.delay_hist)) == (lost, hist)
 
 
 def test_mds_de_field_too_small():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lrsc.gf import (BaseField, TowerField, is_prime_power, make_tower,
-                     smallest_prime_power_at_least)
+                     smallest_prime_power_at_least, tower_orders)
 
 from conftest import (frobenius_fixed, in_subfield, naive_tower_add, naive_tower_mul,
                       naive_tower_neg)
@@ -35,6 +35,28 @@ def test_prime_power_detection():
     assert is_prime_power(1) is None
     assert smallest_prime_power_at_least(6) == 7
     assert smallest_prime_power_at_least(2) == 2
+
+
+def test_prime_power_search_stops_at_the_largest_base_order():
+    assert smallest_prime_power_at_least(65521) == 65521
+    assert smallest_prime_power_at_least(257) == 257
+    assert smallest_prime_power_at_least(288) == 293      # skips 17^2 = 289
+    for n in range(65522, 65537):                         # 2^16 has m = 16
+        with pytest.raises(ValueError, match="desk scale"):
+            smallest_prime_power_at_least(n)
+
+
+def test_tower_orders_is_the_field_rule():
+    assert tower_orders(5, 3) == [5, 5, 25, 625]
+    assert tower_orders(65521, 1) == [65521, 65521]
+    assert tower_orders(16, 3) == [16, 16, 256, 65536]
+    assert tower_orders(2, 5) == [2, 2, 4, 16, 256, 65536]
+    assert make_tower(4, 4).level_order(3) == tower_orders(4, 3)[3]
+    for q, levels, match in [(10 ** 24 + 7, 1, "desk scale 2\\^16"), (6, 1, "not a prime power"),
+                             (343, 1, "desk scale"), (3, 0, "at least one level"),
+                             (2, 7, "below the top"), (257, 3, "below the top")]:
+        with pytest.raises(ValueError, match=match):
+            tower_orders(q, levels)
 
 
 def test_tower_shapes():

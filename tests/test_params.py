@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lrsc.gf import BaseField
 from lrsc.params import derive_params, rate_bound, small_field_sc2
 
 
@@ -59,6 +60,18 @@ def test_q_override():
         derive_params(2, 5, 2, q_override=2)      # below r+a-1
     with pytest.raises(ValueError):
         derive_params(2, 5, 2, q_override=6)      # not a prime power
+
+
+def test_q_override_accepts_exactly_the_buildable_base_fields():
+    def ok(build, *args):
+        try:
+            build(*args)
+        except ValueError:
+            return False
+        return True
+
+    for q in range(3, 1101):
+        assert ok(derive_params, 2, 5, 2, q) == ok(BaseField, q), q
 
 
 def test_field_order_capped_at_desk_scale():

@@ -22,6 +22,9 @@ from . import trace as trace_io
 _POSITIVE = click.IntRange(min=1)
 _Q_HELP = ("Base field order override: a prime up to 65521 or a prime power up to 256, "
            "whose tower levels below the top stay within 2^16 elements.")
+_Q_LRSC = _Q_HELP + " At least r+a-1."
+# MdsDeCode needs order >= n-1 = tau
+_Q_EITHER = _Q_HELP + " At least r+a-1 for lrsc, tau for mds."
 
 
 @contextlib.contextmanager
@@ -43,7 +46,7 @@ def main():
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
 @click.argument("r", type=int)
-@click.option("--q", type=int, default=None, help=_Q_HELP + " At least r+a-1.")
+@click.option("--q", type=int, default=None, help=_Q_LRSC)
 def cmd_params(a, tau, r, q):
     """Derived parameters and the rate bound for an (A, TAU, R) code."""
     with _usage_errors():
@@ -83,7 +86,7 @@ def parity_table(code, t_max):
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
 @click.argument("r", type=int)
-@click.option("--q", type=int, default=None, help=_Q_HELP)
+@click.option("--q", type=int, default=None, help=_Q_LRSC)
 @click.option("--columns", type=click.IntRange(min=0), default=None, help="Last time column to print (default 2*tau).")
 def cmd_table(a, tau, r, q, columns):
     """Symbolic parity table, one line per time step: 't=T | p0 | p1 ...'."""
@@ -105,7 +108,7 @@ def _build_code(a, tau, r, q, kind):
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
 @click.argument("r", type=int, required=False)
-@click.option("--q", type=int, default=None, help=_Q_HELP)
+@click.option("--q", type=int, default=None, help=_Q_EITHER)
 @click.option("--code", "kind", type=click.Choice(["lrsc", "mds"]), default="lrsc")
 @click.option("--budget", type=_POSITIVE, default=None, help="Erasure budget h (runs a single stream suite).")
 @click.option("--deadline", type=click.IntRange(min=0), default=None, help="Recovery deadline d for --budget.")
@@ -151,7 +154,7 @@ def _open_output(path, option):
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
 @click.argument("r", type=int, required=False)
-@click.option("--q", type=int, default=None, help=_Q_HELP)
+@click.option("--q", type=int, default=None, help=_Q_EITHER)
 @click.option("--eps", required=True, help="Comma-separated erasure probabilities.")
 @click.option("--T", "-T", "packets", type=_POSITIVE, default=100000, help="Message packets per run.")
 @click.option("--seed", type=int, default=0, help="Master seed: derives each point's channel seed and its CSV seed column.")
@@ -201,7 +204,7 @@ def cmd_simulate(a, tau, r, q, eps, packets, seed, codes, out, hist_out, fmt):
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
 @click.argument("r", type=int)
-@click.option("--q", type=int, default=None, help=_Q_HELP)
+@click.option("--q", type=int, default=None, help=_Q_LRSC)
 @click.option("--in", "infile", type=click.File("r"), default="-", help="Message trace (default stdin).")
 @click.option("--out", "outfile", type=click.File("w"), default="-", help="Coded trace (default stdout).")
 def cmd_encode(a, tau, r, q, infile, outfile):
@@ -223,7 +226,7 @@ def cmd_encode(a, tau, r, q, infile, outfile):
 @click.argument("a", type=int)
 @click.argument("tau", type=int)
 @click.argument("r", type=int)
-@click.option("--q", type=int, default=None, help=_Q_HELP)
+@click.option("--q", type=int, default=None, help=_Q_LRSC)
 @click.option("--in", "infile", type=click.File("r"), default="-", help="Coded trace (default stdin).")
 @click.option("--out", "outfile", type=click.File("w"), default="-", help="Recovered message trace.")
 def cmd_decode(a, tau, r, q, infile, outfile):

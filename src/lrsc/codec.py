@@ -194,7 +194,8 @@ class Encoder:
 class Decoder(Echelon):
     """Sliding-window decoder over one packet stream.
 
-    Push packets (or None for an erasure) in time order starting at 0.
+    Push packets (or None for an erasure) in time order starting at 0, or
+    first ``resume`` on a clean prefix.
     Each push returns the packets whose fate was settled by it: a recovered
     outcome the moment the record ``known[t]`` holds all k message symbols,
     or a lost outcome once time moves past the t+tau deadline.  Records of
@@ -251,6 +252,25 @@ class Decoder(Echelon):
                     self._absorb_parity(i, t, syms[self.k + i], out)
         self._prune(t)
         return out
+
+    def resume(self, messages):
+        """Take packets 0..len(messages)-1 as received, given by their
+        message symbols, in one step, and return nothing.
+
+        The state is the one pushing them would leave: push reads no parity
+        while nothing is unresolved, and keeps only the last ``horizon``
+        records.  Only a decoder that has taken no packet can resume.
+        """
+        if self.next_t:
+            raise ValueError(f"resume needs a fresh decoder; this one has taken {self.next_t} packets")
+        k, field = self.k, self.code.field
+        for msg in messages:
+            if len(msg) != k:
+                raise ValueError(f"expected {k} message symbols, got {len(msg)}")
+            _check_symbols(field, msg)
+        self.next_t = len(messages)
+        start = max(0, self.next_t - self.horizon)
+        self.known = {t: list(messages[t]) for t in range(start, self.next_t)}
 
     def _absorb_parity(self, i, t, value, out):
         known = self.known

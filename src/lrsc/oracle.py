@@ -9,7 +9,9 @@ Two layers of ground truth:
 * ``verify_stream`` drives the real encoder and decoder over a seeded
   random stream and every erasure pattern anchored at mid-horizon times
   (plus an anchor at t=0 to exercise the zero prehistory), asserting the
-  anchored packet comes back correct within the deadline.
+  anchored packet comes back correct within the deadline.  Each pattern's
+  decoder resumes on the clean prefix before the anchor, the state pushing
+  it would leave, and pushes only from the anchor on.
 
 Pattern enumeration counts are checked against the closed-form binomial
 totals, raising RuntimeError also under ``python -O``, so a silent
@@ -83,11 +85,13 @@ def _random_stream(code, horizon, seed, trial):
     return [tuple(rng.randrange(order) for _ in range(k)) for _ in range(horizon)]
 
 
-def _anchor_recovery(code, coded, erased, anchor, deadline):
-    """Run the decoder up to anchor+deadline; return (delay, message) for the
-    anchored packet or None if it never resolved in time."""
+def _anchor_recovery(code, messages, coded, erased, anchor, deadline):
+    """Resume the decoder on the clean prefix before the anchor, then push
+    up to anchor+deadline; return (delay, message) for the anchored packet
+    or None if it never resolved in time."""
     dec = Decoder(code)
-    for t in range(anchor + deadline + 1):
+    dec.resume(messages[:anchor])
+    for t in range(anchor, anchor + deadline + 1):
         for ev in dec.push(t, None if t in erased else coded[t]):
             if ev.t == anchor and ev.recovered:
                 return ev.delay, ev.message
@@ -118,7 +122,7 @@ def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationRepor
                 for extra in itertools.combinations(others, size - 1):
                     enumerated += 1
                     pattern = (anchor,) + extra
-                    got = _anchor_recovery(code, coded, frozenset(pattern), anchor, deadline)
+                    got = _anchor_recovery(code, messages, coded, frozenset(pattern), anchor, deadline)
                     if got is None:
                         report.failures.append(Failure(
                             pattern, f"packet {anchor} not recovered by {anchor + deadline}"))

@@ -314,3 +314,21 @@ def test_help_lists_commands():
     assert res.exit_code == 0
     for cmd in ("params", "table", "verify", "simulate", "encode", "decode"):
         assert cmd in res.output
+
+
+@pytest.mark.parametrize("cmd,minimum", [
+    ("params", "At least r+a-1."), ("table", "At least r+a-1."),
+    ("verify", "At least r+a-1 for lrsc, tau for mds."),
+    ("simulate", "At least r+a-1 for lrsc, tau for mds."),
+    ("encode", "At least r+a-1."), ("decode", "At least r+a-1."),
+])
+def test_q_help_states_the_minimum(cmd, minimum):
+    res = _run(cmd, "--help")
+    assert res.exit_code == 0
+    assert minimum in " ".join(res.output.split())
+
+
+@pytest.mark.parametrize("args,q_min", [(("2", "5", "2"), 3), (("2", "5", "--code", "mds"), 5)])
+def test_q_minimum_in_help_is_the_boundary(args, q_min):
+    assert _run("verify", *args, "--q", str(q_min - 1)).exit_code == 2
+    assert _run("verify", *args, "--q", str(q_min)).exit_code == 0

@@ -331,3 +331,32 @@ def test_hypothesis_decoder_matches_dense_reference(name, seed, erased, windows)
             if now - dec.horizon < t <= now:
                 resolved = {(t, j): v for j, v in enumerate(dec.known[t]) if v is not None}
                 assert resolved == {sid: v for sid, v in pinned.items() if sid[0] == t}, (now, t)
+
+
+@pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 7, 2),
+                                  lambda: MdsDeCode(2, 5)], ids=["lrsc-2-5-2", "lrsc-3-7-2", "mds-de-2-5"])
+def test_resume_equals_pushing_the_clean_prefix(make):
+    code = make()
+    msgs = random_stream(random.Random(21), code.field.order, code.k, 3 * (code.tau + 1))
+    coded = _coded(code, msgs)
+    for length in range(3 * (code.tau + 1) + 1):
+        pushed, _ = _drive(code, coded, set(), upto=length)
+        resumed = Decoder(code)
+        assert resumed.resume(msgs[:length]) is None
+        assert resumed.known == pushed.known
+        assert resumed.missing == pushed.missing == set()
+        assert resumed.rows == pushed.rows == {}
+        assert resumed.next_t == pushed.next_t == length
+
+
+def test_resume_validation():
+    code = make_lrsc(2, 5, 2)
+    msgs = random_stream(random.Random(22), 3, 2, 6)
+    pushed, _ = _drive(code, _coded(code, msgs), set(), upto=1)
+    with pytest.raises(ValueError, match="fresh decoder"):
+        pushed.resume(msgs)
+    with pytest.raises(ValueError, match="expected 2 message symbols"):
+        Decoder(code).resume(msgs[:3] + [(1, 2, 0)])
+    for bad in [(7, 1), (1, "x")]:      # 7 is outside GF(3), "x" is no element
+        with pytest.raises(ValueError, match="not an element"):
+            Decoder(code).resume(msgs[:3] + [bad])

@@ -1,14 +1,17 @@
 """Exhaustive recoverability verification."""
 
+import dataclasses
+import itertools
 import math
 import random
 
 import pytest
 
-from lrsc.codec import Encoder, MdsDeCode, make_lrsc
+import lrsc.oracle
+from lrsc.codec import Decoder, Encoder, MdsDeCode, make_lrsc
 from lrsc.gf import make_tower
 from lrsc.matrix import parity_weights, stacked_parity_check, superregular_matrix
-from lrsc.oracle import verify_scalar, verify_stream
+from lrsc.oracle import _anchor_recovery, verify_scalar, verify_stream
 
 from conftest import mat_vec, random_stream, stream_codeword
 
@@ -155,3 +158,74 @@ def test_stream_edge_parameter_sets(a, tau, r):
     rep = verify_stream(code, 1, r)
     assert rep.ok
     assert rep.max_delay[1] <= r
+
+
+# -- mutant decoders: the oracle must catch each of them --
+
+class _LateDecoder(Decoder):
+    """Reports each recovery one push late."""
+
+    def __init__(self, code):
+        super().__init__(code)
+        self._held = []
+
+    def push(self, t, packet):
+        out = super().push(t, packet)
+        late = [dataclasses.replace(ev, delay=ev.delay + 1) for ev in self._held]
+        self._held = [ev for ev in out if ev.recovered]
+        return late + [ev for ev in out if not ev.recovered]
+
+
+class _WrongSymbolDecoder(Decoder):
+    """Returns one wrong symbol in each recovered message."""
+
+    def push(self, t, packet):
+        add = self.code.field.add
+        return [dataclasses.replace(ev, message=(add(ev.message[0], 1),) + ev.message[1:])
+                if ev.recovered else ev for ev in super().push(t, packet)]
+
+
+class _NoClearDecoder(Decoder):
+    """Scales a new pivot row but leaves the pivot in the stored rows."""
+
+    def _pivot(self, row, pid):
+        s = self._inv(row[0][pid])
+        return [{cid: self._mul(s, cv) for cid, cv in row[0].items()}, self._mul(s, row[1])]
+
+
+@pytest.mark.parametrize("mutant", [_LateDecoder, _WrongSymbolDecoder, _NoClearDecoder],
+                         ids=["late", "wrong-symbol", "no-clear"])
+@pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 8, 2),
+                                  lambda: MdsDeCode(2, 5)], ids=["lrsc-2-5-2", "lrsc-3-8-2", "mds-de-2-5"])
+def test_oracle_catches_mutant_decoders(monkeypatch, make, mutant):
+    code = make()
+    a = code.params.a if code.params is not None else code.a
+    assert verify_stream(code, a, code.tau).ok
+    monkeypatch.setattr(lrsc.oracle, "Decoder", mutant)
+    assert verify_stream(code, a, code.tau).failures
+
+
+@pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 8, 2),
+                                  lambda: make_lrsc(3, 7, 2), lambda: make_lrsc(2, 6, 2),
+                                  lambda: MdsDeCode(2, 5)],
+                         ids=["lrsc-2-5-2", "lrsc-3-8-2", "lrsc-3-7-2", "lrsc-2-6-2", "mds-de-2-5"])
+def test_every_anchor_gives_the_same_outcomes(make):
+    # verify_stream checks anchor 0 and tau+1..2tau+1; anchors 1..tau, where
+    # the parity templates are still clipped at t=0, must behave the same
+    code = make()
+    a, tau = (code.params.a if code.params is not None else code.a), code.tau
+    msgs = random_stream(random.Random(5), code.field.order, code.k, 3 * (tau + 1))
+    enc = Encoder(code)
+    coded = [enc.push(m) for m in msgs]
+    for budget in (a, a + 1):
+        vectors = set()
+        for anchor in range(2 * tau + 2):
+            vector = []
+            for size in range(1, budget + 1):
+                for extra in itertools.combinations(range(anchor + 1, anchor + tau + 1), size - 1):
+                    got = _anchor_recovery(code, msgs, coded, frozenset((anchor,) + extra), anchor, tau)
+                    vector.append(None if got is None else got[0])
+                    assert got is None or got[1] == msgs[anchor]
+            vectors.add(tuple(vector))
+        assert len(vectors) == 1
+        assert (None in vector) == (budget > a)

@@ -194,8 +194,8 @@ class Encoder:
 class Decoder(Echelon):
     """Sliding-window decoder over one packet stream.
 
-    Push packets (or None for an erasure) in time order starting at 0, or
-    first ``resume`` on a clean prefix.
+    Push packets (or None for an erasure) in time order starting at 0, and
+    ``resume`` on a run of received packets whenever nothing is unresolved.
     Each push returns the packets whose fate was settled by it: a recovered
     outcome the moment the record ``known[t]`` holds all k message symbols,
     or a lost outcome once time moves past the t+tau deadline.  Records of
@@ -254,23 +254,29 @@ class Decoder(Echelon):
         return out
 
     def resume(self, messages):
-        """Take packets 0..len(messages)-1 as received, given by their
+        """Take the next len(messages) packets as received, given by their
         message symbols, in one step, and return nothing.
 
         The state is the one pushing them would leave: push reads no parity
-        while nothing is unresolved, and keeps only the last ``horizon``
-        records.  Only a decoder that has taken no packet can resume.
+        while nothing is unresolved, settles no earlier packet, and keeps
+        only the last ``horizon`` records.  Only a decoder with nothing
+        unresolved can resume; a fresh one has nothing unresolved.
         """
-        if self.next_t:
-            raise ValueError(f"resume needs a fresh decoder; this one has taken {self.next_t} packets")
+        if self.missing:
+            raise ValueError(f"resume needs nothing unresolved; packets {sorted(self.missing)} are")
         k, field = self.k, self.code.field
         for msg in messages:
             if len(msg) != k:
                 raise ValueError(f"expected {k} message symbols, got {len(msg)}")
             _check_symbols(field, msg)
-        self.next_t = len(messages)
-        start = max(0, self.next_t - self.horizon)
-        self.known = {t: list(messages[t]) for t in range(start, self.next_t)}
+        start, end = self.next_t, self.next_t + len(messages)
+        keep = end - self.horizon
+        known = self.known
+        for t in range(max(0, start - self.horizon), min(start, keep)):
+            del known[t]
+        for t in range(max(start, keep), end):
+            known[t] = list(messages[t - start])
+        self.next_t = end
 
     def _absorb_parity(self, i, t, value, out):
         known = self.known

@@ -4,7 +4,9 @@ The channel is a pure function of (seed, t): each packet's erasure decision
 comes from a splitmix64 mix of the two, so runs are reproducible across
 machines and order independent.  The codes are linear and the decoder's
 steps depend only on which packets are erased, never on symbol values, so
-a run pushes the all-zero stream and draws no messages.
+a run pushes the all-zero stream and draws no messages.  While nothing is
+unresolved, a received packet settles at delay 0 and changes only the
+decoder's window, so a run takes each clean stretch with ``Decoder.resume``.
 """
 
 from __future__ import annotations
@@ -94,21 +96,45 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     """Drive `packets` all-zero packets through channel -> decoder, then
     tau+1 further steps so every counted packet meets its deadline.  A
     packet counts as lost iff it is not fully recovered by t+tau.  `seed`
-    changes no outcome; it is only reported."""
+    changes no outcome; it is only reported.
+
+    While nothing is unresolved, the received packets up to the next erasure
+    go to ``Decoder.resume`` in blocks of at most ``horizon``, each recovered
+    with delay 0; packets are pushed one by one only at an erasure and while
+    some packet is unresolved."""
     if packets < 1:
         raise ValueError(f"packets must be at least 1, got {packets}")
     dec = Decoder(code)
     zeros = (0,) * code.n
+    block = [(0,) * code.k] * dec.horizon
     hist = Counter()
     lost = 0
     erased_fn = channel.erased
-    for t in range(packets + code.tau + 1):
-        for ev in dec.push(t, None if erased_fn(t) else CodedPacket(t, zeros)):
+    end = packets + code.tau + 1
+    t = 0
+    while t < end:
+        if not dec.missing:
+            stop = min(end, t + dec.horizon)
+            u = t
+            while u < stop and not erased_fn(u):
+                u += 1
+            if u > t:
+                dec.resume(block[:u - t])
+                if t < packets:
+                    hist[0] += min(u, packets) - t
+                t = u
+                if u == stop:
+                    continue
+            gone = True         # the scan stopped at an erasure
+        else:
+            gone = erased_fn(t)
+        for ev in dec.push(t, None if gone else CodedPacket(t, zeros)):
             if ev.t < packets:
                 if ev.recovered:
                     hist[ev.delay] += 1
                 else:
                     lost += 1
+        t += 1
     recovered = sum(hist.values())
     if recovered + lost != packets:
         raise RuntimeError(f"{recovered} recovered + {lost} lost != {packets} packets")

@@ -1,5 +1,6 @@
 """Sliding-window decoder: deadlines, recovery delays, best-effort behavior."""
 
+import copy
 import functools
 import os
 import random
@@ -333,10 +334,25 @@ def test_hypothesis_decoder_matches_dense_reference(name, seed, erased, windows)
                 assert resolved == {sid: v for sid, v in pinned.items() if sid[0] == t}, (now, t)
 
 
+def _fork(dec):
+    """A decoder in dec's state that shares none of its mutable parts."""
+    twin = copy.copy(dec)
+    twin.known = {t: list(record) for t, record in dec.known.items()}
+    twin.missing = set(dec.missing)
+    twin.rows = {pid: [dict(coeffs), rhs] for pid, (coeffs, rhs) in dec.rows.items()}
+    return twin
+
+
+def _state(dec):
+    return dec.known, dec.missing, dec.rows, dec.next_t
+
+
 @pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 7, 2),
                                   lambda: MdsDeCode(2, 5)], ids=["lrsc-2-5-2", "lrsc-3-7-2", "mds-de-2-5"])
 def test_resume_equals_pushing_the_clean_prefix(make):
     code = make()
+    a = code.params.a if code.params else code.a
+    tau, horizon = code.tau, Decoder(code).horizon
     msgs = random_stream(random.Random(21), code.field.order, code.k, 3 * (code.tau + 1))
     coded = _coded(code, msgs)
     for length in range(3 * (code.tau + 1) + 1):
@@ -348,13 +364,57 @@ def test_resume_equals_pushing_the_clean_prefix(make):
         assert resumed.rows == pushed.rows == {}
         assert resumed.next_t == pushed.next_t == length
 
+    # mid-stream: a recovered erasure, then a burst of a+1 that loses a
+    # packet whose record is pruned past the horizon; resume at every t with
+    # nothing unresolved, then push one tail opening with a burst of a into both
+    burst = range(tau + 1, tau + 2 + a)
+    prefix = burst[-1] + horizon + 3
+    clean, tail = 2 * horizon + 1, a + tau + 1     # the burst settles by then
+    msgs = random_stream(random.Random(23), code.field.order, code.k, prefix + clean + tail)
+    coded = _coded(code, msgs)
+    erased = {2, *burst}
+    dec = Decoder(code)
+    lost, resumed_at = [], []
+    for t in range(prefix + 1):
+        if not dec.missing:
+            resumed_at.append(t)
+            pushed = _fork(dec)
+            for length in range(clean + 1):
+                if length:
+                    pushed.push(t + length - 1, coded[t + length - 1])
+                resumed = _fork(dec)
+                resumed.resume(msgs[t:t + length])
+                assert _state(resumed) == _state(pushed), (t, length)
+                start = t + length
+                outcomes = []
+                for d in (resumed, _fork(pushed)):
+                    outcomes.append([ev for u in range(start, start + tail)
+                                     for ev in d.push(u, None if u - start < a else coded[u])])
+                assert outcomes[0] == outcomes[1], (t, length)
+        if t < prefix:
+            lost += [ev.t for ev in dec.push(t, None if t in erased else coded[t]) if not ev.recovered]
+    assert lost and max(resumed_at) > max(lost) + horizon, resumed_at
+
 
 def test_resume_validation():
     code = make_lrsc(2, 5, 2)
-    msgs = random_stream(random.Random(22), 3, 2, 6)
-    pushed, _ = _drive(code, _coded(code, msgs), set(), upto=1)
-    with pytest.raises(ValueError, match="fresh decoder"):
-        pushed.resume(msgs)
+    msgs = random_stream(random.Random(22), 3, 2, 16)
+    coded = _coded(code, msgs)
+    dec, _ = _drive(code, coded, set(), upto=2)
+    assert dec.resume(msgs[2:4]) is None          # after clean pushes
+    for t in range(4, 8):
+        dec.push(t, None if t in (4, 5, 7) else coded[t])
+    assert dec.missing and dec.rows
+    before = copy.deepcopy(_state(dec))
+    with pytest.raises(ValueError, match="nothing unresolved"):
+        dec.resume(msgs[8:10])
+    assert _state(dec) == before
+    t = 8
+    while dec.missing:
+        dec.push(t, coded[t])
+        t += 1
+    dec.resume(msgs[t:t + 2])
+    assert dec.next_t == t + 2 and dec.known[t + 1] == list(msgs[t + 1])
     with pytest.raises(ValueError, match="expected 2 message symbols"):
         Decoder(code).resume(msgs[:3] + [(1, 2, 0)])
     for bad in [(7, 1), (1, "x")]:      # 7 is outside GF(3), "x" is no element

@@ -8,7 +8,7 @@ import pytest
 
 import lrsc.sim
 from conftest import explain_losses_reference, value_path_outcomes
-from lrsc.codec import MdsDeCode, make_lrsc
+from lrsc.codec import MdsDeCode, PacketOutcome, make_lrsc
 from lrsc.oracle import verify_stream
 from lrsc.sim import (CSV_HEADER, PecChannel, ReplayChannel, csv_rows,
                       explain_losses, hist_rows, run_sim, splitmix64, sweep)
@@ -201,9 +201,22 @@ def _bursts(a):
             frozenset(range(9, 9 + a)) | frozenset(range(14 + a, 15 + 2 * a))]
 
 
+def _gaps(a, tau, horizon):
+    """Replay patterns with clean gaps around the horizon, each from t=0 and
+    between two bursts of a, and erasures at the last counted packet and at
+    the last step; returned as (pattern, packets)."""
+    out = []
+    for gap in (horizon - 1, horizon, horizon + 1, 3 * horizon + 1):
+        packets = 2 * gap + 2 * a + 2
+        out.append((frozenset(range(gap, gap + a)) | frozenset(range(2 * gap + a, 2 * gap + 2 * a))
+                    | {packets - 1, packets + tau}, packets))
+    return out
+
+
 def _outcomes_of_run_sim(monkeypatch, code, channel, packets, seed):
-    """run_sim's result and its decoder's outcomes, recorded on the way."""
-    outcomes = []
+    """run_sim's result, its decoder's outcomes, recorded on the way with a
+    delay-0 outcome for each resumed packet, and the length of every resume."""
+    outcomes, resumes = [], []
 
     class Recording(lrsc.sim.Decoder):
         def push(self, t, packet):
@@ -211,21 +224,32 @@ def _outcomes_of_run_sim(monkeypatch, code, channel, packets, seed):
             outcomes.extend(out)
             return out
 
+        def resume(self, messages):
+            start = self.next_t
+            super().resume(messages)
+            resumes.append(len(messages))
+            outcomes.extend(PacketOutcome(t, recovered=True, delay=0, message=msg)
+                            for t, msg in enumerate(messages, start))
+
     monkeypatch.setattr(lrsc.sim, "Decoder", Recording)
-    return run_sim(code, channel, packets, seed), outcomes
+    return run_sim(code, channel, packets, seed), outcomes, resumes
 
 
 @pytest.mark.parametrize("make,args", _SIM_CODES, ids=lambda x: getattr(x, "__name__", str(x)))
 def test_run_sim_matches_value_path(monkeypatch, make, args):
     # the all-zero stream settles every packet as random messages do: the
     # outcome streams agree packet for packet, and so do the loss count and
-    # delay histogram that every SimResult statistic derives from
+    # delay histogram that every SimResult statistic derives from.  Clean
+    # stretches go to resume in blocks of at most the horizon, so memory
+    # stays bounded however long the stretch.
     code = make(*args)
     a = code.params.a if code.params else code.a
+    horizon = lrsc.sim.Decoder(code).horizon
     channels = [(PecChannel(eps, seed), 400, seed) for eps in (0.02, 0.15, 0.35) for seed in (1, 2)]
     channels += [(ReplayChannel(pat), 40, 3) for pat in _bursts(a)]
+    channels += [(ReplayChannel(pat), packets, 3) for pat, packets in _gaps(a, code.tau, horizon)]
     for ch, packets, seed in channels:
-        res, zero_outcomes = _outcomes_of_run_sim(monkeypatch, code, ch, packets, seed)
+        res, zero_outcomes, resumes = _outcomes_of_run_sim(monkeypatch, code, ch, packets, seed)
         values = value_path_outcomes(code, ch, packets, seed)
         assert [(e.t, e.recovered, e.delay) for e in zero_outcomes] == \
             [(e.t, e.recovered, e.delay) for e in values], ch
@@ -233,6 +257,9 @@ def test_run_sim_matches_value_path(monkeypatch, make, args):
         hist = Counter(e.delay for e in counted if e.recovered)
         assert (res.recovered, res.lost, res.delay_hist) == \
             (sum(hist.values()), len(counted) - sum(hist.values()), dict(sorted(hist.items()))), ch
+        assert max(resumes, default=0) <= horizon, ch
+        if getattr(ch, "eps", None) == 0.02:
+            assert resumes, ch
 
 
 def test_run_sim_encodes_nothing_and_ignores_its_seed(monkeypatch):

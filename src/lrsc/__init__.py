@@ -1,6 +1,6 @@
 """Locally recoverable streaming codes for packet-erasure recovery."""
 
-from .gf import BaseField, TowerField, make_tower, is_prime_power, smallest_prime_power_at_least, tower_orders
+from .gf import TowerField, make_tower, is_prime_power, smallest_prime_power_at_least, tower_orders
 from .params import CodeParams, derive_params, rate_bound, small_field_sc2
 from .codec import (CodedPacket, DecodeError, Decoder, Encoder, LrscCode, MdsDeCode,
                     PacketOutcome, make_lrsc)
@@ -10,7 +10,7 @@ from .sim import PecChannel, ReplayChannel, SimResult, run_sim, sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseField", "TowerField", "make_tower", "is_prime_power", "smallest_prime_power_at_least", "tower_orders",
+    "TowerField", "make_tower", "is_prime_power", "smallest_prime_power_at_least", "tower_orders",
     "CodeParams", "derive_params", "rate_bound", "small_field_sc2",
     "CodedPacket", "DecodeError", "Decoder", "Encoder", "LrscCode", "MdsDeCode", "PacketOutcome", "make_lrsc",
     "VerificationReport", "verify_scalar", "verify_stream",

@@ -63,7 +63,7 @@ def cmd_params(a, tau, r, q):
 def _render_coeff(field, c):
     if c == 1:
         return ""
-    if field.levels == 1 and field.base.m == 1:
+    if field.levels == 1 and field.m == 1:
         return str(c)
     return field.format_element(c)
 
@@ -121,9 +121,9 @@ def cmd_verify(a, tau, r, q, kind, budget, deadline, trials, seed):
     the full-budget deadline, and the single-erasure deadline.  Give
     --budget/--deadline to run one specific stream suite instead.
     """
-    code = _build_code(a, tau, r, q, kind)
     if (budget is None) != (deadline is None):
         raise click.UsageError("--budget and --deadline go together")
+    code = _build_code(a, tau, r, q, kind)
     if budget is not None:
         suites = [(budget, deadline)]
     else:

@@ -43,14 +43,6 @@ class DecodeError(ValueError):
     state; ``Decoder`` says which parities it reads."""
 
 
-def _check_symbols(field, symbols):
-    """Raise ValueError unless every symbol is an element of the field."""
-    order = field.order
-    for s in symbols:
-        if not isinstance(s, int) or not 0 <= s < order:
-            raise ValueError(f"symbol {s!r} is not an element of the field of order {order}")
-
-
 def _sort_template(terms):
     # ascending referenced time (descending delta), then symbol index
     terms = sorted(terms, key=lambda s: (-s[1], s[0]))
@@ -172,7 +164,7 @@ class Encoder:
         msg = tuple(message)
         if len(msg) != code.k:
             raise ValueError(f"expected {code.k} message symbols, got {len(msg)}")
-        _check_symbols(code.field, msg)
+        code.field.check(msg)
         t = self.next_t
         self.next_t += 1
         history = self.history
@@ -243,7 +235,7 @@ class Decoder(Echelon):
             syms = packet.symbols
             if len(syms) != self.n:
                 raise ValueError(f"expected {self.n} coded symbols, got {len(syms)}")
-            _check_symbols(self.code.field, syms)
+            self.code.field.check(syms)
             msg = syms[:self.k]
             self.known[t] = list(msg)
             out.append(PacketOutcome(t, recovered=True, delay=0, message=msg))
@@ -268,7 +260,7 @@ class Decoder(Echelon):
         for msg in messages:
             if len(msg) != k:
                 raise ValueError(f"expected {k} message symbols, got {len(msg)}")
-            _check_symbols(field, msg)
+            field.check(msg)
         start, end = self.next_t, self.next_t + len(messages)
         keep = end - self.horizon
         known = self.known

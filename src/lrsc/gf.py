@@ -141,12 +141,13 @@ def _monic_irreducible(p: int, m: int):
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")
 
 
-def _log_tables(order, add, mul):
-    """exp, log and Zech tables of GF(order), from its add and mul.
+def _log_tables(order, p, mul):
+    """exp, log and Zech tables of GF(order), of characteristic p, from its mul.
 
     g is the smallest element whose powers take n = order - 1 steps to
     return to 1.  ``exp`` holds its powers twice, then n zeros; ``zech[d]``
     is log(1 + g^d), or 2n, which reads that zero tail, where 1 + g^d = 0.
+    Adding 1 changes only the lowest base-p digit of an element's int.
     Stored twice, ``zech`` wraps any index in (-n, 2n).  -1 = g^half."""
     n = order - 1
     for g in range(1, order):
@@ -162,7 +163,7 @@ def _log_tables(order, add, mul):
     log = [0] * order
     for i, x in enumerate(powers):
         log[x] = i
-    zech = [log[s] if s else 2 * n for s in (add(1, x) for x in powers)]
+    zech = [log[s] if s else 2 * n for s in (x - x % p + (x + 1) % p for x in powers)]
     half = zech.index(2 * n)
     return powers * 2 + [0] * n, log, zech * 2, half
 
@@ -178,66 +179,55 @@ def _find_quadratic(field):
     raise RuntimeError(f"no irreducible quadratic over GF({size})")
 
 
-class BaseField:
-    """GF(p^m) with elements 0..q-1 encoded as base-p coefficient vectors.
-    Its ``add`` and ``mul`` only build a tower's level-1 tables."""
-
-    def __init__(self, q: int):
-        tower_orders(q, 1)
-        self.p, self.m = is_prime_power(q)
-        self.q = q
-        self.poly = _monic_irreducible(self.p, self.m)
-
-    def add(self, a, b):
-        p, m = self.p, self.m
-        if m == 1:
-            return (a + b) % p
-        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))], p)
-
-    def mul(self, a, b):
-        p, m = self.p, self.m
-        if m == 1:
-            return a * b % p
-        db = _digits(b, p, m)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(_digits(a, p, m)):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        return _undigits(_poly_mod(prod, self.poly, p), p)
+def _base_mul(a, b, p, m, poly):
+    """Product in GF(p^m) = GF(p)[t]/poly, on base-p coefficient vectors."""
+    if m == 1:
+        return a * b % p
+    db = _digits(b, p, m)
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(_digits(a, p, m)):
+        if x:
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    return _undigits(_poly_mod(prod, poly, p), p)
 
 
 class TowerField:
-    """Quadratic-extension tower over a BaseField.
+    """Quadratic-extension tower of the given number of levels over GF(q).
 
-    ``level_order(j)`` gives the order of the level-j subfield (levels 0 and
-    1 both mean GF(q)); ``order`` is the top level's.  All arithmetic acts
-    on ints below ``order``; lower-level elements are already embedded.
+    Level 1 is GF(q) = GF(p^m) itself, reduced by the irreducible ``poly``
+    over GF(p).  ``level_order(j)`` gives the order of the level-j subfield
+    (levels 0 and 1 both mean GF(q)); ``order`` is the top level's.  All
+    arithmetic acts on ints below ``order``; lower-level elements are
+    already embedded.
 
     A tower of L >= 2 levels holds the tower of L - 1 levels.  Up to order
     2^16 every operation reads this level's tables; above that ``_log`` is
     None and the operations are the pair arithmetic over the level below.
     """
 
-    def __init__(self, base: BaseField, levels: int):
-        self._sizes = tower_orders(base.q, levels)
-        self.base = base
+    def __init__(self, q: int, levels: int):
+        self._sizes = tower_orders(q, levels)
         self.levels = levels
-        self.q = base.q
+        self.q = q
         self.order = self._sizes[levels]
-        self.dim_p = base.m << (levels - 1)   # over GF(p)
         if levels == 1:
+            self.p, self.m = p, m = is_prime_power(q)
+            self.poly = poly = _monic_irreducible(p, m)
             self.quads = {}                   # level -> (lin, const), coeffs in the level below
-            add, mul = base.add, base.mul
+            def mul(x, y):
+                return _base_mul(x, y, p, m, poly)
         else:
-            below = TowerField(base, levels - 1)
+            below = TowerField(q, levels - 1)
+            self.p, self.m, self.poly = below.p, below.m, below.poly
             self._s = below.order
             self._badd, self._bsub, self._bneg, self._bmul = below.add, below.sub, below.neg, below.mul
             self._lin, self._const = _find_quadratic(below)
             self.quads = {**below.quads, levels: (self._lin, self._const)}
-            add, mul = self._pair_add, self._pair_mul
+            mul = self._pair_mul
+        self.dim_p = self.m << (levels - 1)   # over GF(p)
         if self.order <= _LOG_TABLE_MAX:
-            self._exp, self._log, self._zech, self._half = _log_tables(self.order, add, mul)
+            self._exp, self._log, self._zech, self._half = _log_tables(self.order, self.p, mul)
         else:
             self._log = None
             self.add, self.sub, self.neg = self._pair_add, self._pair_sub, self._pair_neg
@@ -327,18 +317,21 @@ class TowerField:
             raise ValueError(f"level {j} out of range [0:{self.levels}]")
         return 1 if j <= 1 else self.level_order(j - 1)
 
-    def check(self, x):
-        if not isinstance(x, int) or not 0 <= x < self.order:
-            raise ValueError(f"{x!r} is not an element of a field of order {self.order}")
-        return x
+    def check(self, symbols):
+        """Raise ValueError unless every symbol is an element of this field."""
+        order = self.order
+        for s in symbols:
+            if not isinstance(s, int) or not 0 <= s < order:
+                raise ValueError(f"symbol {s!r} is not an element of the field of order {order}")
 
     # -- textual element format: GF(p) coefficient vector, low index first --
 
     def element_coeffs(self, x):
-        return tuple(_digits(self.check(x), self.base.p, self.dim_p))
+        self.check((x,))
+        return tuple(_digits(x, self.p, self.dim_p))
 
     def element_from_coeffs(self, coeffs):
-        p = self.base.p
+        p = self.p
         if len(coeffs) != self.dim_p:
             raise ValueError(f"expected {self.dim_p} coefficients, got {len(coeffs)}")
         for c in reversed(coeffs):
@@ -365,4 +358,4 @@ def make_tower(q: int, a: int) -> TowerField:
     """Tower sized for an a-erasure code: a-1 levels over GF(q)."""
     if a < 2:
         raise ValueError("a must be at least 2")
-    return TowerField(BaseField(q), a - 1)
+    return TowerField(q, a - 1)

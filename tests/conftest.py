@@ -23,7 +23,8 @@ import random
 from lrsc.codec import Decoder, Encoder
 
 
-# -- independent base field arithmetic on ints, via polynomial reduction --
+# -- independent arithmetic on the ints of a tower's level 1, GF(q) = GF(p^m),
+#    via polynomial reduction by the tower's ``poly`` --
 
 def _base_digits(x, p, m):
     out = []
@@ -40,14 +41,14 @@ def _base_undigits(ds, p):
     return acc
 
 
-def naive_base_mul(field_base, a, b):
-    p, m = field_base.p, field_base.m
+def naive_base_mul(tower, a, b):
+    p, m = tower.p, tower.m
     da, db = _base_digits(a, p, m), _base_digits(b, p, m)
     prod = [0] * (2 * m - 1)
     for i, x in enumerate(da):
         for j, y in enumerate(db):
             prod[i + j] = (prod[i + j] + x * y) % p
-    poly = field_base.poly
+    poly = tower.poly
     for i in range(len(prod) - 1, m - 1, -1):
         c = prod[i]
         if c:
@@ -56,14 +57,14 @@ def naive_base_mul(field_base, a, b):
     return _base_undigits(prod[:m], p)
 
 
-def naive_base_add(field_base, a, b):
-    p, m = field_base.p, field_base.m
+def naive_base_add(tower, a, b):
+    p, m = tower.p, tower.m
     return _base_undigits(
         [(x + y) % p for x, y in zip(_base_digits(a, p, m), _base_digits(b, p, m))], p)
 
 
-def naive_base_neg(field_base, a):
-    p, m = field_base.p, field_base.m
+def naive_base_neg(tower, a):
+    p, m = tower.p, tower.m
     return _base_undigits([(p - x) % p for x in _base_digits(a, p, m)], p)
 
 
@@ -85,19 +86,19 @@ def _from_pair(tower, v, lvl):
 
 def _pair_add(tower, u, v, lvl):
     if lvl == 1:
-        return naive_base_add(tower.base, u, v)
+        return naive_base_add(tower, u, v)
     return (_pair_add(tower, u[0], v[0], lvl - 1), _pair_add(tower, u[1], v[1], lvl - 1))
 
 
 def _pair_neg(tower, u, lvl):
     if lvl == 1:
-        return naive_base_neg(tower.base, u)
+        return naive_base_neg(tower, u)
     return (_pair_neg(tower, u[0], lvl - 1), _pair_neg(tower, u[1], lvl - 1))
 
 
 def _pair_mul(tower, u, v, lvl):
     if lvl == 1:
-        return naive_base_mul(tower.base, u, v)
+        return naive_base_mul(tower, u, v)
     lin, const = tower.quads[lvl]
     lin_p = _to_pair(tower, lin, lvl - 1)
     const_p = _to_pair(tower, const, lvl - 1)

@@ -11,6 +11,7 @@ import pytest
 
 import lrsc.sim
 from lrsc.codec import Encoder, MdsDeCode, make_lrsc
+from lrsc.gf import make_tower
 from lrsc.oracle import verify_scalar
 
 BOUND = [
@@ -29,7 +30,18 @@ BOUND = [
     ("lrsc.sim", "PecChannel"),
     ("lrsc.sim", "splitmix64"),
     ("lrsc.sim", "explain_losses"),
+    ("lrsc.gf", "make_tower"),
+    ("lrsc.codec", "Decoder"),
+    ("lrsc.codec", "Encoder"),
+    ("lrsc.codec", "LrscCode"),
+    ("lrsc.codec", "MdsDeCode"),
+    ("lrsc.params", "derive_params"),
+    ("lrsc.oracle", "verify_scalar"),
+    ("lrsc.oracle", "verify_stream"),
 ]
+
+# the harness's GF_FIELDS: make_tower(q, a) arguments of the micro-benchmarked fields
+GF_FIELDS = {"GF3": (3, 2), "GF5": (5, 2), "GF16": (4, 3), "GF625": (5, 4)}
 
 
 @pytest.mark.parametrize("module,name", BOUND)
@@ -56,3 +68,8 @@ def test_code_attributes_the_harness_reads():
     assert mds.a == 2 and mds.params is None
     assert [(c.label, c.k, c.tau, c.field.order) for c in (lrsc, mds)] == [
         ("lrsc-2-5-2", 2, 5, 3), ("mds-de-2-5", 4, 5, 5)]
+
+
+@pytest.mark.parametrize("label,shape", GF_FIELDS.items())
+def test_gf_field_shapes_the_harness_builds(label, shape):
+    assert make_tower(*shape).order == int(label[2:])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import lrsc.cli
 from lrsc.cli import main
 
 
@@ -115,6 +116,21 @@ def test_verify_failure_exits_one():
     assert res.exit_code == 1
     assert "failures=14" in res.output
     assert "FAIL" in res.output
+
+
+@pytest.mark.parametrize("args", [("2", "5", "2", "--q", "10", "--budget", "2"),
+                                  ("2", "5", "2", "--q", "65521", "--deadline", "3"),
+                                  ("2", "5", "--code", "mds", "--budget", "1")])
+def test_verify_budget_without_deadline_fails_before_building(args, monkeypatch):
+    # the pairing is checked first: --q 10 used to report "not a prime
+    # power", and --q 65521 built GF(65521)'s tables before the error
+    def no_build(*_):
+        raise AssertionError("code built before the option check")
+    monkeypatch.setattr(lrsc.cli, "make_lrsc", no_build)
+    monkeypatch.setattr(lrsc.cli, "MdsDeCode", no_build)
+    res = _run("verify", *args)
+    assert res.exit_code == 2
+    assert "--budget and --deadline go together" in res.output
 
 
 def test_verify_requires_r_for_lrsc():

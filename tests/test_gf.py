@@ -2,15 +2,16 @@
 
 import itertools
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrsc.gf import (BaseField, TowerField, is_prime_power, make_tower,
-                     smallest_prime_power_at_least, tower_orders)
+from lrsc.gf import (TowerField, is_prime_power, make_tower, smallest_prime_power_at_least,
+                     tower_orders)
 
-from conftest import (frobenius_fixed, in_subfield, naive_tower_add, naive_tower_mul,
-                      naive_tower_neg)
+from conftest import (frobenius_fixed, in_subfield, naive_base_add, naive_base_mul,
+                      naive_base_neg, naive_tower_add, naive_tower_mul, naive_tower_neg)
 
 # (q, a) for every field shape the package builds: prime and extension base
 # fields at level 1, and towers over both, in characteristic 2 and odd
@@ -211,19 +212,22 @@ def test_subfield_closure_and_cyclic_structure():
         assert max(orders) == size - 1
 
 
-def test_embedded_base_arithmetic_matches_base():
-    f = make_tower(4, 3)
-    b = f.base
-    for x in range(4):
-        for y in range(4):
-            assert f.mul(x, y) == b.mul(x, y)
-            assert f.add(x, y) == b.add(x, y)
+@pytest.mark.parametrize("q,a", [(2, 2), (5, 2), (4, 2), (8, 2), (9, 2), (16, 2), (4, 3),
+                                 (9, 3), (5, 4)])
+def test_level_one_arithmetic_matches_naive_base(q, a):
+    # GF(q) is level 1 of every tower over it, and its elements embed unchanged
+    f = make_tower(q, a)
+    for x in range(q):
+        assert f.neg(x) == naive_base_neg(f, x)
+        for y in range(q):
+            assert f.mul(x, y) == naive_base_mul(f, x, y)
+            assert f.add(x, y) == naive_base_add(f, x, y)
 
 
 def test_determinism():
     f1 = make_tower(4, 3)
     f2 = make_tower(4, 3)
-    assert f1.base.poly == f2.base.poly
+    assert f1.poly == f2.poly
     assert f1.quads == f2.quads
     assert all(f1.mul(x, y) == f2.mul(x, y) for x in range(16) for y in range(16))
     g1 = make_tower(3, 4)
@@ -252,16 +256,31 @@ def test_element_text_format():
 
 def test_base_field_irreducibles():
     # smallest by constant-first lexicographic order on the coefficients
-    assert BaseField(4).poly == (1, 1, 1)
-    assert BaseField(8).poly == (1, 0, 1, 1)       # t^3 + t^2 + 1
-    assert BaseField(9).poly == (1, 0, 1)          # t^2 + 1
-    assert BaseField(16).poly == (1, 0, 0, 1, 1)   # t^4 + t^3 + 1
+    assert TowerField(4, 1).poly == (1, 1, 1)
+    assert TowerField(8, 1).poly == (1, 0, 1, 1)       # t^3 + t^2 + 1
+    assert TowerField(9, 1).poly == (1, 0, 1)          # t^2 + 1
+    assert TowerField(16, 1).poly == (1, 0, 0, 1, 1)   # t^4 + t^3 + 1
+    # every level reduces its GF(q) digits by level 1's polynomial
+    for f, pm_poly in [(TowerField(7, 1), (7, 1, (0, 1))), (TowerField(4, 3), (2, 2, (1, 1, 1)))]:
+        assert (f.p, f.m, f.poly) == pm_poly
+
+
+def test_check_accepts_exactly_the_field_elements():
+    f = make_tower(4, 3)
+    f.check([])
+    f.check(range(16))
+    f.check((0, 15, 9))
+    for bad in [16, -1, "1", 1.0, None]:
+        with pytest.raises(ValueError, match="not an element of the field of order 16"):
+            f.check((0, bad, 1))
+        with pytest.raises(ValueError, match="not an element"):
+            f.format_element(bad)
 
 
 def test_large_tower_without_log_tables():
     # above the table limit the pair arithmetic over the level below must
     # still be exact
-    f = TowerField(BaseField(5), 4)   # order 5^8 = 390625
+    f = TowerField(5, 4)   # order 5^8 = 390625
     assert f.order == 390625
     assert f._log is None
     rng = random.Random(14)
@@ -288,3 +307,41 @@ def test_hypothesis_pow_matches_repeated_mul(x, e):
     for _ in range(e):
         acc = f.mul(acc, x)
     assert f.pow(x, e) == acc
+
+
+def _field_crc():
+    """CRC32 over add, sub, mul, neg, inv and format_element of every tower
+    ``tower_orders`` accepts with top order at most 3000 (every element and
+    pair up to 64 elements, seeded samples above), then GF(5^8) products."""
+    crc = fields = 0
+    for q in range(2, 3001):
+        for levels in itertools.count(1):
+            try:
+                if tower_orders(q, levels)[-1] > 3000:
+                    break
+            except ValueError:
+                break
+            f = TowerField(q, levels)
+            fields += 1
+            rng = random.Random(q * 100 + levels)
+            if f.order <= 64:
+                xs = list(range(f.order))
+                pairs = list(itertools.product(xs, repeat=2))
+            else:
+                xs = [rng.randrange(f.order) for _ in range(200)]
+                pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(200)]
+            lines = [f"{x} {y} {f.add(x, y)} {f.sub(x, y)} {f.mul(x, y)}" for x, y in pairs]
+            lines += [f"{x} {f.neg(x)} {f.inv(x) if x else '-'} {f.format_element(x)}" for x in xs]
+            crc = zlib.crc32("".join(line + "\n" for line in lines).encode(), crc)
+    f = TowerField(5, 4)
+    rng = random.Random(58)
+    for _ in range(300):
+        x, y = rng.randrange(f.order), rng.randrange(f.order)
+        crc = zlib.crc32(f"{x} {y} {f.mul(x, y)}\n".encode(), crc)
+    return fields, crc
+
+
+def test_field_arithmetic_is_bit_exact_and_stable():
+    # README promises bit-exact, stable fields: any change to the
+    # irreducibles, the generators or the int encoding moves this
+    assert _field_crc() == (476, 0x8695DEB7)

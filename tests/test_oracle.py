@@ -50,6 +50,22 @@ def test_scalar_and_stream_agree(a, r):
     assert verify_stream(code, a, tau).ok
 
 
+@pytest.mark.parametrize("kind,a,tau,r", [
+    ("lrsc", 2, 5, 2), ("lrsc", 3, 8, 2), ("lrsc", 4, 11, 2),     # exact
+    ("lrsc", 2, 6, 2), ("lrsc", 3, 13, 2),                        # long
+    ("lrsc", 3, 7, 2), ("lrsc", 3, 8, 3), ("lrsc", 4, 9, 3),      # short
+    ("mds", 2, 5, None), ("mds", 3, 8, None), ("mds", 4, 11, None)])
+def test_worst_case_delay_profile(kind, a, tau, r):
+    # h erasures are recovered within h(r+1)-1 steps, the local deadline of
+    # graceful degradation, but never later than tau-a+h: the last of the
+    # burst waits for the a-h parities beyond it.  MDS-DE has no locality.
+    code = make_lrsc(a, tau, r) if kind == "lrsc" else MdsDeCode(a, tau)
+    rep = verify_stream(code, a, tau)
+    assert rep.ok
+    bound = (lambda h: min(h * (r + 1) - 1, tau - a + h)) if r else (lambda h: tau - a + h)
+    assert rep.max_delay == {h: bound(h) for h in range(1, a + 1)}
+
+
 def test_stream_252_budget_and_locality():
     code = make_lrsc(2, 5, 2)
     rep = verify_stream(code, 2, 5)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lrsc.gf import BaseField
+from lrsc.gf import TowerField
 from lrsc.params import derive_params, rate_bound, small_field_sc2
 
 
@@ -71,7 +71,7 @@ def test_q_override_accepts_exactly_the_buildable_base_fields():
         return True
 
     for q in range(3, 1101):
-        assert ok(derive_params, 2, 5, 2, q) == ok(BaseField, q), q
+        assert ok(derive_params, 2, 5, 2, q) == ok(TowerField, q, 1), q
 
 
 def test_field_order_capped_at_desk_scale():

@@ -211,15 +211,15 @@ def cmd_encode(a, tau, r, q, infile, outfile):
     """Encode a message trace into a coded packet trace."""
     code = _build_code(a, tau, r, q, "lrsc")
     try:
-        records = list(trace_io.iter_message_trace(infile, code.field, code.k))
+        records = list(trace_io.read_trace(infile, code.field, (code.k,), trace_io.LOST))
         for lineno, msg in records:
             if msg is None:
                 raise trace_io.TraceError(lineno, "a LOST packet cannot be encoded")
     except trace_io.TraceError as e:
         raise click.ClickException(str(e))
     enc = Encoder(code)
-    packets = [enc.push(m) for _, m in records]
-    trace_io.write_coded_trace(outfile, code.field, packets, code.k)
+    rows = [enc.push(m).symbols for _, m in records]
+    trace_io.write_trace(outfile, code.field, rows, (code.k, code.n - code.k), trace_io.ERASED)
 
 
 @main.command("decode")
@@ -234,7 +234,8 @@ def cmd_decode(a, tau, r, q, infile, outfile):
     exits 1 if any packet misses its deadline."""
     code = _build_code(a, tau, r, q, "lrsc")
     try:
-        slots = trace_io.read_coded_trace(infile, code.field, code.k, code.n)
+        slots = [syms for _, syms in trace_io.read_trace(
+            infile, code.field, (code.k, code.n - code.k), trace_io.ERASED)]
     except trace_io.TraceError as e:
         raise click.ClickException(str(e))
     dec = Decoder(code)
@@ -246,7 +247,7 @@ def cmd_decode(a, tau, r, q, infile, outfile):
     except DecodeError as e:
         raise click.ClickException(f"time {t}: {e}")
     messages = [recovered[t].message if t in recovered else None for t in range(len(slots))]
-    trace_io.write_message_trace(outfile, code.field, messages)
+    trace_io.write_trace(outfile, code.field, messages, (code.k,), trace_io.LOST)
     lost = len(slots) - len(recovered)
     max_delay = max((ev.delay for ev in recovered.values()), default=0)
     click.echo(f"packets={len(slots)} recovered={len(slots) - lost} lost={lost} "

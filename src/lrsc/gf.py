@@ -318,40 +318,37 @@ class TowerField:
         return 1 if j <= 1 else self.level_order(j - 1)
 
     def check(self, symbols):
-        """Raise ValueError unless every symbol is an element of this field."""
+        """Raise ValueError unless every symbol is an element of this field:
+        an int, not a bool, in [0, order)."""
         order = self.order
         for s in symbols:
-            if not isinstance(s, int) or not 0 <= s < order:
+            # a plain int takes one class test; bool subclasses int but is no element
+            if (s.__class__ is not int and (s.__class__ is bool or not isinstance(s, int))
+                    or not 0 <= s < order):
                 raise ValueError(f"symbol {s!r} is not an element of the field of order {order}")
 
     # -- textual element format: GF(p) coefficient vector, low index first --
 
-    def element_coeffs(self, x):
-        self.check((x,))
-        return tuple(_digits(x, self.p, self.dim_p))
-
-    def element_from_coeffs(self, coeffs):
-        p = self.p
-        if len(coeffs) != self.dim_p:
-            raise ValueError(f"expected {self.dim_p} coefficients, got {len(coeffs)}")
-        for c in reversed(coeffs):
-            if not 0 <= c < p:
-                raise ValueError(f"coefficient {c} out of range for GF({p})")
-        return _undigits(coeffs, p)
-
     def format_element(self, x):
-        return "[" + ",".join(str(c) for c in self.element_coeffs(x)) + "]"
+        self.check((x,))
+        return "[" + ",".join(map(str, _digits(x, self.p, self.dim_p))) + "]"
 
     def parse_element(self, text):
+        """The element written as ``[c0,c1,...]``: dim_p ASCII decimal
+        coefficients below p, whitespace allowed around each."""
         s = text.strip()
-        if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError(f"malformed element {text!r}: expected [c0,c1,...]")
-        body = s[1:-1].strip()
-        try:
-            coeffs = [int(c) for c in body.split(",")] if body else []
-        except ValueError:
-            raise ValueError(f"malformed element {text!r}: non-integer coefficient") from None
-        return self.element_from_coeffs(coeffs)
+        coeffs = [c.strip() for c in s[1:-1].split(",")]
+        if not (s.startswith("[") and s.endswith("]")
+                and all(c.isascii() and c.isdigit() for c in coeffs)):
+            raise ValueError(f"malformed element {text!r}: expected [c0,c1,...] in decimal")
+        if len(coeffs) != self.dim_p:
+            raise ValueError(f"expected {self.dim_p} coefficients, got {len(coeffs)}")
+        p = self.p
+        digits = [int(c) for c in coeffs]
+        for c in digits:
+            if c >= p:
+                raise ValueError(f"coefficient {c} out of range for GF({p})")
+        return _undigits(digits, p)
 
 
 def make_tower(q: int, a: int) -> TowerField:

@@ -1,17 +1,23 @@
-"""Line-oriented packet trace files.
+"""Line-oriented packet trace files, one grammar for both kinds.
 
-Message trace:   ``t | s0,s1,...``  or  ``t | LOST``  one line per time step
-Coded trace:     ``t | s0,... | p0,...``  or  ``t | ERASED``
-
-Symbols use the field's bracketed GF(p) coefficient form, e.g. "[2,0,1,0]".
-Times must be sequential from 0; erasures are explicit lines, never gaps.
+Each time step is a line ``t | group | ...`` with one comma-separated group
+of bracketed elements (the field's GF(p) coefficient form, e.g. "[2,0,1,0]")
+per entry of ``widths``, or ``t | <gap>``.  A message trace has widths (k,)
+and gap LOST; a coded trace (k, n-k) and gap ERASED.  Times are ASCII
+decimal, sequential from 0, so a gap is an explicit line, never a skipped
+time.  Blank lines and lines starting with ``#`` are skipped.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
+LOST = "LOST"
+ERASED = "ERASED"
+
 _ELEMENT = re.compile(r"\[[^\[\]]*\]")
+_GROUP = re.compile(rf"\s*{_ELEMENT.pattern}\s*(?:,\s*{_ELEMENT.pattern}\s*)*")
 
 
 class TraceError(ValueError):
@@ -20,83 +26,49 @@ class TraceError(ValueError):
         self.lineno = lineno
 
 
-def _format_symbols(field, symbols):
-    return ",".join(field.format_element(s) for s in symbols)
-
-
-def _parse_symbols(field, text, lineno, expected):
-    parts = _ELEMENT.findall(text)
-    leftover = _ELEMENT.sub("", text).replace(",", "").strip()
-    if leftover:
-        raise TraceError(lineno, f"unexpected text {leftover!r} in symbol list")
-    if len(parts) != expected:
-        raise TraceError(lineno, f"expected {expected} symbols, found {len(parts)}")
-    try:
-        return tuple(field.parse_element(p) for p in parts)
-    except ValueError as e:
-        raise TraceError(lineno, str(e)) from None
-
-
-def _parse_time(token, lineno, expected_t):
-    try:
-        t = int(token.strip())
-    except ValueError:
-        raise TraceError(lineno, f"bad time index {token.strip()!r}") from None
-    if t != expected_t:
-        raise TraceError(lineno, f"expected time {expected_t}, got {t}")
-    return t
-
-
-def write_message_trace(fh, field, messages):
-    for t, msg in enumerate(messages):
-        if msg is None:
-            fh.write(f"{t} | LOST\n")
-        else:
-            fh.write(f"{t} | {_format_symbols(field, msg)}\n")
-
-
-def _records(fh):
-    """(lineno, '|'-separated fields) of every line that is neither blank
-    nor a comment."""
+def read_trace(fh, field, widths, gap):
+    """Yields (lineno, symbol tuple) per time step, the groups' symbols in
+    order, or (lineno, None) for a gap line."""
+    t = 0
     for lineno, raw in enumerate(fh, 1):
         line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line.split("|")
-
-
-def iter_message_trace(fh, field, k):
-    """Yields (lineno, symbol tuple) per time step, None for LOST slots."""
-    for t, (lineno, parts) in enumerate(_records(fh)):
-        if len(parts) != 2:
-            raise TraceError(lineno, "expected 't | symbols' or 't | LOST'")
-        _parse_time(parts[0], lineno, t)
-        if parts[1].strip() == "LOST":
-            yield lineno, None
-        else:
-            yield lineno, _parse_symbols(field, parts[1], lineno, k)
-
-
-def write_coded_trace(fh, field, packets, k):
-    for t, pkt in enumerate(packets):
-        if pkt is None:
-            fh.write(f"{t} | ERASED\n")
-        else:
-            msg = _format_symbols(field, pkt.symbols[:k])
-            par = _format_symbols(field, pkt.symbols[k:])
-            fh.write(f"{t} | {msg} | {par}\n")
-
-
-def read_coded_trace(fh, field, k, n):
-    """Returns a list of symbol tuples with None for erased slots."""
-    out = []
-    for lineno, parts in _records(fh):
-        _parse_time(parts[0], lineno, len(out))
-        if len(parts) == 2 and parts[1].strip() == "ERASED":
-            out.append(None)
+        if not line or line.startswith("#"):
             continue
-        if len(parts) != 3:
-            raise TraceError(lineno, "expected 't | message | parity' or 't | ERASED'")
-        msg = _parse_symbols(field, parts[1], lineno, k)
-        par = _parse_symbols(field, parts[2], lineno, n - k)
-        out.append(msg + par)
-    return out
+        time, *groups = line.split("|")
+        time = time.strip()
+        if not (time.isascii() and time.isdigit()):
+            raise TraceError(lineno, f"bad time index {time!r}")
+        if time.lstrip("0") != str(t).lstrip("0"):
+            raise TraceError(lineno, f"expected time {t}, got {time}")
+        t += 1
+        if len(groups) == 1 and groups[0].strip() == gap:
+            yield lineno, None
+            continue
+        if len(groups) != len(widths):
+            raise TraceError(lineno, f"expected {len(widths)} symbol groups or {gap} after the time")
+        symbols = []
+        for text, width in zip(groups, widths):
+            if not _GROUP.fullmatch(text):
+                raise TraceError(lineno, f"expected comma-separated [...] elements, "
+                                         f"found {text.strip()!r}")
+            elements = _ELEMENT.findall(text)
+            if len(elements) != width:
+                raise TraceError(lineno, f"expected {width} symbols, found {len(elements)}")
+            try:
+                symbols += [field.parse_element(e) for e in elements]
+            except ValueError as e:
+                raise TraceError(lineno, str(e)) from None
+        yield lineno, tuple(symbols)
+
+
+def write_trace(fh, field, rows, widths, gap):
+    """One line per row: its symbols split into groups of ``widths``, or the
+    gap word for a None row."""
+    bounds = list(itertools.accumulate(widths, initial=0))
+    for t, row in enumerate(rows):
+        if row is None:
+            fh.write(f"{t} | {gap}\n")
+            continue
+        groups = (",".join(map(field.format_element, row[lo:hi]))
+                  for lo, hi in zip(bounds, bounds[1:]))
+        fh.write(f"{t} | {' | '.join(groups)}\n")

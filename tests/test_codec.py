@@ -246,6 +246,8 @@ def test_encoder_validates_input():
         enc.push((1, 2, 0))
     with pytest.raises(ValueError):
         enc.push((1, 3))
+    with pytest.raises(ValueError, match="symbol True is not an element"):
+        enc.push((True, 2))          # a bool is no field element, though bool subclasses int
 
 
 def test_wrong_regime_symbol_count():

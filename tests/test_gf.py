@@ -164,8 +164,8 @@ def test_level_scalars():
 
     f = make_tower(3, 4)
     a3 = f.level_scalar(3)
-    coeffs = f.element_coeffs(a3)
-    assert any(c for c in coeffs[2:])
+    coeffs = f.format_element(a3)[1:-1].split(",")
+    assert any(c != "0" for c in coeffs[2:])
     assert not in_subfield(f, a3, 2)
 
 
@@ -250,8 +250,15 @@ def test_element_text_format():
         f.parse_element("2,0,1,0")
 
     g = make_tower(4, 3)   # GF(p) coefficients, not GF(q): dim 2 over GF(4) -> 4 bits
-    assert len(g.element_coeffs(9)) == 4
+    assert g.format_element(9) == "[1,0,0,1]"
     assert g.parse_element(g.format_element(9)) == 9
+
+    h = make_tower(11, 2)
+    assert h.parse_element("[ 4 ]") == h.parse_element("[4]") == 4
+    # coefficients are ASCII decimal digits and nothing else
+    for bad in ["[1_0]", "[+3]", "[\u0663]", "[1,]", "[]", "[-1]", "[ ]", "[[3]]", "[0x3]"]:
+        with pytest.raises(ValueError, match="malformed element"):
+            h.parse_element(bad)
 
 
 def test_base_field_irreducibles():
@@ -270,7 +277,7 @@ def test_check_accepts_exactly_the_field_elements():
     f.check([])
     f.check(range(16))
     f.check((0, 15, 9))
-    for bad in [16, -1, "1", 1.0, None]:
+    for bad in [16, -1, "1", 1.0, None, True, False]:
         with pytest.raises(ValueError, match="not an element of the field of order 16"):
             f.check((0, bad, 1))
         with pytest.raises(ValueError, match="not an element"):

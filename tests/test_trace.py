@@ -11,14 +11,26 @@ from lrsc import trace as trace_io
 from conftest import random_stream
 
 
+def _message(code):
+    return (code.k,), trace_io.LOST
+
+
+def _coded(code):
+    return (code.k, code.n - code.k), trace_io.ERASED
+
+
+def _read(text, field, widths, gap):
+    return [syms for _, syms in trace_io.read_trace(io.StringIO(text), field, widths, gap)]
+
+
 def _round_trip_messages(code, msgs, erased=()):
     enc = Encoder(code)
     coded = [enc.push(m) for m in msgs]
     buf = io.StringIO()
-    trace_io.write_coded_trace(
-        buf, code.field, [None if t in erased else p for t, p in enumerate(coded)], code.k)
-    buf.seek(0)
-    slots = trace_io.read_coded_trace(buf, code.field, code.k, code.n)
+    trace_io.write_trace(
+        buf, code.field, [None if t in erased else p.symbols for t, p in enumerate(coded)],
+        *_coded(code))
+    slots = _read(buf.getvalue(), code.field, *_coded(code))
     dec = Decoder(code)
     recovered = {}
     for t, syms in enumerate(slots):
@@ -33,9 +45,8 @@ def test_message_trace_round_trip():
     code = make_lrsc(2, 4, 2)
     msgs = random_stream(random.Random(1), 3, 3, 12)
     buf = io.StringIO()
-    trace_io.write_message_trace(buf, code.field, msgs)
-    buf.seek(0)
-    assert [m for _, m in trace_io.iter_message_trace(buf, code.field, 3)] == msgs
+    trace_io.write_trace(buf, code.field, msgs, *_message(code))
+    assert _read(buf.getvalue(), code.field, *_message(code)) == msgs
 
 
 def test_coded_trace_round_trip_with_erasures():
@@ -51,7 +62,7 @@ def test_trace_format_example_line():
     enc = Encoder(code)
     pkt = enc.push((1, 2))
     buf = io.StringIO()
-    trace_io.write_coded_trace(buf, code.field, [pkt, None], code.k)
+    trace_io.write_trace(buf, code.field, [pkt.symbols, None], *_coded(code))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "0 | [1],[2] | [0]"
     assert lines[1] == "1 | ERASED"
@@ -60,33 +71,35 @@ def test_trace_format_example_line():
 def test_malformed_traces_carry_line_numbers():
     code = make_lrsc(2, 5, 2)
     f = code.field
+    good = "0 | [1],[2] | [0]\n"
     cases = [
-        "0 | [1],[2] | [0]\n1 | [1],[2]\n",              # missing parity section
-        "0 | [1],[2] | [0]\n2 | [1],[2] | [0]\n",        # time gap
-        "0 | [1],[2] | [0]\n1 | [1],[9] | [0]\n",        # symbol out of range
-        "0 | [1],[2] | [0]\nx | [1],[2] | [0]\n",        # bad time token
-        "0 | [1],[2],[0] | [0]\n",                       # wrong symbol count
+        good + "1 | [1],[2]\n",                  # missing parity section
+        good + "2 | [1],[2] | [0]\n",            # time gap
+        good + "1 | [1],[9] | [0]\n",            # symbol out of range
+        good + "x | [1],[2] | [0]\n",            # bad time token
+        good + "1 | [1],[2],[0] | [0]\n",        # wrong symbol count
+        good + "1 | [1],[2] junk | [0]\n",       # text after the symbols
+        good + "1 | [1][2] | [0]\n",             # elements without a comma
+        good + "1 | ,[1],,[2], | [0]\n",         # stray commas
+        "# header\n+0 | [1],[2] | [0]\n",        # signed time
+        good + "1 | [1],[2] | [0] | [0]\n",      # extra group
+        good + "1 | LOST\n",                     # the message trace's gap word
     ]
     for text in cases:
         with pytest.raises(trace_io.TraceError) as exc:
-            trace_io.read_coded_trace(io.StringIO(text), f, 2, 3)
-        assert "line" in str(exc.value)
-    with pytest.raises(trace_io.TraceError) as exc:
-        trace_io.read_coded_trace(io.StringIO("0 | [1],[2] | [0]\n1 | [1],[2] junk | [0]\n"), f, 2, 3)
-    assert str(exc.value).startswith("line 2")
+            _read(text, f, *_coded(code))
+        assert str(exc.value).startswith("line 2: ") and exc.value.lineno == 2, text
 
 
 def test_blank_lines_and_comments_skipped():
     code = make_lrsc(2, 5, 2)
-    text = "# header\n\n0 | [1],[2]\n1 | [0],[0]\n"
-    msgs = [m for _, m in trace_io.iter_message_trace(io.StringIO(text), code.field, 2)]
-    assert msgs == [(1, 2), (0, 0)]
+    text = "# header\n\n0 | [1],[2]\n1 |  [ 0 ] , [0]\n"    # whitespace around elements too
+    assert _read(text, code.field, *_message(code)) == [(1, 2), (0, 0)]
 
 
 def test_lost_packets_render_as_lost():
     code = make_lrsc(2, 5, 2)
     buf = io.StringIO()
-    trace_io.write_message_trace(buf, code.field, [(1, 2), None, (0, 1)])
+    trace_io.write_trace(buf, code.field, [(1, 2), None, (0, 1)], *_message(code))
     assert buf.getvalue().splitlines()[1] == "1 | LOST"
-    buf.seek(0)
-    assert [m for _, m in trace_io.iter_message_trace(buf, code.field, 2)] == [(1, 2), None, (0, 1)]
+    assert _read(buf.getvalue(), code.field, *_message(code)) == [(1, 2), None, (0, 1)]

@@ -149,6 +149,29 @@ def make_lrsc(a: int, tau: int, r: int, q_override: int | None = None) -> LrscCo
     return LrscCode(derive_params(a, tau, r, q_override))
 
 
+def parity_terms(field, template, t, records):
+    """Walk a parity template at time t over records (time -> symbols, None
+    where unresolved): the coefficients {(t', j): c} of the unresolved terms
+    and the sum of the resolved ones.  A referenced time without a record
+    raises DecodeError."""
+    add, mul = field.add, field.mul
+    coeffs = {}
+    acc = 0
+    for j, d, c in template:
+        tt = t - d
+        if tt < 0:
+            continue
+        record = records.get(tt)
+        if record is None:
+            raise DecodeError(f"symbol {(tt, j)} neither known nor tracked")
+        x = record[j]
+        if x is None:
+            coeffs[(tt, j)] = c
+        elif x:
+            acc = add(acc, mul(c, x))
+    return coeffs, acc
+
+
 class Encoder:
     """Systematic streaming encoder; retains the last tau+1 message packets."""
 
@@ -156,31 +179,18 @@ class Encoder:
         self.code = code
         self.history = {}
         self.next_t = 0
-        f = code.field
-        self._add, self._mul = f.add, f.mul
 
     def push(self, message) -> CodedPacket:
         code = self.code
         msg = tuple(message)
-        if len(msg) != code.k:
-            raise ValueError(f"expected {code.k} message symbols, got {len(msg)}")
-        code.field.check(msg)
+        code.field.check(msg, code.k)
         t = self.next_t
         self.next_t += 1
         history = self.history
         history[t] = msg
-        add, mul = self._add, self._mul
-        parities = []
-        for template in code.templates:
-            acc = 0
-            for j, d, c in template:
-                if d <= t:
-                    x = history[t - d][j]
-                    if x:
-                        acc = add(acc, mul(x, c))
-            parities.append(acc)
+        parities = tuple(parity_terms(code.field, tp, t, history)[1] for tp in code.templates)
         history.pop(t - code.tau - 1, None)
-        return CodedPacket(t, msg + tuple(parities))
+        return CodedPacket(t, msg + parities)
 
 
 class Decoder(Echelon):
@@ -210,8 +220,8 @@ class Decoder(Echelon):
         self.known = {}          # t -> list of k symbols, None where unresolved
         self.missing = set()     # t whose record still holds a None
         # any horizon > tau gives the same outcomes: no parity reaches further
-        # back, and Echelon.drop eliminates an unknown exactly.  A longer one
-        # keeps reading, and so checking, parities for longer after a loss.
+        # back, and _prune retires an unknown exactly.  A longer one keeps
+        # reading, and so checking, parities for longer after a loss.
         self.horizon = 4 * (code.tau + 1)
 
     @property
@@ -233,9 +243,7 @@ class Decoder(Echelon):
             if packet.t != t:
                 raise ValueError(f"packet time {packet.t} does not match push time {t}")
             syms = packet.symbols
-            if len(syms) != self.n:
-                raise ValueError(f"expected {self.n} coded symbols, got {len(syms)}")
-            self.code.field.check(syms)
+            self.code.field.check(syms, self.n)
             msg = syms[:self.k]
             self.known[t] = list(msg)
             out.append(PacketOutcome(t, recovered=True, delay=0, message=msg))
@@ -258,9 +266,7 @@ class Decoder(Echelon):
             raise ValueError(f"resume needs nothing unresolved; packets {sorted(self.missing)} are")
         k, field = self.k, self.code.field
         for msg in messages:
-            if len(msg) != k:
-                raise ValueError(f"expected {k} message symbols, got {len(msg)}")
-            field.check(msg)
+            field.check(msg, k)
         start, end = self.next_t, self.next_t + len(messages)
         keep = end - self.horizon
         known = self.known
@@ -271,23 +277,8 @@ class Decoder(Echelon):
         self.next_t = end
 
     def _absorb_parity(self, i, t, value, out):
-        known = self.known
-        sub, mul = self._sub, self._mul
-        coeffs = {}
-        rhs = value
-        for j, d, c in self.code.templates[i]:
-            tt = t - d
-            if tt < 0:
-                continue
-            record = known.get(tt)
-            if record is None:
-                raise DecodeError(f"symbol {(tt, j)} neither known nor tracked")
-            val = record[j]
-            if val is None:
-                coeffs[(tt, j)] = c
-            elif val:
-                rhs = sub(rhs, mul(c, val))
-        row = [coeffs, rhs]
+        coeffs, acc = parity_terms(self.code.field, self.code.templates[i], t, self.known)
+        row = [coeffs, self._sub(value, acc)]
         if self.insert(row) is None:
             if row[1]:
                 raise DecodeError("received parity inconsistent with resolved symbols")
@@ -308,10 +299,11 @@ class Decoder(Echelon):
     # -- retention --
 
     def _prune(self, t):
+        # exact: each (tp, j) in turn is the smallest live id (see Echelon)
         tp = t - self.horizon
         if tp < 0:
             return
         for j, v in enumerate(self.known.pop(tp)):
             if v is None:
-                self.drop((tp, j))
+                self.rows.pop((tp, j), None)
         self.missing.discard(tp)

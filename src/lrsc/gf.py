@@ -317,9 +317,11 @@ class TowerField:
             raise ValueError(f"level {j} out of range [0:{self.levels}]")
         return 1 if j <= 1 else self.level_order(j - 1)
 
-    def check(self, symbols):
-        """Raise ValueError unless every symbol is an element of this field:
-        an int, not a bool, in [0, order)."""
+    def check(self, symbols, count):
+        """Raise ValueError unless symbols holds exactly count elements of
+        this field, each an int, not a bool, in [0, order)."""
+        if len(symbols) != count:
+            raise ValueError(f"expected {count} symbols, got {len(symbols)}")
         order = self.order
         for s in symbols:
             # a plain int takes one class test; bool subclasses int but is no element
@@ -330,7 +332,7 @@ class TowerField:
     # -- textual element format: GF(p) coefficient vector, low index first --
 
     def format_element(self, x):
-        self.check((x,))
+        self.check((x,), 1)
         return "[" + ",".join(map(str, _digits(x, self.p, self.dim_p))) + "]"
 
     def parse_element(self, text):
@@ -344,11 +346,12 @@ class TowerField:
         if len(coeffs) != self.dim_p:
             raise ValueError(f"expected {self.dim_p} coefficients, got {len(coeffs)}")
         p = self.p
-        digits = [int(c) for c in coeffs]
-        for c in digits:
-            if c >= p:
-                raise ValueError(f"coefficient {c} out of range for GF({p})")
-        return _undigits(digits, p)
+        # compare lengths before int(), which refuses more than 4300 digits
+        coeffs = [c.lstrip("0") or "0" for c in coeffs]
+        for c in coeffs:
+            if len(c) > len(str(p - 1)) or int(c) >= p:
+                raise ValueError(f"coefficient {c[:8]}{'...' * (len(c) > 8)} out of range for GF({p})")
+        return _undigits([int(c) for c in coeffs], p)
 
 
 def make_tower(q: int, a: int) -> TowerField:

@@ -21,7 +21,9 @@ def _freeze(rows):
 
 class Echelon:
     """Sparse system in reduced row echelon form: ``rows`` maps pivot ids
-    (ordered hashables) to rows [coeff dict, rhs], 1 at a pivot no other row holds."""
+    (ordered hashables) to rows [coeff dict, rhs], 1 at a pivot no other row holds.
+    A pivot is its row's smallest id, as clearing a pivot adds only larger ids
+    to a row; so popping the row of the smallest id, if any, projects it out."""
 
     def __init__(self, field):
         self._sub, self._mul, self._inv = field.sub, field.mul, field.inv
@@ -38,15 +40,6 @@ class Echelon:
         pid = min(row[0])
         rows[pid] = self._pivot(row, pid)
         return pid
-
-    def drop(self, sid):
-        """Project id sid out: keep exactly what the rows imply without it."""
-        rows = self.rows
-        if rows.pop(sid, None) is not None:
-            return
-        holders = [p for p, (c, _) in rows.items() if sid in c]
-        if holders:
-            self._pivot(rows.pop(min(holders)), sid)
 
     def _eliminate(self, row, pid, pivot):
         """Clear id pid from row [coeffs, rhs] by subtracting the matching

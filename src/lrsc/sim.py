@@ -102,8 +102,8 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     go to ``Decoder.resume`` in blocks of at most ``horizon``, each recovered
     with delay 0; packets are pushed one by one only at an erasure and while
     some packet is unresolved."""
-    if packets < 1:
-        raise ValueError(f"packets must be at least 1, got {packets}")
+    if not isinstance(packets, int) or isinstance(packets, bool) or packets < 1:
+        raise ValueError(f"packets must be an int of at least 1, got {packets!r}")
     dec = Decoder(code)
     zeros = (0,) * code.n
     block = [(0,) * code.k] * dec.horizon

@@ -51,13 +51,12 @@ def read_trace(fh, field, widths, gap):
             if not _GROUP.fullmatch(text):
                 raise TraceError(lineno, f"expected comma-separated [...] elements, "
                                          f"found {text.strip()!r}")
-            elements = _ELEMENT.findall(text)
-            if len(elements) != width:
-                raise TraceError(lineno, f"expected {width} symbols, found {len(elements)}")
             try:
-                symbols += [field.parse_element(e) for e in elements]
+                group = [field.parse_element(e) for e in _ELEMENT.findall(text)]
+                field.check(group, width)
             except ValueError as e:
                 raise TraceError(lineno, str(e)) from None
+            symbols += group
         yield lineno, tuple(symbols)
 
 

@@ -255,12 +255,13 @@ def subfield_perturbation(tower, nrows, ncols, seed):
 
 def check_decoder_invariants(dec):
     """Assert the decoder's rows are in reduced echelon form over its live
-    unknowns: each row is 1 at its own pivot, which no other row holds.  The
-    missing packets are exactly those whose record holds an unresolved
-    symbol."""
+    unknowns: each row is 1 at its own pivot, its smallest id, which no
+    other row holds.  The missing packets are exactly those whose record
+    holds an unresolved symbol."""
     assert dec.missing == {t for t, s in dec.known.items() if None in s}
     for pid, (coeffs, _) in dec.rows.items():
         assert coeffs.get(pid) == 1
+        assert pid == min(coeffs)
         assert set(coeffs) <= dec.unknowns
         for qid, (qc, _) in dec.rows.items():
             if qid != pid:

@@ -1,6 +1,8 @@
 """Command-line interface."""
 
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,9 @@ from click.testing import CliRunner
 
 import lrsc.cli
 from lrsc.cli import main
+from lrsc.codec import make_lrsc
+
+from conftest import closed_form_parity
 
 
 def _run(*args, **kw):
@@ -104,6 +109,32 @@ def test_table_242_golden_lines():
     assert rows["t=4"][1] == "m_0(0)+2m_1(1)+m_2(3)"
 
 
+def test_table_over_a_tower_field_evaluates_to_the_closed_form():
+    # over GF(16) a coefficient prints in its bracketed GF(2) form; each
+    # cell, read back and evaluated on a random stream, is that parity
+    code = make_lrsc(3, 8, 2)
+    f = code.field
+    assert f.order == 16
+    res = _run("table", "3", "8", "2")
+    assert res.exit_code == 0
+    rng = random.Random(5)
+    history = {t: tuple(rng.randrange(f.order) for _ in range(code.k)) for t in range(2 * code.tau + 1)}
+    bracketed = 0
+    for t, line in enumerate(res.output.splitlines()):
+        head, *cells = line.split(" | ")
+        assert head == f"t={t}" and len(cells) == len(code.templates)
+        for i, cell in enumerate(cells):
+            acc = 0
+            if cell != "-":
+                for term in cell.split("+"):
+                    coeff, j, tt = re.fullmatch(r"(\[[0-9,]*\])?m_(\d+)\((\d+)\)", term).groups()
+                    c = f.parse_element(coeff) if coeff else 1
+                    bracketed += coeff is not None
+                    acc = f.add(acc, f.mul(c, history[int(tt)][int(j)]))
+            assert acc == closed_form_parity(code, i, history, t), (t, i, cell)
+    assert bracketed
+
+
 def test_verify_passes_and_exits_zero():
     res = _run("verify", "2", "5", "2")
     assert res.exit_code == 0
@@ -171,6 +202,15 @@ def test_simulate_bad_output_path_fails_before_running(tmp_path, monkeypatch):
         res = _run("simulate", "2", "5", "2", "--eps", "0.1", opt, missing)
         assert res.exit_code == 2
         assert f"Invalid value for '{opt}'" in res.output
+
+
+@pytest.mark.parametrize("args,message", [
+    (("verify", "0", "5", "--code", "mds"), "a must be at least 1, got a=0"),
+    (("simulate", "6", "5", "--codes", "mds", "--eps", "0.1"), "a must not exceed tau, got a=6, tau=5")])
+def test_mds_a_outside_1_to_tau_is_usage_error(args, message):
+    res = _run(*args)
+    assert res.exit_code == 2
+    assert message in res.output
 
 
 def test_simulate_q_applies_to_baseline():

@@ -170,6 +170,14 @@ def test_mds_de_field_too_small():
         MdsDeCode(2, 5, q_override=3)
 
 
+@pytest.mark.parametrize("a,tau,match", [(0, 5, "a must be at least 1, got a=0"),
+                                         (-2, 5, "a must be at least 1, got a=-2"),
+                                         (6, 5, "a must not exceed tau, got a=6, tau=5")])
+def test_mds_de_needs_a_from_1_to_tau(a, tau, match):
+    with pytest.raises(ValueError, match=match):
+        MdsDeCode(a, tau)
+
+
 @pytest.mark.parametrize("make", [
     lambda: make_lrsc(2, 5, 2),
     lambda: make_lrsc(2, 4, 2),

@@ -310,6 +310,7 @@ def test_hypothesis_decoder_matches_dense_reference(name, seed, erased, windows)
     for now in range(48):
         got = sorted((ev.t, ev.recovered, ev.delay, ev.message)
                      for ev in dec.push(now, None if now in erased else coded[now]))
+        check_decoder_invariants(dec)
         pinned = _dense_pinned(code, coded, erased, now)
         for (t, j), v in pinned.items():
             assert v == msgs[t][j]
@@ -415,7 +416,7 @@ def test_resume_validation():
         t += 1
     dec.resume(msgs[t:t + 2])
     assert dec.next_t == t + 2 and dec.known[t + 1] == list(msgs[t + 1])
-    with pytest.raises(ValueError, match="expected 2 message symbols"):
+    with pytest.raises(ValueError, match="expected 2 symbols, got 3"):
         Decoder(code).resume(msgs[:3] + [(1, 2, 0)])
     for bad in [(7, 1), (1, "x")]:      # 7 is outside GF(3), "x" is no element
         with pytest.raises(ValueError, match="not an element"):

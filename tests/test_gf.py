@@ -255,6 +255,12 @@ def test_element_text_format():
 
     h = make_tower(11, 2)
     assert h.parse_element("[ 4 ]") == h.parse_element("[4]") == 4
+    # leading zeros are no limit, and a huge coefficient is out of range
+    # without being echoed or handed whole to int()
+    assert h.parse_element("[01]") == h.parse_element("[" + "0" * 5000 + "1]") == 1
+    with pytest.raises(ValueError, match=r"out of range for GF\(11\)") as exc:
+        h.parse_element("[" + "9" * 5000 + "]")
+    assert len(str(exc.value)) < 60
     # coefficients are ASCII decimal digits and nothing else
     for bad in ["[1_0]", "[+3]", "[\u0663]", "[1,]", "[]", "[-1]", "[ ]", "[[3]]", "[0x3]"]:
         with pytest.raises(ValueError, match="malformed element"):
@@ -274,12 +280,15 @@ def test_base_field_irreducibles():
 
 def test_check_accepts_exactly_the_field_elements():
     f = make_tower(4, 3)
-    f.check([])
-    f.check(range(16))
-    f.check((0, 15, 9))
+    f.check([], 0)
+    f.check(range(16), 16)
+    f.check((0, 15, 9), 3)
     for bad in [16, -1, "1", 1.0, None, True, False]:
         with pytest.raises(ValueError, match="not an element of the field of order 16"):
-            f.check((0, bad, 1))
+            f.check((0, bad, 1), 3)
+    for symbols, count in [((0, 1), 3), ((0, 1, 2, 3), 3), ((), 1)]:
+        with pytest.raises(ValueError, match=f"expected {count} symbols, got {len(symbols)}"):
+            f.check(symbols, count)
         with pytest.raises(ValueError, match="not an element"):
             f.format_element(bad)
 

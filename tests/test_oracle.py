@@ -13,7 +13,7 @@ from lrsc.gf import make_tower
 from lrsc.matrix import parity_weights, stacked_parity_check, superregular_matrix
 from lrsc.oracle import _anchor_recovery, verify_scalar, verify_stream
 
-from conftest import mat_vec, random_stream, stream_codeword
+from conftest import mat_vec, random_stream, rref, stream_codeword
 
 
 def test_scalar_3_2_all_patterns_pass():
@@ -40,6 +40,41 @@ def test_scalar_parity_only_patterns_vacuous():
     code = make_lrsc(2, 3, 1)
     rep = verify_scalar(code.weights)
     assert rep.ok
+
+
+def _scalar_failures_by_rank(weights):
+    """verify_scalar's failures by the dense rank: erased coordinate i < r
+    fails iff its column does not raise the rank of the later erased columns."""
+    f, r = weights.tower, len(weights.rows)
+    cols = list(zip(*stacked_parity_check(weights)))
+    def rank(vecs):
+        return len(rref(f, vecs)[2])
+
+    out = []
+    for pattern in itertools.combinations(range(len(cols)), len(weights.rows[0])):
+        for i in pattern:
+            later = [cols[j] for j in pattern if j > i]
+            if i < r and rank(later + [cols[i]]) == rank(later):
+                out.append((pattern, f"coordinate {i} lies in the span of later erased columns"))
+    return out
+
+
+@pytest.mark.parametrize("q,r,a", [(3, 2, 2), (4, 2, 3), (5, 3, 2), (7, 2, 3)])
+def test_scalar_failures_match_dense_rank(q, r, a):
+    # negative control: weights from base rows that are not superregular make
+    # verify_scalar report exactly the failing coordinates; the paper's
+    # superregular weights report none
+    f = make_tower(q, a)
+    rng = random.Random(q * 100 + r * 10 + a)
+    bases = [[[1] * a for _ in range(r)]]
+    bases += [[[rng.randrange(q) for _ in range(a)] for _ in range(r)] for _ in range(3)]
+    for base in bases:
+        w = parity_weights(f, base)
+        expected = _scalar_failures_by_rank(w)
+        assert [(fl.pattern, fl.detail) for fl in verify_scalar(w).failures] == expected
+    assert _scalar_failures_by_rank(parity_weights(f, bases[0]))
+    paper = parity_weights(f, superregular_matrix(f, r, a))
+    assert _scalar_failures_by_rank(paper) == [] and verify_scalar(paper).ok
 
 
 @pytest.mark.parametrize("a,r", [(2, 1), (2, 2), (3, 1), (3, 2)])

@@ -105,8 +105,9 @@ def test_channel_rejects_eps_outside_unit_interval(eps):
         PecChannel(eps, 3)
 
 
-@pytest.mark.parametrize("packets", [0, -4])
+@pytest.mark.parametrize("packets", [0, -4, 10.5, 2.0, True])
 def test_run_sim_rejects_non_positive_packet_count(packets):
+    # a float ran and reported a fractional count, True ran one packet
     with pytest.raises(ValueError, match="packets"):
         run_sim(make_lrsc(2, 5, 2), PecChannel(0.1, 1), packets)
 

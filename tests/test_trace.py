@@ -84,6 +84,7 @@ def test_malformed_traces_carry_line_numbers():
         "# header\n+0 | [1],[2] | [0]\n",        # signed time
         good + "1 | [1],[2] | [0] | [0]\n",      # extra group
         good + "1 | LOST\n",                     # the message trace's gap word
+        good + "1 | [1],[" + "9" * 5000 + "] | [0]\n",     # coefficient far out of range
     ]
     for text in cases:
         with pytest.raises(trace_io.TraceError) as exc:

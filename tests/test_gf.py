@@ -286,11 +286,11 @@ def test_check_accepts_exactly_the_field_elements():
     for bad in [16, -1, "1", 1.0, None, True, False]:
         with pytest.raises(ValueError, match="not an element of the field of order 16"):
             f.check((0, bad, 1), 3)
+        with pytest.raises(ValueError, match="not an element"):
+            f.format_element(bad)
     for symbols, count in [((0, 1), 3), ((0, 1, 2, 3), 3), ((), 1)]:
         with pytest.raises(ValueError, match=f"expected {count} symbols, got {len(symbols)}"):
             f.check(symbols, count)
-        with pytest.raises(ValueError, match="not an element"):
-            f.format_element(bad)
 
 
 def test_large_tower_without_log_tables():

@@ -16,6 +16,7 @@ full-budget deadline, and best-effort recovery past the guarantee.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -228,6 +229,14 @@ class Decoder(Echelon):
     def unknowns(self):
         """The unresolved symbols (t, j), derived from the records."""
         return {(t, j) for t in self.missing for j, v in enumerate(self.known[t]) if v is None}
+
+    def fork(self):
+        """An independent decoder in the same state; keeps the class."""
+        c = copy.copy(self)
+        c.known = {t: list(v) for t, v in self.known.items()}
+        c.missing = set(self.missing)
+        c.rows = {p: [dict(cf), rhs] for p, (cf, rhs) in self.rows.items()}
+        return c
 
     def push(self, t, packet) -> list[PacketOutcome]:
         if t != self.next_t:

@@ -342,7 +342,8 @@ class TowerField:
         coeffs = [c.strip() for c in s[1:-1].split(",")]
         if not (s.startswith("[") and s.endswith("]")
                 and all(c.isascii() and c.isdigit() for c in coeffs)):
-            raise ValueError(f"malformed element {text!r}: expected [c0,c1,...] in decimal")
+            shown = text[:24] + "..." * (len(text) > 24)
+            raise ValueError(f"malformed element {shown!r}: expected [c0,c1,...] in decimal")
         if len(coeffs) != self.dim_p:
             raise ValueError(f"expected {self.dim_p} coefficients, got {len(coeffs)}")
         p = self.p

@@ -9,9 +9,13 @@ Two layers of ground truth:
 * ``verify_stream`` drives the real encoder and decoder over a seeded
   random stream and every erasure pattern anchored at mid-horizon times
   (plus an anchor at t=0 to exercise the zero prehistory), asserting the
-  anchored packet comes back correct within the deadline.  Each pattern's
-  decoder resumes on the clean prefix before the anchor, the state pushing
-  it would leave, and pushes only from the anchor on.
+  anchored packet comes back correct within the deadline.  Each anchor's
+  decoder resumes on the clean prefix before it, the state pushing it would
+  leave, and walks the tree of erased/received flags from the erased anchor,
+  forking at each time an erasure is still in budget.  A path stops once
+  the anchored packet is recovered or the deadline passes, and each pattern
+  takes its outcome from the settled node on its path, the same outcome
+  replaying that pattern alone would give.
 
 Pattern enumeration counts are checked against the closed-form binomial
 totals, raising RuntimeError also under ``python -O``, so a silent
@@ -85,24 +89,51 @@ def _random_stream(code, horizon, seed, trial):
     return [tuple(rng.randrange(order) for _ in range(k)) for _ in range(horizon)]
 
 
-def _anchor_recovery(code, messages, coded, erased, anchor, deadline):
-    """Resume the decoder on the clean prefix before the anchor, then push
-    up to anchor+deadline; return (delay, message) for the anchored packet
-    or None if it never resolved in time."""
+def _settle_anchor(code, messages, coded, anchor, budget, deadline):
+    """Walk every path of erased/received flags from the erased anchor, with
+    at most `budget` erasures, on one decoder resumed on the clean prefix and
+    forked at each erased branch.  Returns {erasure times: (t, outcome)} for
+    the settled nodes: at t the anchored packet came back as outcome =
+    (delay, message), or t is anchor+deadline and outcome is None."""
+    end = anchor + deadline
     dec = Decoder(code)
     dec.resume(messages[:anchor])
-    for t in range(anchor, anchor + deadline + 1):
-        for ev in dec.push(t, None if t in erased else coded[t]):
-            if ev.t == anchor and ev.recovered:
-                return ev.delay, ev.message
-    return None
+    settled = {}
+    stack = [(dec, anchor, (anchor,))]
+    while stack:
+        dec, t, erased = stack.pop()
+        while True:
+            got = None
+            for ev in dec.push(t, None if t == erased[-1] else coded[t]):
+                if ev.t == anchor and ev.recovered:
+                    got = ev.delay, ev.message
+                    break
+            if got is not None or t == end:
+                settled[erased] = t, got
+                break
+            t += 1
+            if len(erased) < budget:
+                stack.append((dec.fork(), t, erased + (t,)))
+    return settled
+
+
+def _path_outcome(settled, pattern):
+    """The outcome of the settled node on the pattern's path: the node whose
+    erasure times are the pattern's up to the node's time."""
+    for i in range(1, len(pattern) + 1):
+        node = settled.get(pattern[:i])
+        if node is not None and (i == len(pattern) or node[0] < pattern[i]):
+            return node[1]
+    raise RuntimeError(f"no settled node on the path of pattern {pattern}")
 
 
 def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationReport:
     """Exhaust every erasure pattern of at most `budget` erasures inside the
     window [t, t+deadline] containing t, for anchors t across the middle
     third of a 3*(max(tau, deadline)+1) horizon and at t=0, over `trials`
-    random message streams."""
+    random message streams.  One decoder walk per anchor settles every
+    pattern there; each pattern still gets its own check, in enumeration
+    order."""
     if budget < 1 or deadline < 0 or trials < 1:
         raise ValueError(f"need budget >= 1, deadline >= 0, trials >= 1; got {budget}, {deadline}, {trials}")
     horizon = 3 * (max(code.tau, deadline) + 1)
@@ -116,13 +147,14 @@ def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationRepor
         enc = Encoder(code)
         coded = [enc.push(m) for m in messages]
         for anchor in anchors:
+            settled = _settle_anchor(code, messages, coded, anchor, budget, deadline)
             enumerated = 0
             others = range(anchor + 1, anchor + deadline + 1)
             for size in range(1, budget + 1):
                 for extra in itertools.combinations(others, size - 1):
                     enumerated += 1
                     pattern = (anchor,) + extra
-                    got = _anchor_recovery(code, messages, coded, frozenset(pattern), anchor, deadline)
+                    got = _path_outcome(settled, pattern)
                     if got is None:
                         report.failures.append(Failure(
                             pattern, f"packet {anchor} not recovered by {anchor + deadline}"))

@@ -20,6 +20,11 @@ _ELEMENT = re.compile(r"\[[^\[\]]*\]")
 _GROUP = re.compile(rf"\s*{_ELEMENT.pattern}\s*(?:,\s*{_ELEMENT.pattern}\s*)*")
 
 
+def _cut(text, width=24):
+    """Input echoed in an error message: its first ``width`` characters."""
+    return text[:width] + "..." * (len(text) > width)
+
+
 class TraceError(ValueError):
     def __init__(self, lineno, message):
         super().__init__(f"line {lineno}: {message}")
@@ -37,9 +42,9 @@ def read_trace(fh, field, widths, gap):
         time, *groups = line.split("|")
         time = time.strip()
         if not (time.isascii() and time.isdigit()):
-            raise TraceError(lineno, f"bad time index {time!r}")
+            raise TraceError(lineno, f"bad time index {_cut(time)!r}")
         if time.lstrip("0") != str(t).lstrip("0"):
-            raise TraceError(lineno, f"expected time {t}, got {time}")
+            raise TraceError(lineno, f"expected time {t}, got {_cut(time)}")
         t += 1
         if len(groups) == 1 and groups[0].strip() == gap:
             yield lineno, None
@@ -50,7 +55,7 @@ def read_trace(fh, field, widths, gap):
         for text, width in zip(groups, widths):
             if not _GROUP.fullmatch(text):
                 raise TraceError(lineno, f"expected comma-separated [...] elements, "
-                                         f"found {text.strip()!r}")
+                                         f"found {_cut(text.strip())!r}")
             try:
                 group = [field.parse_element(e) for e in _ELEMENT.findall(text)]
                 field.check(group, width)

@@ -13,6 +13,9 @@ reference for the coefficient templates that the encoder and decoder use.
 ``value_path_outcomes`` is the encoder-and-decoder run on random messages
 that the simulator's all-zero stream stands for, and
 ``explain_losses_reference`` the brute-force form of the loss-cause scan.
+``verify_stream_reference`` replays every oracle pattern on a fresh decoder
+of its own (``anchor_recovery_reference``), the run that ``verify_stream``'s
+one forked decoder walk per anchor stands for.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import itertools
 import random
 
 from lrsc.codec import Decoder, Encoder
+from lrsc.oracle import Failure, VerificationReport, _random_stream
 
 
 # -- independent arithmetic on the ints of a tower's level 1, GF(q) = GF(p^m),
@@ -404,3 +408,47 @@ def explain_losses_reference(erased_times, lost_times, a, tau):
         if over or any(t - tau <= t2 < t for t2 in explained):
             explained.add(t)
     return sorted(set(lost_times) - explained)
+
+
+# -- the per-pattern replay that verify_stream's decoder walk stands for --
+
+def anchor_recovery_reference(code, messages, coded, erased, anchor, deadline, decoder=Decoder):
+    """Resume a fresh decoder on the clean prefix before the anchor, then push
+    up to anchor+deadline with the times in ``erased`` erased; return
+    (delay, message) for the anchored packet or None if it never resolved in
+    time."""
+    dec = decoder(code)
+    dec.resume(messages[:anchor])
+    for t in range(anchor, anchor + deadline + 1):
+        for ev in dec.push(t, None if t in erased else coded[t]):
+            if ev.t == anchor and ev.recovered:
+                return ev.delay, ev.message
+    return None
+
+
+def verify_stream_reference(code, budget, deadline, trials=1, seed=0, decoder=Decoder):
+    """``verify_stream``'s report, with every pattern replayed on its own
+    fresh decoder."""
+    horizon = 3 * (max(code.tau, deadline) + 1)
+    report = VerificationReport(
+        description=f"stream {code.label} budget={budget} deadline={deadline}")
+    for trial in range(trials):
+        messages = _random_stream(code, horizon, seed, trial)
+        enc = Encoder(code)
+        coded = [enc.push(m) for m in messages]
+        for anchor in [0] + list(range(horizon // 3, (2 * horizon) // 3)):
+            for size in range(1, budget + 1):
+                for extra in itertools.combinations(range(anchor + 1, anchor + deadline + 1), size - 1):
+                    pattern = (anchor,) + extra
+                    report.pattern_count += 1
+                    got = anchor_recovery_reference(code, messages, coded, frozenset(pattern),
+                                                    anchor, deadline, decoder)
+                    if got is None:
+                        report.failures.append(Failure(
+                            pattern, f"packet {anchor} not recovered by {anchor + deadline}"))
+                    elif got[1] != messages[anchor]:
+                        report.failures.append(Failure(
+                            pattern, f"packet {anchor} recovered with wrong symbols"))
+                    elif got[0] > report.max_delay.get(len(pattern), -1):
+                        report.max_delay[len(pattern)] = got[0]
+    return report

@@ -178,7 +178,8 @@ def test_inconsistent_parity_raises_under_optimize():
 
 
 def test_miscounted_enumeration_raises_under_optimize():
-    # the oracle's enumeration-count checks must not be asserts either
+    # the oracle's enumeration checks must not be asserts either: the
+    # closed-form counts, and a pattern whose path the walk never settled
     script = textwrap.dedent("""
         import math, types
         import lrsc.oracle as oracle
@@ -191,10 +192,16 @@ def test_miscounted_enumeration_raises_under_optimize():
                 check()
             except RuntimeError as e:
                 print("RuntimeError:", e)
+        oracle._settle_anchor = lambda *args: {}    # a walk that settles nothing
+        try:
+            oracle.verify_stream(code, 1, 2)
+        except RuntimeError as e:
+            print("RuntimeError:", e)
     """)
     res = _run_optimized(script)
     assert res.returncode == 0, res.stderr
     assert res.stdout.count("RuntimeError: enumerated") == 2, res.stdout
+    assert "RuntimeError: no settled node on the path of pattern" in res.stdout, res.stdout
 
 
 def _run_optimized(script):
@@ -335,15 +342,6 @@ def test_hypothesis_decoder_matches_dense_reference(name, seed, erased, windows)
                 assert resolved == {sid: v for sid, v in pinned.items() if sid[0] == t}, (now, t)
 
 
-def _fork(dec):
-    """A decoder in dec's state that shares none of its mutable parts."""
-    twin = copy.copy(dec)
-    twin.known = {t: list(record) for t, record in dec.known.items()}
-    twin.missing = set(dec.missing)
-    twin.rows = {pid: [dict(coeffs), rhs] for pid, (coeffs, rhs) in dec.rows.items()}
-    return twin
-
-
 def _state(dec):
     return dec.known, dec.missing, dec.rows, dec.next_t
 
@@ -379,16 +377,16 @@ def test_resume_equals_pushing_the_clean_prefix(make):
     for t in range(prefix + 1):
         if not dec.missing:
             resumed_at.append(t)
-            pushed = _fork(dec)
+            pushed = dec.fork()
             for length in range(clean + 1):
                 if length:
                     pushed.push(t + length - 1, coded[t + length - 1])
-                resumed = _fork(dec)
+                resumed = dec.fork()
                 resumed.resume(msgs[t:t + length])
                 assert _state(resumed) == _state(pushed), (t, length)
                 start = t + length
                 outcomes = []
-                for d in (resumed, _fork(pushed)):
+                for d in (resumed, pushed.fork()):
                     outcomes.append([ev for u in range(start, start + tail)
                                      for ev in d.push(u, None if u - start < a else coded[u])])
                 assert outcomes[0] == outcomes[1], (t, length)
@@ -421,3 +419,50 @@ def test_resume_validation():
     for bad in [(7, 1), (1, "x")]:      # 7 is outside GF(3), "x" is no element
         with pytest.raises(ValueError, match="not an element"):
             Decoder(code).resume(msgs[:3] + [bad])
+
+
+class _TaggedDecoder(Decoder):
+    """A subclass with an attribute of its own."""
+
+    def __init__(self, code):
+        super().__init__(code)
+        self.tag = "kept"
+
+
+@pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 7, 2),
+                                  lambda: MdsDeCode(2, 5)], ids=["lrsc-2-5-2", "lrsc-3-7-2", "mds-de-2-5"])
+def test_fork_is_an_independent_decoder_in_the_same_state(make):
+    # a decoder and its fork take diverging continuations of one prefix: each
+    # gives the outcomes of a fresh replay of its own stream, and no push into
+    # one changes the other's records, rows or time
+    code = make()
+    tau = code.tau
+    rng = random.Random(41)
+    length = 6 * (tau + 1)
+    coded = _coded(code, random_stream(rng, code.field.order, code.k, length))
+    forked_with_rows = 0
+    for _ in range(12):
+        cut = rng.randrange(tau + 1, length - tau - 1)
+        prefix = {t for t in range(cut) if rng.random() < 0.25}
+        tails = [{t for t in range(cut, length) if rng.random() < p} for p in (0.15, 0.4)]
+        dec = _TaggedDecoder(code)
+        for t in range(cut):
+            dec.push(t, None if t in prefix else coded[t])
+        forked_with_rows += bool(dec.rows)
+        pair = (dec, dec.fork())
+        assert type(pair[1]) is _TaggedDecoder and pair[1].tag == "kept"
+        outcomes = ([], [])
+        for t in range(cut, length):
+            for i in (0, 1):
+                other = copy.deepcopy(_state(pair[1 - i]))
+                outcomes[i].extend(pair[i].push(t, None if t in tails[i] else coded[t]))
+                assert _state(pair[1 - i]) == other, (cut, t, i)
+                check_decoder_invariants(pair[i])
+        for i in (0, 1):
+            fresh = Decoder(code)
+            for t in range(cut):
+                fresh.push(t, None if t in prefix else coded[t])
+            replay = [ev for t in range(cut, length)
+                      for ev in fresh.push(t, None if t in tails[i] else coded[t])]
+            assert outcomes[i] == replay, (cut, i)
+    assert forked_with_rows >= 3

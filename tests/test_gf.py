@@ -261,6 +261,11 @@ def test_element_text_format():
     with pytest.raises(ValueError, match=r"out of range for GF\(11\)") as exc:
         h.parse_element("[" + "9" * 5000 + "]")
     assert len(str(exc.value)) < 60
+    # a malformed element is echoed cut short, not whole
+    for huge in ["[" + "9" * 5000 + "x]", "x" * 5000]:
+        with pytest.raises(ValueError, match="malformed element") as exc:
+            h.parse_element(huge)
+        assert len(str(exc.value)) < 100
     # coefficients are ASCII decimal digits and nothing else
     for bad in ["[1_0]", "[+3]", "[\u0663]", "[1,]", "[]", "[-1]", "[ ]", "[[3]]", "[0x3]"]:
         with pytest.raises(ValueError, match="malformed element"):

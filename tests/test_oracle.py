@@ -4,6 +4,9 @@ import dataclasses
 import itertools
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +14,10 @@ import lrsc.oracle
 from lrsc.codec import Decoder, Encoder, MdsDeCode, make_lrsc
 from lrsc.gf import make_tower
 from lrsc.matrix import parity_weights, stacked_parity_check, superregular_matrix
-from lrsc.oracle import _anchor_recovery, verify_scalar, verify_stream
+from lrsc.oracle import verify_scalar, verify_stream
 
-from conftest import mat_vec, random_stream, rref, stream_codeword
+from conftest import (anchor_recovery_reference, mat_vec, random_stream, rref, stream_codeword,
+                      verify_stream_reference)
 
 
 def test_scalar_3_2_all_patterns_pass():
@@ -274,9 +278,63 @@ def test_every_anchor_gives_the_same_outcomes(make):
             vector = []
             for size in range(1, budget + 1):
                 for extra in itertools.combinations(range(anchor + 1, anchor + tau + 1), size - 1):
-                    got = _anchor_recovery(code, msgs, coded, frozenset((anchor,) + extra), anchor, tau)
+                    got = anchor_recovery_reference(code, msgs, coded, frozenset((anchor,) + extra),
+                                                    anchor, tau)
                     vector.append(None if got is None else got[0])
                     assert got is None or got[1] == msgs[anchor]
             vectors.add(tuple(vector))
         assert len(vectors) == 1
         assert (None in vector) == (budget > a)
+
+
+def _walk_cases():
+    """(code factory args, budget, deadline, trials, seed, mutant decoder)."""
+    cases = []
+    for a, tau, r in [(2, 5, 2), (3, 8, 2), (3, 7, 2), (2, 6, 2)]:
+        for budget, deadline in [(a, tau), (1, r), (a + 1, tau)]:
+            cases.append(((a, tau, r), budget, deadline, 1, 0, None))
+    for budget, deadline in [(2, 5), (3, 5), (1, 2)]:   # (1, 2) fails every pattern
+        cases.append(((2, 5), budget, deadline, 1, 0, None))
+    cases += [
+        ((1, 2), 2, 5, 1, 0, None),                 # fails {t, t+1} and {t, t+2}
+        ((2, 5, 2), 1, 0, 1, 0, None),              # deadline 0: only the erased anchor
+        ((2, 5, 2), 2, 0, 1, 0, None),
+        ((2, 5, 2), 4, 2, 1, 0, None),              # budget past deadline+1
+        ((3, 8, 2), 3, 8, 2, 3, None),
+    ]
+    for mutant in (_LateDecoder, _WrongSymbolDecoder, _NoClearDecoder):
+        for args in [(2, 5, 2), (3, 8, 2), (2, 5)]:
+            cases.append((args, args[0], args[1], 1, 0, mutant))     # (a, tau)
+
+    def name(args, budget, deadline, trials, seed, mutant):
+        code = ("lrsc-" if len(args) == 3 else "mds-de-") + "-".join(map(str, args))
+        return (f"{code}-b{budget}-d{deadline}" + (f"-t{trials}-s{seed}" if trials > 1 else "")
+                + (f"-{mutant.__name__.strip('_')}" if mutant else ""))
+
+    return [pytest.param(*c, id=name(*c)) for c in cases]
+
+
+@pytest.mark.parametrize("args,budget,deadline,trials,seed,mutant", _walk_cases())
+def test_walk_matches_per_pattern_replay(monkeypatch, args, budget, deadline, trials, seed, mutant):
+    # the one forked decoder walk per anchor reports exactly what replaying
+    # every pattern on a fresh decoder reports, failures in the same order;
+    # three factory args make an LRSC, two an MDS-DE code
+    code = make_lrsc(*args) if len(args) == 3 else MdsDeCode(*args)
+    decoder = Decoder
+    if mutant is not None:
+        monkeypatch.setattr(lrsc.oracle, "Decoder", mutant)
+        decoder = mutant
+    got = verify_stream(code, budget, deadline, trials=trials, seed=seed)
+    want = verify_stream_reference(code, budget, deadline, trials=trials, seed=seed, decoder=decoder)
+    assert got.summary() == want.summary()
+    assert [(f.pattern, f.detail) for f in got.failures] == [(f.pattern, f.detail) for f in want.failures]
+
+
+def test_verify_all_output_is_golden():
+    # the whole battery as a script: every suite's summary line and the exit
+    # code, pinned by a file recorded from the per-pattern replay
+    root = Path(__file__).resolve().parent.parent
+    res = subprocess.run([sys.executable, str(root / "scripts" / "verify_all.py")],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (root / "tests" / "golden" / "verify_all.out").read_text()

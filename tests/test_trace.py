@@ -92,6 +92,22 @@ def test_malformed_traces_carry_line_numbers():
         assert str(exc.value).startswith("line 2: ") and exc.value.lineno == 2, text
 
 
+def test_malformed_input_is_echoed_cut_short():
+    code = make_lrsc(2, 5, 2)
+    good = "0 | [1],[2] | [0]\n"
+    huge = "9" * 5000
+    cases = [
+        (good + huge + "x | [1],[2] | [0]\n", "bad time index"),
+        (good + huge + " | [1],[2] | [0]\n", "expected time 1"),
+        (good + "1 | [1],[2] " + "j" * 5000 + " | [0]\n", "expected comma-separated"),
+        (good + "1 | [1],[" + huge + "x] | [0]\n", "malformed element"),
+    ]
+    for text, what in cases:
+        with pytest.raises(trace_io.TraceError, match=what) as exc:
+            _read(text, code.field, *_coded(code))
+        assert exc.value.lineno == 2 and len(str(exc.value)) < 100, what
+
+
 def test_blank_lines_and_comments_skipped():
     code = make_lrsc(2, 5, 2)
     text = "# header\n\n0 | [1],[2]\n1 |  [ 0 ] , [0]\n"    # whitespace around elements too

@@ -22,9 +22,20 @@ from . import trace as trace_io
 _POSITIVE = click.IntRange(min=1)
 _Q_HELP = ("Base field order override: a prime up to 65521 or a prime power up to 256, "
            "whose tower levels below the top stay within 2^16 elements.")
-_Q_LRSC = _Q_HELP + " At least r+a-1."
-# MdsDeCode needs order >= n-1 = tau
-_Q_EITHER = _Q_HELP + " At least r+a-1 for lrsc, tau for mds."
+
+
+def _code_arguments(mds):
+    """Declare A TAU R and --q.  With mds the command can also build the MDS
+    baseline, which needs no R and a field of order at least n-1 = tau."""
+    q_help = _Q_HELP + (" At least r+a-1 for lrsc, tau for mds." if mds else " At least r+a-1.")
+
+    def decorate(f):
+        # applied last to first, as stacked decorators are
+        f = click.option("--q", type=int, default=None, help=q_help)(f)
+        f = click.argument("r", type=int, required=not mds)(f)
+        f = click.argument("tau", type=int)(f)
+        return click.argument("a", type=int)(f)
+    return decorate
 
 
 @contextlib.contextmanager
@@ -43,10 +54,7 @@ def main():
 
 
 @main.command("params")
-@click.argument("a", type=int)
-@click.argument("tau", type=int)
-@click.argument("r", type=int)
-@click.option("--q", type=int, default=None, help=_Q_LRSC)
+@_code_arguments(mds=False)
 def cmd_params(a, tau, r, q):
     """Derived parameters and the rate bound for an (A, TAU, R) code."""
     with _usage_errors():
@@ -83,10 +91,7 @@ def parity_table(code, t_max):
 
 
 @main.command("table")
-@click.argument("a", type=int)
-@click.argument("tau", type=int)
-@click.argument("r", type=int)
-@click.option("--q", type=int, default=None, help=_Q_LRSC)
+@_code_arguments(mds=False)
 @click.option("--columns", type=click.IntRange(min=0), default=None, help="Last time column to print (default 2*tau).")
 def cmd_table(a, tau, r, q, columns):
     """Symbolic parity table, one line per time step: 't=T | p0 | p1 ...'."""
@@ -105,10 +110,7 @@ def _build_code(a, tau, r, q, kind):
 
 
 @main.command("verify")
-@click.argument("a", type=int)
-@click.argument("tau", type=int)
-@click.argument("r", type=int, required=False)
-@click.option("--q", type=int, default=None, help=_Q_EITHER)
+@_code_arguments(mds=True)
 @click.option("--code", "kind", type=click.Choice(["lrsc", "mds"]), default="lrsc")
 @click.option("--budget", type=_POSITIVE, default=None, help="Erasure budget h (runs a single stream suite).")
 @click.option("--deadline", type=click.IntRange(min=0), default=None, help="Recovery deadline d for --budget.")
@@ -151,10 +153,7 @@ def _open_output(path, option):
 
 
 @main.command("simulate")
-@click.argument("a", type=int)
-@click.argument("tau", type=int)
-@click.argument("r", type=int, required=False)
-@click.option("--q", type=int, default=None, help=_Q_EITHER)
+@_code_arguments(mds=True)
 @click.option("--eps", required=True, help="Comma-separated erasure probabilities.")
 @click.option("--T", "-T", "packets", type=_POSITIVE, default=100000, help="Message packets per run.")
 @click.option("--seed", type=int, default=0, help="Master seed: derives each point's channel seed and its CSV seed column.")
@@ -201,10 +200,7 @@ def cmd_simulate(a, tau, r, q, eps, packets, seed, codes, out, hist_out, fmt):
 
 
 @main.command("encode")
-@click.argument("a", type=int)
-@click.argument("tau", type=int)
-@click.argument("r", type=int)
-@click.option("--q", type=int, default=None, help=_Q_LRSC)
+@_code_arguments(mds=False)
 @click.option("--in", "infile", type=click.File("r"), default="-", help="Message trace (default stdin).")
 @click.option("--out", "outfile", type=click.File("w"), default="-", help="Coded trace (default stdout).")
 def cmd_encode(a, tau, r, q, infile, outfile):
@@ -223,10 +219,7 @@ def cmd_encode(a, tau, r, q, infile, outfile):
 
 
 @main.command("decode")
-@click.argument("a", type=int)
-@click.argument("tau", type=int)
-@click.argument("r", type=int)
-@click.option("--q", type=int, default=None, help=_Q_LRSC)
+@_code_arguments(mds=False)
 @click.option("--in", "infile", type=click.File("r"), default="-", help="Coded trace (default stdin).")
 @click.option("--out", "outfile", type=click.File("w"), default="-", help="Recovered message trace.")
 def cmd_decode(a, tau, r, q, infile, outfile):

@@ -120,6 +120,8 @@ class MdsDeCode:
     of a systematic [tau+1, tau+1-a] MDS block code."""
 
     def __init__(self, a: int, tau: int, q_override: int | None = None):
+        if a.__class__ is not int or tau.__class__ is not int:
+            raise ValueError(f"a and tau must be ints, got a={a!r}, tau={tau!r}")
         if a < 1:
             raise ValueError(f"a must be at least 1, got a={a}")
         if a > tau:
@@ -129,11 +131,11 @@ class MdsDeCode:
         self.k = tau + 1 - a
         self.n = tau + 1
         q = smallest_prime_power_at_least(self.n - 1) if q_override is None else q_override
+        self.field = make_tower(q, 2)
         if q < self.n - 1:
             raise ValueError(
                 f"field of order {q} too small for the diagonal MDS code "
                 f"(needs order >= {self.n - 1}, doubly extended)")
-        self.field = make_tower(q, 2)
         # k x a: row j holds message symbol j's weight in each parity
         self.pg = tuple(zip(*superregular_matrix(self.field, a, self.k)))
         self.label = f"mds-de-{a}-{tau}"

@@ -60,6 +60,8 @@ def tower_orders(q: int, levels: int) -> list:
     it is a prime power, and at most 256 unless prime.  Each level below
     the top is at most 2^16, which bounds the search for the top quadratic.
     """
+    if q.__class__ is not int or levels.__class__ is not int:
+        raise ValueError(f"q and levels must be ints, got q={q!r}, levels={levels!r}")
     if q > _LOG_TABLE_MAX:
         raise ValueError(f"base field order {q} exceeds the supported desk scale 2^16")
     pm = is_prime_power(q)
@@ -81,6 +83,8 @@ def tower_orders(q: int, levels: int) -> list:
 def smallest_prime_power_at_least(n: int) -> int:
     """Smallest base order at least n that ``tower_orders`` accepts.  For n
     above the largest, 65521, this raises the rule's ValueError."""
+    if n.__class__ is not int:
+        raise ValueError(f"n must be an int, got n={n!r}")
     for c in itertools.count(max(2, n)):
         try:
             return tower_orders(c, 1)[0]

@@ -38,6 +38,8 @@ def rate_bound(a: int, tau: int, r: int) -> Fraction:
 
 
 def derive_params(a: int, tau: int, r: int, q_override: int | None = None) -> CodeParams:
+    if any(v.__class__ is not int for v in (a, tau, r)):
+        raise ValueError(f"a, tau and r must be ints, got a={a!r}, tau={tau!r}, r={r!r}")
     if a <= 1:
         raise ValueError(f"a must exceed 1, got a={a}")
     if a > tau:
@@ -49,9 +51,9 @@ def derive_params(a: int, tau: int, r: int, q_override: int | None = None) -> Co
 
     q_min = r + a - 1
     q = smallest_prime_power_at_least(q_min) if q_override is None else q_override
+    field_order = tower_orders(q, a - 1)[-1]
     if q < q_min:
         raise ValueError(f"q={q} is below the required minimum {q_min}")
-    field_order = tower_orders(q, a - 1)[-1]
 
     window = a * (r + 1)
     if tau + 1 >= window:
@@ -69,12 +71,3 @@ def derive_params(a: int, tau: int, r: int, q_override: int | None = None) -> Co
         raise RuntimeError(f"rate {rate} misses the bound {rate_bound(a, tau, r)}")
     return CodeParams(a=a, tau=tau, r=r, regime=regime, k=k, n=n, q=q,
                       field_order=field_order, rate=rate, u=u, v=v, ell=ell)
-
-
-def small_field_sc2(tau: int, q_override: int | None = None) -> CodeParams:
-    """Two-erasure stream code for a given tau with the locality deadline
-    r = ceil((tau-1)/2), which keeps the field requirement at
-    q >= ceil((tau+1)/2) instead of >= tau."""
-    if tau <= 2:
-        raise ValueError(f"tau must exceed 2, got tau={tau}")
-    return derive_params(2, tau, tau // 2, q_override)

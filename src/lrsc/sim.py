@@ -35,22 +35,15 @@ class PecChannel:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.eps <= 1:
+        if self.eps.__class__ is bool or not 0 <= self.eps <= 1:
             raise ValueError(f"eps must lie in [0, 1], got {self.eps!r}")
+        if self.seed.__class__ is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         object.__setattr__(self, "_key", splitmix64(self.seed))
         object.__setattr__(self, "_cut", int(self.eps * 2.0 ** 64))
 
     def erased(self, t: int) -> bool:
         return splitmix64(self._key ^ t) < self._cut
-
-
-@dataclass(frozen=True)
-class ReplayChannel:
-    """Deterministic erasure pattern replay."""
-    times: frozenset
-
-    def erased(self, t: int) -> bool:
-        return t in self.times
 
 
 @dataclass(slots=True)
@@ -95,8 +88,9 @@ def _percentile(hist, total, frac):
 def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     """Drive `packets` all-zero packets through channel -> decoder, then
     tau+1 further steps so every counted packet meets its deadline.  A
-    packet counts as lost iff it is not fully recovered by t+tau.  `seed`
-    changes no outcome; it is only reported.
+    packet counts as lost iff it is not fully recovered by t+tau.  A channel
+    is any object with ``eps``, which the result reports, and ``erased(t)``.
+    `seed` changes no outcome; it is only reported.
 
     While nothing is unresolved, the received packets up to the next erasure
     go to ``Decoder.resume`` in blocks of at most ``horizon``, each recovered
@@ -138,7 +132,7 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     recovered = sum(hist.values())
     if recovered + lost != packets:
         raise RuntimeError(f"{recovered} recovered + {lost} lost != {packets} packets")
-    return SimResult(code.label, getattr(channel, "eps", -1.0), packets, seed, lost,
+    return SimResult(code.label, channel.eps, packets, seed, lost,
                      dict(sorted(hist.items())))
 
 

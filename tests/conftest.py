@@ -11,7 +11,8 @@ library's one sparse incremental elimination, ``matrix.Echelon``, which
 constructions' diagonal sums straight off the message history, as the
 reference for the coefficient templates that the encoder and decoder use.
 ``value_path_outcomes`` is the encoder-and-decoder run on random messages
-that the simulator's all-zero stream stands for, and
+that the simulator's all-zero stream stands for, on a Bernoulli channel or
+on a ``ReplayChannel`` of fixed erasure times, and
 ``explain_losses_reference`` the brute-force form of the loss-cause scan.
 ``verify_stream_reference`` replays every oracle pattern on a fresh decoder
 of its own (``anchor_recovery_reference``), the run that ``verify_stream``'s
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from lrsc.codec import Decoder, Encoder
 from lrsc.oracle import Failure, VerificationReport, _random_stream
@@ -373,6 +375,17 @@ def stream_codeword(code, messages, t):
 
 
 # -- the value path the simulator's all-zero stream stands for --
+
+@dataclass(frozen=True)
+class ReplayChannel:
+    """A channel that erases exactly ``times``; ``eps`` -1.0 marks a run
+    that no erasure probability drew."""
+    times: frozenset
+    eps = -1.0
+
+    def erased(self, t):
+        return t in self.times
+
 
 def value_path_outcomes(code, channel, packets, seed):
     """Random messages through encoder, channel and decoder for packets +

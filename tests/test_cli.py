@@ -372,6 +372,18 @@ def test_help_lists_commands():
         assert cmd in res.output
 
 
+@pytest.mark.parametrize("cmd", ["lrsc", "params", "table", "verify", "simulate", "encode", "decode"])
+def test_help_is_golden(cmd):
+    # every command's usage line, arguments, options and help texts, at a
+    # fixed width, pinned by files recorded before A TAU R and --q were
+    # declared once for all commands
+    args = ["--help"] if cmd == "lrsc" else [cmd, "--help"]
+    res = CliRunner().invoke(main, args, prog_name="lrsc", env={"COLUMNS": "80"})
+    assert res.exit_code == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"help_{cmd}.out"
+    assert res.output == golden.read_text()
+
+
 @pytest.mark.parametrize("cmd,minimum", [
     ("params", "At least r+a-1."), ("table", "At least r+a-1."),
     ("verify", "At least r+a-1 for lrsc, tau for mds."),

@@ -178,6 +178,14 @@ def test_mds_de_needs_a_from_1_to_tau(a, tau, match):
         MdsDeCode(a, tau)
 
 
+@pytest.mark.parametrize("build,args", [(make_lrsc, (2, 5, 2, True)), (make_lrsc, (2, 5, 2, 3.0)),
+                                        (MdsDeCode, (2.0, 5)), (MdsDeCode, (2, True)),
+                                        (MdsDeCode, (2, 5, 5.0)), (MdsDeCode, (1, 2, True))])
+def test_codes_take_only_int_parameters(build, args):
+    with pytest.raises(ValueError, match="must be ints, got"):
+        build(*args)
+
+
 @pytest.mark.parametrize("make", [
     lambda: make_lrsc(2, 5, 2),
     lambda: make_lrsc(2, 4, 2),

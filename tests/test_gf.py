@@ -60,6 +60,17 @@ def test_tower_orders_is_the_field_rule():
             tower_orders(q, levels)
 
 
+@pytest.mark.parametrize("build,args", [
+    (tower_orders, (4.0, 2)), (tower_orders, (4, 2.0)), (tower_orders, (True, 1)),
+    (TowerField, (3, True)), (smallest_prime_power_at_least, (2.5,)),
+    (smallest_prime_power_at_least, (True,))])
+def test_field_gate_takes_only_ints(build, args):
+    # 4.0 gave the orders [4.0, 4.0, 16.0], 2.5 came back as a base order,
+    # and True built GF(3) as a one-level tower
+    with pytest.raises(ValueError, match="must be (an int|ints), got"):
+        build(*args)
+
+
 def test_tower_shapes():
     t = make_tower(3, 2)
     assert (t.levels, t.order) == (1, 3)

@@ -5,15 +5,15 @@ classes, methods, and dataclass fields) must be read somewhere outside its
 own definition: in the library, in ``scripts/`` or in the benchmark harness
 under ``perfbench/`` (its tests excluded).  A method or field counts as read
 only through an attribute access (``x.name``), so a local variable that
-shares its name does not clear it.  The exceptions are the names the
-package exports in ``lrsc.__all__`` and the ``lrsc`` subcommands.
-A helper that only tests call belongs in ``tests/conftest.py``.
+shares its name does not clear it.  The only exceptions are the ``lrsc``
+subcommands, which click calls: a name the package exports in
+``lrsc.__all__`` needs a reader too, since an export no program reads is
+a helper that only tests use, and such a helper belongs in
+``tests/conftest.py``.
 """
 
 import ast
 from pathlib import Path
-
-import lrsc
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "lrsc").glob("*.py"))
@@ -76,7 +76,7 @@ def references(path, tree):
 
 def unused_names():
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in USERS}
-    defs, exempt = [], set(lrsc.__all__)
+    defs, exempt = [], set()
     for p in LIBRARY:
         d, commands = definitions(p, trees[p])
         defs.extend(d)

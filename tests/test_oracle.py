@@ -151,6 +151,13 @@ def test_stream_rejects_a_suite_that_checks_nothing(budget, deadline, trials):
         verify_stream(make_lrsc(2, 5, 2), budget, deadline, trials=trials)
 
 
+@pytest.mark.parametrize("budget,deadline,trials", [(2.5, 5, 1), (1, True, 1), (1, 5, True), (True, 5, 1)])
+def test_stream_rejects_a_suite_of_non_ints(budget, deadline, trials):
+    # 2.5 failed inside range, and True ran as 1
+    with pytest.raises(ValueError, match="need budget .* each an int"):
+        verify_stream(make_lrsc(2, 5, 2), budget, deadline, trials=trials)
+
+
 def test_negative_control_de12():
     # the 1-erasure diagonal baseline is not a 2-erasure code: erasing
     # {t, t+1} orphans the second symbol, and {t, t+2} the first, because

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lrsc.gf import TowerField
-from lrsc.params import derive_params, rate_bound, small_field_sc2
+from lrsc.params import derive_params, rate_bound
 
 
 def test_exact_regime_252():
@@ -51,6 +51,15 @@ def test_long_regime():
 def test_invalid_triples(a, tau, r):
     with pytest.raises(ValueError):
         derive_params(a, tau, r)
+
+
+@pytest.mark.parametrize("args", [(2.0, 5, 2), (2, 5.0, 2), (2, 5, True), (2, 5, 2, 3.0),
+                                  (2, 5, 2, True)])
+def test_parameters_are_ints(args):
+    # a=2.0 failed inside Fraction, q=3.0 derived field_order 3.0, and
+    # q=True was "below the required minimum 3"
+    with pytest.raises(ValueError, match="must be ints, got"):
+        derive_params(*args)
 
 
 def test_q_override():
@@ -99,12 +108,11 @@ def test_rate_meets_bound_across_grid():
 
 
 def test_small_field_sc2():
-    p = small_field_sc2(5)
+    # r = tau // 2 keeps the field requirement at q >= ceil((tau+1)/2), not >= tau
+    p = derive_params(2, 5, 5 // 2)
     assert (p.a, p.tau, p.r, p.q) == (2, 5, 2, 3)
     assert p.q < 5
-    p = small_field_sc2(4)
+    p = derive_params(2, 4, 4 // 2)
     assert (p.a, p.tau, p.r, p.regime) == (2, 4, 2, "short")
-    p = small_field_sc2(7)
+    p = derive_params(2, 7, 7 // 2)
     assert (p.r, p.q, p.regime) == (3, 4, "exact")
-    with pytest.raises(ValueError):
-        small_field_sc2(2)

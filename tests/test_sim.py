@@ -7,10 +7,10 @@ from dataclasses import replace
 import pytest
 
 import lrsc.sim
-from conftest import explain_losses_reference, value_path_outcomes
+from conftest import ReplayChannel, explain_losses_reference, value_path_outcomes
 from lrsc.codec import MdsDeCode, PacketOutcome, make_lrsc
 from lrsc.oracle import verify_stream
-from lrsc.sim import (CSV_HEADER, PecChannel, ReplayChannel, csv_rows,
+from lrsc.sim import (CSV_HEADER, PecChannel, csv_rows,
                       explain_losses, hist_rows, run_sim, splitmix64, sweep)
 
 
@@ -73,6 +73,7 @@ def test_replay_channel_in_guarantee_is_lossless():
     code = make_lrsc(2, 5, 2)
     res = run_sim(code, ReplayChannel(frozenset({10, 12})), 40, seed=6)
     assert res.lost == 0
+    assert res.eps == -1.0
     assert max(res.delay_hist) <= 5
 
 
@@ -103,6 +104,13 @@ def test_channel_decisions_match_the_written_out_rule():
 def test_channel_rejects_eps_outside_unit_interval(eps):
     with pytest.raises(ValueError, match="eps"):
         PecChannel(eps, 3)
+
+
+@pytest.mark.parametrize("eps,seed,match", [(True, 3, "eps"), (0.1, 1.5, "seed"), (0.1, True, "seed")])
+def test_channel_rejects_a_bool_eps_and_a_non_int_seed(eps, seed, match):
+    # True ran as eps 1 and was reported as "True" in the CSV; 1.5 failed inside the mix
+    with pytest.raises(ValueError, match=match):
+        PecChannel(eps, seed)
 
 
 @pytest.mark.parametrize("packets", [0, -4, 10.5, 2.0, True])

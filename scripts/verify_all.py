@@ -21,17 +21,12 @@ GRACEFUL = [(3, 2), (4, 1), (4, 2)]
 
 def main():
     bad = 0
-    for a, tau, r in EXACT:
+    for a, tau, r in EXACT + SHORT:
         code = LrscCode(derive_params(a, tau, r))
-        rep = verify_scalar(code.weights)
-        print(f"scalar  ({a},{tau},{r}): {rep.summary()}")
-        bad += len(rep.failures)
-        for budget, deadline, tag in ((a, tau, "budget"), (1, r, "locality")):
-            rep = verify_stream(code, budget, deadline)
-            print(f"{tag:>7} ({a},{tau},{r}): {rep.summary()}")
+        if code.params.regime == "exact":
+            rep = verify_scalar(code.weights)
+            print(f"scalar  ({a},{tau},{r}): {rep.summary()}")
             bad += len(rep.failures)
-    for a, tau, r in SHORT:
-        code = LrscCode(derive_params(a, tau, r))
         for budget, deadline, tag in ((a, tau, "budget"), (1, r, "locality")):
             rep = verify_stream(code, budget, deadline)
             print(f"{tag:>7} ({a},{tau},{r}): {rep.summary()}")

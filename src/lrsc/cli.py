@@ -12,7 +12,7 @@ import sys
 
 import click
 
-from .codec import CodedPacket, DecodeError, Decoder, Encoder, MdsDeCode, make_lrsc
+from .codec import DecodeError, Decoder, Encoder, MdsDeCode, make_lrsc
 from .oracle import verify_scalar, verify_stream
 from .params import derive_params, rate_bound
 from .sim import csv_rows, hist_rows, sweep
@@ -190,13 +190,9 @@ def cmd_simulate(a, tau, r, q, eps, packets, seed, codes, out, hist_out, fmt):
                              f"{res.loss_ci:>10.6f} {mean:>11} {mer:>13}")
         else:
             lines = list(csv_rows(results))
-        if out_fh:
-            out_fh.write("\n".join(lines) + "\n")
-        else:
-            for line in lines:
-                click.echo(line)
+        click.echo("\n".join(lines), file=out_fh)
         if hist_fh:
-            hist_fh.write("\n".join(hist_rows(results)) + "\n")
+            click.echo("\n".join(hist_rows(results)), file=hist_fh)
 
 
 @main.command("encode")
@@ -214,7 +210,7 @@ def cmd_encode(a, tau, r, q, infile, outfile):
     except trace_io.TraceError as e:
         raise click.ClickException(str(e))
     enc = Encoder(code)
-    rows = [enc.push(m).symbols for _, m in records]
+    rows = [enc.push(m) for _, m in records]
     trace_io.write_trace(outfile, code.field, rows, (code.k, code.n - code.k), trace_io.ERASED)
 
 
@@ -235,8 +231,7 @@ def cmd_decode(a, tau, r, q, infile, outfile):
     recovered = {}      # t -> its recovered outcome
     try:
         for t, syms in enumerate(slots):
-            pkt = CodedPacket(t, syms) if syms is not None else None
-            recovered.update((ev.t, ev) for ev in dec.push(t, pkt) if ev.recovered)
+            recovered.update((ev.t, ev) for ev in dec.push(t, syms) if ev.recovered)
     except DecodeError as e:
         raise click.ClickException(f"time {t}: {e}")
     messages = [recovered[t].message if t in recovered else None for t in range(len(slots))]

@@ -18,17 +18,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .gf import make_tower, smallest_prime_power_at_least
 # is_superregular: unused, but perfbench's traced set-up rebinds it
 from .matrix import Echelon, is_superregular, parity_weights, superregular_matrix
 from .params import CodeParams, derive_params
-
-
-class CodedPacket(NamedTuple):
-    t: int
-    symbols: tuple      # k message symbols followed by n-k parity symbols
 
 
 @dataclass(frozen=True)
@@ -183,7 +177,8 @@ class Encoder:
         self.history = {}
         self.next_t = 0
 
-    def push(self, message) -> CodedPacket:
+    def push(self, message) -> tuple:
+        """The next coded packet: its n symbols, k message then n-k parity."""
         code = self.code
         msg = tuple(message)
         code.field.check(msg, code.k)
@@ -193,13 +188,14 @@ class Encoder:
         history[t] = msg
         parities = tuple(parity_terms(code.field, tp, t, history)[1] for tp in code.templates)
         history.pop(t - code.tau - 1, None)
-        return CodedPacket(t, msg + parities)
+        return msg + parities
 
 
 class Decoder(Echelon):
     """Sliding-window decoder over one packet stream.
 
-    Push packets (or None for an erasure) in time order starting at 0, and
+    Push each coded packet, the tuple of its n symbols as ``Encoder.push``
+    returns it (or None for an erasure), in time order starting at 0, and
     ``resume`` on a run of received packets whenever nothing is unresolved.
     Each push returns the packets whose fate was settled by it: a recovered
     outcome the moment the record ``known[t]`` holds all k message symbols,
@@ -240,33 +236,31 @@ class Decoder(Echelon):
         c.rows = {p: [dict(cf), rhs] for p, (cf, rhs) in self.rows.items()}
         return c
 
-    def push(self, t, packet) -> list[PacketOutcome]:
+    def push(self, t, symbols) -> list[PacketOutcome]:
         if t != self.next_t:
             raise ValueError(f"packets must be pushed in time order; expected t={self.next_t}, got t={t}")
         self.next_t += 1
         out = []
         if t - self.tau - 1 in self.missing:
             out.append(PacketOutcome(t - self.tau - 1, recovered=False))
-        if packet is None:
+        if symbols is None:
             self.known[t] = [None] * self.k
             self.missing.add(t)
         else:
-            if packet.t != t:
-                raise ValueError(f"packet time {packet.t} does not match push time {t}")
-            syms = packet.symbols
-            self.code.field.check(syms, self.n)
-            msg = syms[:self.k]
+            self.code.field.check(symbols, self.n)
+            msg = symbols[:self.k]
             self.known[t] = list(msg)
             out.append(PacketOutcome(t, recovered=True, delay=0, message=msg))
             if self.missing:
                 for i in range(self.n - self.k):
-                    self._absorb_parity(i, t, syms[self.k + i], out)
+                    self._absorb_parity(i, t, symbols[self.k + i], out)
         self._prune(t)
         return out
 
     def resume(self, messages):
         """Take the next len(messages) packets as received, given by their
-        message symbols, in one step, and return nothing.
+        k message symbols (a coded packet's first k), in one step, and
+        return nothing.
 
         The state is the one pushing them would leave: push reads no parity
         while nothing is unresolved, settles no earlier packet, and keeps
@@ -278,14 +272,12 @@ class Decoder(Echelon):
         k, field = self.k, self.code.field
         for msg in messages:
             field.check(msg, k)
-        start, end = self.next_t, self.next_t + len(messages)
-        keep = end - self.horizon
-        known = self.known
-        for t in range(max(0, start - self.horizon), min(start, keep)):
-            del known[t]
-        for t in range(max(start, keep), end):
-            known[t] = list(messages[t - start])
-        self.next_t = end
+        known, t = self.known, self.next_t
+        for msg in messages:
+            known[t] = list(msg)
+            known.pop(t - self.horizon, None)
+            t += 1
+        self.next_t = t
 
     def _absorb_parity(self, i, t, value, out):
         coeffs, acc = parity_terms(self.code.field, self.code.templates[i], t, self.known)

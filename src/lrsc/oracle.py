@@ -134,9 +134,10 @@ def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationRepor
     random message streams.  One decoder walk per anchor settles every
     pattern there; each pattern still gets its own check, in enumeration
     order."""
-    if (any(v.__class__ is not int for v in (budget, deadline, trials))
+    if (any(v.__class__ is not int for v in (budget, deadline, trials, seed))
             or budget < 1 or deadline < 0 or trials < 1):
-        raise ValueError(f"need budget >= 1, deadline >= 0, trials >= 1, each an int; got {budget!r}, {deadline!r}, {trials!r}")
+        raise ValueError(f"need budget >= 1, deadline >= 0, trials >= 1 and a seed, each an int; "
+                         f"got {budget!r}, {deadline!r}, {trials!r}, {seed!r}")
     horizon = 3 * (max(code.tau, deadline) + 1)
     anchors = [0] + list(range(horizon // 3, (2 * horizon) // 3))
     per_anchor = sum(math.comb(deadline, s - 1) for s in range(1, budget + 1))

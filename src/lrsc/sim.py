@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .codec import CodedPacket, Decoder, Encoder  # Encoder: unused, but perfbench's traced run rebinds it
+from .codec import Decoder, Encoder  # Encoder: unused, but perfbench's traced run rebinds it
 
 _M64 = (1 << 64) - 1
 
@@ -98,6 +98,8 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     some packet is unresolved."""
     if not isinstance(packets, int) or isinstance(packets, bool) or packets < 1:
         raise ValueError(f"packets must be an int of at least 1, got {packets!r}")
+    if seed.__class__ is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     dec = Decoder(code)
     zeros = (0,) * code.n
     block = [(0,) * code.k] * dec.horizon
@@ -122,7 +124,7 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
             gone = True         # the scan stopped at an erasure
         else:
             gone = erased_fn(t)
-        for ev in dec.push(t, None if gone else CodedPacket(t, zeros)):
+        for ev in dec.push(t, None if gone else zeros):
             if ev.t < packets:
                 if ev.recovered:
                     hist[ev.delay] += 1
@@ -139,6 +141,8 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
 def sweep(code, eps_list, packets: int, seed: int = 0):
     """One run per eps on a channel seed derived from (seed, index), so sweeps
     with equal seeds pair up packet for packet; a second derived seed is only reported."""
+    if seed.__class__ is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     return [
         run_sim(code, PecChannel(eps, splitmix64(seed ^ (2 * i + 1))), packets,
                 splitmix64(seed ^ (2 * i + 2)))

@@ -28,7 +28,6 @@ def _cut(text, width=24):
 class TraceError(ValueError):
     def __init__(self, lineno, message):
         super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 def read_trace(fh, field, widths, gap):

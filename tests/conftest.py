@@ -363,7 +363,7 @@ def stream_codeword(code, messages, t):
         w.extend(diagonal_slice(history, t + j * (r + 1), r))
     for ell in range(1, a + 1):
         s = t + ell * (r + 1) - 1
-        acc = coded[s].symbols[code.k]
+        acc = coded[s][code.k]
         for j in range(ell, a):
             vec = diagonal_slice(history, t + (ell - 1 - j) * (r + 1), r)
             col = code.weights.column(j)
@@ -397,7 +397,7 @@ def value_path_outcomes(code, channel, packets, seed):
     sent, outcomes = {}, []
     for t in range(packets + code.tau + 1):
         pkt = enc.push(tuple(rng.randrange(code.field.order) for _ in range(code.k)))
-        sent[t] = pkt.symbols[:code.k]
+        sent[t] = pkt[:code.k]
         for ev in dec.push(t, None if channel.erased(t) else pkt):
             if ev.recovered:
                 assert ev.message == sent[ev.t], (ev.t, ev.message, sent[ev.t])

@@ -45,16 +45,16 @@ def test_parity_252_closed_form():
     coded = _encode(code, msgs)
     for t in range(6, 24):
         want = (msgs[t - 5][0] + 2 * msgs[t - 4][1] + msgs[t - 2][0] + msgs[t - 1][1]) % 3
-        assert coded[t].symbols[2] == want
+        assert coded[t][2] == want
 
 
 def test_parity_252_warmup_truncation():
     code = make_lrsc(2, 5, 2)
     msgs = random_stream(random.Random(2), 3, 2, 8)
     coded = _encode(code, msgs)
-    assert coded[0].symbols[2] == 0
-    assert coded[1].symbols[2] == msgs[0][1] % 3
-    assert coded[2].symbols[2] == (msgs[0][0] + msgs[1][1]) % 3
+    assert coded[0][2] == 0
+    assert coded[1][2] == msgs[0][1] % 3
+    assert coded[2][2] == (msgs[0][0] + msgs[1][1]) % 3
 
 
 def test_parity_382_closed_form():
@@ -72,14 +72,14 @@ def test_parity_382_closed_form():
             (f.mul(alpha, c[0][2]), msgs[t - 8][0]), (f.mul(alpha, c[1][2]), msgs[t - 7][1]),
         ]:
             want = f.add(want, f.mul(coeff, sym))
-        assert coded[t].symbols[2] == want
+        assert coded[t][2] == want
 
 
 def test_zero_messages_zero_parities():
     for code in (make_lrsc(2, 5, 2), make_lrsc(2, 4, 2), MdsDeCode(2, 5)):
         coded = _encode(code, [(0,) * code.k] * 15)
         for pkt in coded:
-            assert all(s == 0 for s in pkt.symbols[code.k:])
+            assert all(s == 0 for s in pkt[code.k:])
 
 
 def test_parity_242_closed_form():
@@ -89,12 +89,12 @@ def test_parity_242_closed_form():
     for t in range(5, 20):
         p0 = (msgs[t - 2][0] + msgs[t - 1][1] + msgs[t - 4][2]) % 3
         p1 = (msgs[t - 4][0] + 2 * msgs[t - 3][1] + msgs[t - 1][2]) % 3
-        assert coded[t].symbols[3] == p0
-        assert coded[t].symbols[4] == p1
+        assert coded[t][3] == p0
+        assert coded[t][4] == p1
     # the published table's t=4 column
     t = 4
-    assert coded[4].symbols[3] == (msgs[2][0] + msgs[3][1] + msgs[0][2]) % 3
-    assert coded[4].symbols[4] == (msgs[0][0] + 2 * msgs[1][1] + msgs[3][2]) % 3
+    assert coded[4][3] == (msgs[2][0] + msgs[3][1] + msgs[0][2]) % 3
+    assert coded[4][4] == (msgs[0][0] + 2 * msgs[1][1] + msgs[3][2]) % 3
 
 
 def test_parity_372_closed_form():
@@ -125,7 +125,7 @@ def test_parity_372_closed_form():
                      (g[0][1], msgs[t - 4][2]), (g[1][1], msgs[t - 3][3]),
                      (g[0][2], msgs[t - 7][0]), (g[1][2], msgs[t - 6][1])]:
             p2 = f.add(p2, term(c, s))
-        assert coded[t].symbols[5:] == (p0, p1, p2)
+        assert coded[t][5:] == (p0, p1, p2)
 
 
 def test_mds_de_12_closed_form():
@@ -133,7 +133,7 @@ def test_mds_de_12_closed_form():
     msgs = random_stream(random.Random(6), 2, 2, 16)
     coded = _encode(code, msgs)
     for t in range(3, 16):
-        assert coded[t].symbols[2] == (msgs[t - 2][0] + msgs[t - 1][1]) % 2
+        assert coded[t][2] == (msgs[t - 2][0] + msgs[t - 1][1]) % 2
 
 
 def test_mds_de_25_closed_form():
@@ -144,7 +144,7 @@ def test_mds_de_25_closed_form():
     for t in range(6, 20):
         p0 = (msgs[t - 4][0] + msgs[t - 3][1] + msgs[t - 2][2] + msgs[t - 1][3]) % 5
         p1 = (msgs[t - 5][0] + 2 * msgs[t - 4][1] + 3 * msgs[t - 3][2] + 4 * msgs[t - 2][3]) % 5
-        assert coded[t].symbols[4:] == (p0, p1)
+        assert coded[t][4:] == (p0, p1)
 
 
 # recorded with the power-form parity block the baseline tried before the
@@ -233,7 +233,7 @@ def test_linearity():
     s3 = [tuple((a + b) % 3 for a, b in zip(m1, m2)) for m1, m2 in zip(s1, s2)]
     c1, c2, c3 = _encode(code, s1), _encode(code, s2), _encode(code, s3)
     for p1, p2, p3 in zip(c1, c2, c3):
-        assert tuple((a + b) % 3 for a, b in zip(p1.symbols, p2.symbols)) == p3.symbols
+        assert tuple((a + b) % 3 for a, b in zip(p1, p2)) == p3
 
 
 def test_causality_and_bounded_memory():
@@ -245,14 +245,14 @@ def test_causality_and_bounded_memory():
     fut = list(base)
     fut[20] = tuple((s + 1) % 3 for s in fut[20])
     for p_old, p_new in zip(_encode(code, base)[:20], _encode(code, fut)[:20]):
-        assert p_old.symbols == p_new.symbols
+        assert p_old == p_new
 
     # change older than t - tau: parity at t unchanged
     old = list(base)
     old[0] = tuple((s + 1) % 3 for s in old[0])
     c_base, c_old = _encode(code, base), _encode(code, old)
     for t in range(6, 30):            # 0 < t - tau from t = 6 on
-        assert c_base[t].symbols[2] == c_old[t].symbols[2]
+        assert c_base[t][2] == c_old[t][2]
 
 
 def test_encoder_validates_input():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lrsc
-from lrsc.codec import CodedPacket, Decoder, Encoder, MdsDeCode, make_lrsc
+from lrsc.codec import Decoder, Encoder, MdsDeCode, make_lrsc
 from lrsc.sim import PecChannel
 
 from conftest import check_decoder_invariants, pinned_coordinates, random_stream
@@ -146,29 +146,26 @@ def test_decoder_packet_shape_validation():
     code = make_lrsc(2, 5, 2)
     dec = Decoder(code)
     with pytest.raises(ValueError):
-        dec.push(0, CodedPacket(0, (1, 2)))
-    dec2 = Decoder(code)
-    with pytest.raises(ValueError):
-        dec2.push(0, CodedPacket(1, (1, 2, 0)))
+        dec.push(0, (1, 2))
     for syms in [(7, 1, 0), (1, "x", 0)]:      # 7 is outside GF(3), "x" is no element
         with pytest.raises(ValueError):
-            Decoder(code).push(0, CodedPacket(0, syms))
+            Decoder(code).push(0, syms)
 
 
 def test_inconsistent_parity_raises_under_optimize():
     # the check must not be an assert: run it with python -O
     script = textwrap.dedent("""
         import random
-        from lrsc.codec import CodedPacket, DecodeError, Decoder, Encoder, make_lrsc
+        from lrsc.codec import DecodeError, Decoder, Encoder, make_lrsc
         code = make_lrsc(2, 5, 2)
         enc, dec = Encoder(code), Decoder(code)
         rng = random.Random(0)
         coded = [enc.push((rng.randrange(3), rng.randrange(3))) for _ in range(21)]
         for t in range(20):
             dec.push(t, None if t in (9, 10, 11) else coded[t])
-        bad = coded[20].symbols[:2] + ((coded[20].symbols[2] + 1) % 3,)
+        bad = coded[20][:2] + ((coded[20][2] + 1) % 3,)
         try:
-            dec.push(20, CodedPacket(20, bad))
+            dec.push(20, bad)
         except DecodeError as e:
             print("DecodeError:", e)
     """)
@@ -281,7 +278,7 @@ def _dense_pinned(code, coded, erased, now):
             continue
         for i, template in enumerate(code.templates):
             row = [0] * len(cols)
-            b = coded[s].symbols[code.k + i]
+            b = coded[s][code.k + i]
             for j, d, c in template:
                 if d > s:
                     continue
@@ -289,7 +286,7 @@ def _dense_pinned(code, coded, erased, now):
                 if sid in index:
                     row[index[sid]] = f.add(row[index[sid]], c)
                 else:
-                    b = f.sub(b, f.mul(c, coded[s - d].symbols[j]))
+                    b = f.sub(b, f.mul(c, coded[s - d][j]))
             if any(row):
                 rows.append(row)
                 rhs.append(b)

@@ -1,7 +1,8 @@
 """The library keeps only what it uses.
 
 Every public name that ``src/lrsc`` defines (top-level functions and
-classes, methods, and dataclass fields) must be read somewhere outside its
+classes, methods, dataclass fields, and instance attributes set as
+``self.name``) must be read somewhere outside its
 own definition: in the library, in ``scripts/`` or in the benchmark harness
 under ``perfbench/`` (its tests excluded).  A method or field counts as read
 only through an attribute access (``x.name``), so a local variable that
@@ -59,6 +60,13 @@ def definitions(path, tree):
             elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                   and _is_dataclass(node) and _public(item.target.id)):
                 defs.append((item.target.id, path, item.lineno, item.end_lineno, True))
+        attrs = {}      # name -> its first self.name store in the class
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                    and _public(sub.attr)):
+                attrs.setdefault(sub.attr, sub)
+        defs += [(name, path, a.lineno, a.end_lineno, True) for name, a in attrs.items()]
     return defs, commands
 
 
@@ -98,15 +106,18 @@ def test_every_library_name_has_a_non_test_user():
 
 def test_guard_sees_a_test_only_helper(tmp_path, monkeypatch):
     # a definition nothing reads is flagged, and a read elsewhere clears it;
-    # a field is read only through an attribute, not by a same-named local
+    # a field or an instance attribute is read only through an attribute,
+    # not by a same-named local
     lib = tmp_path / "lib.py"
     lib.write_text("from dataclasses import dataclass\n\n\n"
                    "def helper():\n    return helper\n\n\ndef used():\n    pass\n\n\n"
-                   "@dataclass\nclass Report:\n    shadowed: int\n    read: int\n")
+                   "@dataclass\nclass Report:\n    shadowed: int\n    read: int\n\n\n"
+                   "class Box:\n    def __init__(self):\n"
+                   "        self.unread = 1\n        self.seen = 2\n")
     user = tmp_path / "user.py"
-    user.write_text("from lib import Report, used\nused()\n"
-                    "shadowed = 1\nprint(shadowed, Report(shadowed, 2).read)\n")
+    user.write_text("from lib import Box, Report, used\nused()\n"
+                    "shadowed = unread = 1\nprint(shadowed, unread, Report(shadowed, 2).read, Box().seen)\n")
     monkeypatch.setattr(f"{__name__}.ROOT", tmp_path)
     monkeypatch.setattr(f"{__name__}.LIBRARY", [lib])
     monkeypatch.setattr(f"{__name__}.USERS", [lib, user])
-    assert unused_names() == ["lib.py:4 helper", "lib.py:14 shadowed"]
+    assert unused_names() == ["lib.py:4 helper", "lib.py:14 shadowed", "lib.py:20 unread"]

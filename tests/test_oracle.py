@@ -158,6 +158,13 @@ def test_stream_rejects_a_suite_of_non_ints(budget, deadline, trials):
         verify_stream(make_lrsc(2, 5, 2), budget, deadline, trials=trials)
 
 
+@pytest.mark.parametrize("seed", [0.5, True])
+def test_stream_rejects_a_non_int_seed(seed):
+    # both ran, on a message stream seeded by a float or a bool
+    with pytest.raises(ValueError, match="need budget .* seed, each an int"):
+        verify_stream(make_lrsc(2, 5, 2), 1, 2, seed=seed)
+
+
 def test_negative_control_de12():
     # the 1-erasure diagonal baseline is not a 2-erasure code: erasing
     # {t, t+1} orphans the second symbol, and {t, t+2} the first, because

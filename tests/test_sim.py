@@ -120,6 +120,20 @@ def test_run_sim_rejects_non_positive_packet_count(packets):
         run_sim(make_lrsc(2, 5, 2), PecChannel(0.1, 1), packets)
 
 
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_run_sim_rejects_a_non_int_seed(seed):
+    # both ran and landed in the reported seed, the CSV seed column
+    with pytest.raises(ValueError, match="seed"):
+        run_sim(make_lrsc(2, 5, 2), PecChannel(0.1, 3), 100, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_sweep_rejects_a_non_int_seed(seed):
+    # 1.5 failed with a bare TypeError inside splitmix64, True ran as 1
+    with pytest.raises(ValueError, match="seed"):
+        sweep(make_lrsc(2, 5, 2), [0.1], 100, seed=seed)
+
+
 def test_sweep_derives_paired_seeds():
     lrsc = make_lrsc(2, 5, 2)
     de = MdsDeCode(2, 5)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lrsc.codec import CodedPacket, Decoder, Encoder, make_lrsc
+from lrsc.codec import Decoder, Encoder, make_lrsc
 from lrsc import trace as trace_io
 
 from conftest import random_stream
@@ -28,14 +28,13 @@ def _round_trip_messages(code, msgs, erased=()):
     coded = [enc.push(m) for m in msgs]
     buf = io.StringIO()
     trace_io.write_trace(
-        buf, code.field, [None if t in erased else p.symbols for t, p in enumerate(coded)],
+        buf, code.field, [None if t in erased else p for t, p in enumerate(coded)],
         *_coded(code))
     slots = _read(buf.getvalue(), code.field, *_coded(code))
     dec = Decoder(code)
     recovered = {}
     for t, syms in enumerate(slots):
-        pkt = CodedPacket(t, syms) if syms is not None else None
-        for ev in dec.push(t, pkt):
+        for ev in dec.push(t, syms):
             if ev.recovered:
                 recovered[ev.t] = ev.message
     return recovered
@@ -62,7 +61,7 @@ def test_trace_format_example_line():
     enc = Encoder(code)
     pkt = enc.push((1, 2))
     buf = io.StringIO()
-    trace_io.write_trace(buf, code.field, [pkt.symbols, None], *_coded(code))
+    trace_io.write_trace(buf, code.field, [pkt, None], *_coded(code))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "0 | [1],[2] | [0]"
     assert lines[1] == "1 | ERASED"
@@ -89,7 +88,7 @@ def test_malformed_traces_carry_line_numbers():
     for text in cases:
         with pytest.raises(trace_io.TraceError) as exc:
             _read(text, f, *_coded(code))
-        assert str(exc.value).startswith("line 2: ") and exc.value.lineno == 2, text
+        assert str(exc.value).startswith("line 2: "), text
 
 
 def test_malformed_input_is_echoed_cut_short():
@@ -105,7 +104,7 @@ def test_malformed_input_is_echoed_cut_short():
     for text, what in cases:
         with pytest.raises(trace_io.TraceError, match=what) as exc:
             _read(text, code.field, *_coded(code))
-        assert exc.value.lineno == 2 and len(str(exc.value)) < 100, what
+        assert str(exc.value).startswith("line 2: ") and len(str(exc.value)) < 100, what
 
 
 def test_blank_lines_and_comments_skipped():

@@ -248,7 +248,7 @@ class Decoder(Echelon):
             self.missing.add(t)
         else:
             self.code.field.check(symbols, self.n)
-            msg = symbols[:self.k]
+            msg = tuple(symbols[:self.k])
             self.known[t] = list(msg)
             out.append(PacketOutcome(t, recovered=True, delay=0, message=msg))
             if self.missing:

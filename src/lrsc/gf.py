@@ -15,9 +15,11 @@ leans on:
 * addition is digit-wise and never carries.
 
 Every field of order at most 2^16 computes with the same few reads of
-its exp, log and Zech tables, whatever p, m and level.  Level 1 builds
-them from GF(q)'s polynomial product and each higher level from the
-quadratic product over the level below; a larger field uses that directly.
+its exp, log and Zech tables, whatever p, m and level.  Each level builds
+them in one walk of the powers of its smallest generator, found by an
+order test: level 1 steps by GF(q)'s polynomial product, each higher level
+by a fixed-multiplier kernel over the level below.  A larger field uses the
+quadratic product over the level below directly.
 
 Construction is deterministic: the base irreducible and every level
 quadratic are the lexicographically smallest valid choices, comparing
@@ -30,6 +32,7 @@ made them is the caller's job, as with any table-driven GF code.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 _LOG_TABLE_MAX = 1 << 16
@@ -145,30 +148,64 @@ def _monic_irreducible(p: int, m: int):
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")
 
 
-def _log_tables(order, p, mul):
+def _order_exponents(n):
+    """n // f for each prime f dividing n >= 1: the exponents of the order test."""
+    out, m, f = [], n, 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(n // f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        out.append(n // m)
+    return out
+
+
+def _power(mul, x, e):
+    """x^e by square-and-multiply over mul."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    acc = 1
+    while e > 1:
+        if e & 1:
+            acc = mul(acc, x)
+        x = mul(x, x)
+        e >>= 1
+    return mul(acc, x) if e else acc
+
+
+def _log_tables(order, p, mul, first, times):
     """exp, log and Zech tables of GF(order), of characteristic p, from its mul.
 
-    g is the smallest element whose powers take n = order - 1 steps to
-    return to 1.  ``exp`` holds its powers twice, then n zeros; ``zech[d]``
-    is log(1 + g^d), or 2n, which reads that zero tail, where 1 + g^d = 0.
-    Adding 1 changes only the lowest base-p digit of an element's int.
-    Stored twice, ``zech`` wraps any index in (-n, 2n).  -1 = g^half."""
+    g is the smallest element from ``first`` on of order n = order - 1, found
+    by the order test: g^(n/f) != 1 for each prime f dividing n, each power
+    by ``_power``.  One walk of n - 1 steps by ``times(g)``, the map x -> x*g
+    (``mul`` by g if times is None), lists g's powers.  ``exp`` holds them
+    twice, then n zeros; ``zech[d]`` is log(1 + g^d), or 2n, which reads that
+    zero tail, where 1 + g^d = 0: at d = half, as -1 = g^half is g^(n/2) in
+    odd characteristic and 1 in characteristic 2.  Adding 1 changes only the
+    lowest base-p digit of an element's int.  Stored twice, ``zech`` wraps
+    any index in (-n, 2n)."""
     n = order - 1
-    for g in range(1, order):
-        powers = [1]
-        x = g
-        while x != 1 and len(powers) <= n:
-            powers.append(x)
-            x = mul(x, g)
-        if len(powers) == n:
-            break
+    exps = _order_exponents(n)
+    for g in range(first, order):
+        for e in exps:
+            if _power(mul, g, e) == 1:
+                break
+        else:
+            break                   # g has order n
     else:
         raise RuntimeError(f"no multiplicative generator of GF({order})")
-    log = [0] * order
-    for i, x in enumerate(powers):
+    step = times(g) if times else functools.partial(mul, g)
+    x, powers, log = 1, [1], [0] * order
+    for i in range(1, n):
+        x = step(x)
+        powers.append(x)
         log[x] = i
-    zech = [log[s] if s else 2 * n for s in (x - x % p + (x + 1) % p for x in powers)]
-    half = zech.index(2 * n)
+    zech = [log[x - x % p + (x + 1) % p] for x in powers]
+    half = n // 2 if p > 2 else 0
+    zech[half] = 2 * n
     return powers * 2 + [0] * n, log, zech * 2, half
 
 
@@ -185,8 +222,6 @@ def _find_quadratic(field):
 
 def _base_mul(a, b, p, m, poly):
     """Product in GF(p^m) = GF(p)[t]/poly, on base-p coefficient vectors."""
-    if m == 1:
-        return a * b % p
     db = _digits(b, p, m)
     prod = [0] * (2 * m - 1)
     for i, x in enumerate(_digits(a, p, m)):
@@ -220,7 +255,8 @@ class TowerField:
             self.poly = poly = _monic_irreducible(p, m)
             self.quads = {}                   # level -> (lin, const), coeffs in the level below
             def mul(x, y):
-                return _base_mul(x, y, p, m, poly)
+                return x * y % p if m == 1 else _base_mul(x, y, p, m, poly)
+            first, times = 2 if q > 2 else 1, None     # 1 has order 1
         else:
             below = TowerField(q, levels - 1)
             self.p, self.m, self.poly = below.p, below.m, below.poly
@@ -228,14 +264,15 @@ class TowerField:
             self._badd, self._bsub, self._bneg, self._bmul = below.add, below.sub, below.neg, below.mul
             self._lin, self._const = _find_quadratic(below)
             self.quads = {**below.quads, levels: (self._lin, self._const)}
-            mul = self._pair_mul
+            # every x below s lies in the level below, so its order is below n
+            mul, first, times = self._pair_mul, self._s, self._pair_times
         self.dim_p = self.m << (levels - 1)   # over GF(p)
         if self.order <= _LOG_TABLE_MAX:
-            self._exp, self._log, self._zech, self._half = _log_tables(self.order, self.p, mul)
+            self._exp, self._log, self._zech, self._half = _log_tables(self.order, self.p, mul, first, times)
         else:
             self._log = None
             self.add, self.sub, self.neg = self._pair_add, self._pair_sub, self._pair_neg
-            self.mul, self.pow = self._pair_mul, self._pair_pow
+            self.mul, self.pow = mul, functools.partial(_power, mul)
 
     # -- arithmetic from the tables --
 
@@ -292,16 +329,18 @@ class TowerField:
         hi = sub(add(mul(x0, y1), mul(x1, y0)), mul(self._lin, p11))
         return lo + hi * s
 
-    def _pair_pow(self, x, e):
-        if e < 0:
-            raise ValueError("negative exponent")
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self._pair_mul(acc, x)
-            x = self._pair_mul(x, x)
-            e >>= 1
-        return acc
+    def _pair_times(self, g):
+        """x -> x*g, g = g0 + g1 t: x*g = (x0 g0 - const g1 x1) + (x0 g1 + (g0 - lin g1) x1) t,
+        four products by fixed elements read from tables, and two additions below."""
+        s, add, mul = self._s, self._badd, self._bmul
+        g1, g0 = divmod(g, s)
+        c = self._bneg(mul(self._const, g1))
+        d = self._bsub(g0, mul(self._lin, g1))
+        lo0, lo1, hi0, hi1 = ([mul(x, e) for x in range(s)] for e in (g0, c, g1, d))
+        def step(x):
+            x1, x0 = divmod(x, s)
+            return add(lo0[x0], lo1[x1]) + add(hi0[x0], hi1[x1]) * s
+        return step
 
     # -- structure queries --
 

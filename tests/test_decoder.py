@@ -142,6 +142,14 @@ def test_random_in_guarantee_patterns_all_codes():
                     assert ev.delay <= tau and ev.message == msgs[t]
 
 
+def test_received_message_is_the_tuple_the_encoder_sent():
+    code = make_lrsc(2, 5, 2)
+    pkt = Encoder(code).push([1, 2])
+    for sent in (pkt, list(pkt)):
+        [ev] = Decoder(code).push(0, sent)
+        assert ev.message == pkt[:code.k] and type(ev.message) is tuple
+
+
 def test_decoder_packet_shape_validation():
     code = make_lrsc(2, 5, 2)
     dec = Decoder(code)

@@ -16,7 +16,9 @@ on a ``ReplayChannel`` of fixed erasure times, and
 ``explain_losses_reference`` the brute-force form of the loss-cause scan.
 ``verify_stream_reference`` replays every oracle pattern on a fresh decoder
 of its own (``anchor_recovery_reference``), the run that ``verify_stream``'s
-one forked decoder walk per anchor stands for.
+one forked decoder walk per anchor stands for.  ``log_tables_reference``
+finds each field's generator by walking its candidates' powers until they
+return to 1, the search that the library's order test stands for.
 """
 
 from __future__ import annotations
@@ -132,6 +134,36 @@ def naive_tower_add(tower, x, y):
 def naive_tower_neg(tower, x):
     lvl = tower.levels
     return _from_pair(tower, _pair_neg(tower, _to_pair(tower, x, lvl), lvl), lvl)
+
+
+# -- the table build that the library's order test and fixed-multiplier walk
+#    stand for --
+
+def log_tables_reference(order, p, mul):
+    """exp, log and Zech tables of GF(order), of characteristic p, from its
+    mul, walking each candidate's powers until they return to 1.
+
+    g is the smallest element whose powers take n = order - 1 steps to
+    return to 1.  ``exp`` holds its powers twice, then n zeros; ``zech[d]``
+    is log(1 + g^d), or 2n where 1 + g^d = 0.  Stored twice, ``zech`` wraps
+    any index in (-n, 2n).  -1 = g^half."""
+    n = order - 1
+    for g in range(1, order):
+        powers = [1]
+        x = g
+        while x != 1 and len(powers) <= n:
+            powers.append(x)
+            x = mul(x, g)
+        if len(powers) == n:
+            break
+    else:
+        raise RuntimeError(f"no multiplicative generator of GF({order})")
+    log = [0] * order
+    for i, x in enumerate(powers):
+        log[x] = i
+    zech = [log[s] if s else 2 * n for s in (x - x % p + (x + 1) % p for x in powers)]
+    half = zech.index(2 * n)
+    return powers * 2 + [0] * n, log, zech * 2, half
 
 
 # -- independent determinant and minor enumeration --

@@ -1,5 +1,6 @@
 """Tower field construction and arithmetic."""
 
+import functools
 import itertools
 import random
 import zlib
@@ -10,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from lrsc.gf import (TowerField, is_prime_power, make_tower, smallest_prime_power_at_least,
                      tower_orders)
 
-from conftest import (frobenius_fixed, in_subfield, naive_base_add, naive_base_mul,
-                      naive_base_neg, naive_tower_add, naive_tower_mul, naive_tower_neg)
+from conftest import (frobenius_fixed, in_subfield, log_tables_reference, naive_base_add,
+                      naive_base_mul, naive_base_neg, naive_tower_add, naive_tower_mul,
+                      naive_tower_neg)
 
 # (q, a) for every field shape the package builds: prime and extension base
 # fields at level 1, and towers over both, in characteristic 2 and odd
@@ -375,5 +377,42 @@ def _field_crc():
 
 def test_field_arithmetic_is_bit_exact_and_stable():
     # README promises bit-exact, stable fields: any change to the
-    # irreducibles, the generators or the int encoding moves this
+    # irreducibles, the level quadratics or the int encoding moves this.
+    # Products do not depend on which generator the tables use, so the
+    # tables themselves are pinned by test_log_tables_match_the_reference.
     assert _field_crc() == (476, 0x8695DEB7)
+
+
+def _table_shapes():
+    """Every table-backed (q, levels) with top order at most 2^12, and each
+    level of GF(2401), GF(6561) and GF(65536) built as (16, 3)."""
+    shapes = {(q, j) for q, top in ((7, 3), (3, 4), (16, 3)) for j in range(1, top + 1)}
+    for q in range(2, (1 << 12) + 1):
+        for levels in itertools.count(1):
+            try:
+                if tower_orders(q, levels)[-1] > 1 << 12:
+                    break
+            except ValueError:
+                break
+            shapes.add((q, levels))
+    return sorted(shapes)
+
+
+def _prime_mul(p):
+    return lambda x, y: x * y % p
+
+
+def test_log_tables_match_the_reference():
+    # the order-tested generator and the fixed-multiplier walk give the tables
+    # of the walk-until-1 search: level 1 by GF(q)'s own product, each level
+    # above by the pair product over the (already pinned) level below
+    for q, levels in _table_shapes():
+        f = TowerField(q, levels)
+        if levels > 1:
+            mul = f._pair_mul
+        elif f.m > 1:
+            mul = functools.partial(naive_base_mul, f)
+        else:
+            mul = _prime_mul(f.p)
+        want = log_tables_reference(f.order, f.p, mul)
+        assert (f._exp, f._log, f._zech, f._half) == want, (q, levels)

@@ -16,10 +16,12 @@ leans on:
 
 Every field of order at most 2^16 computes with the same few reads of
 its exp, log and Zech tables, whatever p, m and level.  Each level builds
-them in one walk of the powers of its smallest generator, found by an
-order test: level 1 steps by GF(q)'s polynomial product, each higher level
-by a fixed-multiplier kernel over the level below.  A larger field uses the
-quadratic product over the level below directly.
+them from the powers of its smallest generator g, found by an order test.
+Level 1 walks them by GF(q)'s polynomial product.  A level of order s^2
+takes s+1 quadratic products to reach N = g^(s+1), which lies in the level
+below, and reads every other power g^(a(s+1)+b) = N^a g^b from the tables
+below.  A larger field uses the quadratic product over the level below
+directly.
 
 Construction is deterministic: the base irreducible and every level
 quadratic are the lexicographically smallest valid choices, comparing
@@ -55,14 +57,8 @@ def is_prime_power(n: int):
     return (p, m) if n == 1 else None
 
 
-def tower_orders(q: int, levels: int) -> list:
-    """Orders of levels 0..levels of the tower over GF(q), or ValueError if
-    no such tower can be built.  This is the one rule for which fields exist.
-
-    The base order is at most 2^16, checked before any prime-power search;
-    it is a prime power, and at most 256 unless prime.  Each level below
-    the top is at most 2^16, which bounds the search for the top quadratic.
-    """
+def _tower_shape(q: int, levels: int):
+    """(p, m, tower_orders(q, levels)) with q = p^m, validating the tower once."""
     if q.__class__ is not int or levels.__class__ is not int:
         raise ValueError(f"q and levels must be ints, got q={q!r}, levels={levels!r}")
     if q > _LOG_TABLE_MAX:
@@ -80,7 +76,18 @@ def tower_orders(q: int, levels: int) -> list:
             raise ValueError(f"tower level GF({orders[-1]}) below the top "
                              "exceeds the supported desk scale")
         orders.append(orders[-1] ** 2)
-    return orders
+    return (*pm, orders)
+
+
+def tower_orders(q: int, levels: int) -> list:
+    """Orders of levels 0..levels of the tower over GF(q), or ValueError if
+    no such tower can be built.  This is the one rule for which fields exist.
+
+    The base order is at most 2^16, checked before any prime-power search;
+    it is a prime power, and at most 256 unless prime.  Each level below
+    the top is at most 2^16, which bounds the search for the top quadratic.
+    """
+    return _tower_shape(q, levels)[2]
 
 
 def smallest_prime_power_at_least(n: int) -> int:
@@ -175,35 +182,36 @@ def _power(mul, x, e):
     return mul(acc, x) if e else acc
 
 
-def _log_tables(order, p, mul, first, times):
-    """exp, log and Zech tables of GF(order), of characteristic p, from its mul.
-
-    g is the smallest element from ``first`` on of order n = order - 1, found
-    by the order test: g^(n/f) != 1 for each prime f dividing n, each power
-    by ``_power``.  One walk of n - 1 steps by ``times(g)``, the map x -> x*g
-    (``mul`` by g if times is None), lists g's powers.  ``exp`` holds them
-    twice, then n zeros; ``zech[d]`` is log(1 + g^d), or 2n, which reads that
-    zero tail, where 1 + g^d = 0: at d = half, as -1 = g^half is g^(n/2) in
-    odd characteristic and 1 in characteristic 2.  Adding 1 changes only the
-    lowest base-p digit of an element's int.  Stored twice, ``zech`` wraps
-    any index in (-n, 2n)."""
-    n = order - 1
-    exps = _order_exponents(n)
+def _generator(order, mul, first):
+    """The smallest element from ``first`` on of order n = order - 1, found by
+    the order test: g^(n/f) != 1 for each prime f dividing n, each power by
+    ``_power`` over ``mul``."""
+    exps = _order_exponents(order - 1)
     for g in range(first, order):
         for e in exps:
             if _power(mul, g, e) == 1:
                 break
         else:
-            break                   # g has order n
-    else:
-        raise RuntimeError(f"no multiplicative generator of GF({order})")
-    step = times(g) if times else functools.partial(mul, g)
-    x, powers, log = 1, [1], [0] * order
-    for i in range(1, n):
-        x = step(x)
-        powers.append(x)
+            return g
+    raise RuntimeError(f"no multiplicative generator of GF({order})")
+
+
+def _log_tables(powers, p):
+    """exp, log and Zech tables of GF(n + 1), of characteristic p, from the
+    list of powers g^0..g^(n-1) of a generator g, and half = log(-1).
+
+    ``log`` is filled from that list in one pass.  ``exp`` holds the powers
+    twice, then n zeros; ``zech[d]`` is log(1 + g^d), or 2n, which reads
+    that zero tail, where 1 + g^d = 0: at d = half, as -1 = g^half is
+    g^(n/2) in odd characteristic and 1 in characteristic 2.  Adding 1
+    changes only the lowest base-p digit of an element's int.  Stored
+    twice, ``zech`` wraps any index in (-n, 2n)."""
+    n = len(powers)
+    log = [0] * (n + 1)
+    for i, x in enumerate(powers):
         log[x] = i
-    zech = [log[x - x % p + (x + 1) % p] for x in powers]
+    top = p - 1                         # a lowest digit that wraps to 0
+    zech = [log[x + 1 if x % p < top else x - top] for x in powers]
     half = n // 2 if p > 2 else 0
     zech[half] = 2 * n
     return powers * 2 + [0] * n, log, zech * 2, half
@@ -246,33 +254,44 @@ class TowerField:
     """
 
     def __init__(self, q: int, levels: int):
-        self._sizes = tower_orders(q, levels)
+        p, m, sizes = _tower_shape(q, levels)
+        self._build(q, levels, p, m, sizes)
+
+    def _build(self, q, levels, p, m, sizes):
+        """Level ``levels`` of the tower that ``_tower_shape`` validated: every
+        level below is built the same way and shares (p, m) and the orders."""
+        self._sizes = sizes
         self.levels = levels
         self.q = q
-        self.order = self._sizes[levels]
+        self.order = order = sizes[levels]
+        self.p, self.m = p, m
+        self.dim_p = m << (levels - 1)   # over GF(p)
         if levels == 1:
-            self.p, self.m = p, m = is_prime_power(q)
             self.poly = poly = _monic_irreducible(p, m)
             self.quads = {}                   # level -> (lin, const), coeffs in the level below
             def mul(x, y):
                 return x * y % p if m == 1 else _base_mul(x, y, p, m, poly)
-            first, times = 2 if q > 2 else 1, None     # 1 has order 1
+            g = _generator(q, mul, 2 if q > 2 else 1)     # 1 has order 1
+            x, powers = 1, [1]
+            for _ in range(q - 2):
+                x = mul(g, x)
+                powers.append(x)
         else:
-            below = TowerField(q, levels - 1)
-            self.p, self.m, self.poly = below.p, below.m, below.poly
+            below = TowerField.__new__(TowerField)
+            below._build(q, levels - 1, p, m, sizes)
+            self.poly = below.poly
             self._s = below.order
             self._badd, self._bsub, self._bneg, self._bmul = below.add, below.sub, below.neg, below.mul
             self._lin, self._const = _find_quadratic(below)
             self.quads = {**below.quads, levels: (self._lin, self._const)}
+            if order > _LOG_TABLE_MAX:
+                self._log = None
+                self.add, self.sub, self.neg = self._pair_add, self._pair_sub, self._pair_neg
+                self.mul, self.pow = self._pair_mul, functools.partial(_power, self._pair_mul)
+                return
             # every x below s lies in the level below, so its order is below n
-            mul, first, times = self._pair_mul, self._s, self._pair_times
-        self.dim_p = self.m << (levels - 1)   # over GF(p)
-        if self.order <= _LOG_TABLE_MAX:
-            self._exp, self._log, self._zech, self._half = _log_tables(self.order, self.p, mul, first, times)
-        else:
-            self._log = None
-            self.add, self.sub, self.neg = self._pair_add, self._pair_sub, self._pair_neg
-            self.mul, self.pow = mul, functools.partial(_power, mul)
+            powers = self._pair_powers(_generator(order, self._pair_mul, self._s), below)
+        self._exp, self._log, self._zech, self._half = _log_tables(powers, p)
 
     # -- arithmetic from the tables --
 
@@ -329,18 +348,28 @@ class TowerField:
         hi = sub(add(mul(x0, y1), mul(x1, y0)), mul(self._lin, p11))
         return lo + hi * s
 
-    def _pair_times(self, g):
-        """x -> x*g, g = g0 + g1 t: x*g = (x0 g0 - const g1 x1) + (x0 g1 + (g0 - lin g1) x1) t,
-        four products by fixed elements read from tables, and two additions below."""
-        s, add, mul = self._s, self._badd, self._bmul
-        g1, g0 = divmod(g, s)
-        c = self._bneg(mul(self._const, g1))
-        d = self._bsub(g0, mul(self._lin, g1))
-        lo0, lo1, hi0, hi1 = ([mul(x, e) for x in range(s)] for e in (g0, c, g1, d))
-        def step(x):
-            x1, x0 = divmod(x, s)
-            return add(lo0[x0], lo1[x1]) + add(hi0[x0], hi1[x1]) * s
-        return step
+    def _pair_powers(self, g, below):
+        """g^0..g^(n-1) for a generator g of this level, n = s^2 - 1 over the
+        level below of order s.  N = g^(s+1) lies in the level below and
+        generates its group, so g^(a(s+1)+b) = N^a g^b for a < s-1 and b <= s.
+        N^a scales both halves of g^b = x0 + x1 t, so each power is two reads
+        of the tables below, from the logs of the halves of g^0..g^s."""
+        s = self._s
+        gb = [1]
+        for _ in range(s + 1):
+            gb.append(self._pair_mul(gb[-1], g))
+        big_n = gb.pop()
+        if not 0 < big_n < s:
+            raise RuntimeError(f"g^{s + 1} = {big_n} is outside GF({s}): "
+                               "a broken product or quadratic")
+        blog, bexp, nb = below._log, below._exp, s - 1
+        zero = 2 * nb                       # a log that reads the zero tail of exp
+        halves = [(blog[x % s] if x % s else zero, blog[x // s] if x // s else zero) for x in gb]
+        step, powers = blog[big_n], []
+        for a in range(nb):
+            la = a * step % nb
+            powers += [bexp[la + l0] + bexp[la + l1] * s for l0, l1 in halves]
+        return powers
 
     # -- structure queries --
 

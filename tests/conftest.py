@@ -136,8 +136,8 @@ def naive_tower_neg(tower, x):
     return _from_pair(tower, _pair_neg(tower, _to_pair(tower, x, lvl), lvl), lvl)
 
 
-# -- the table build that the library's order test and fixed-multiplier walk
-#    stand for --
+# -- the table build that the library's order test and power listing stand
+#    for --
 
 def log_tables_reference(order, p, mul):
     """exp, log and Zech tables of GF(order), of characteristic p, from its

@@ -8,6 +8,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lrsc.gf
 from lrsc.gf import (TowerField, is_prime_power, make_tower, smallest_prime_power_at_least,
                      tower_orders)
 
@@ -71,6 +72,25 @@ def test_field_gate_takes_only_ints(build, args):
     # and True built GF(3) as a one-level tower
     with pytest.raises(ValueError, match="must be (an int|ints), got"):
         build(*args)
+
+
+def test_tower_is_validated_once(monkeypatch):
+    # the levels below the top reuse the entry point's orders and (p, m)
+    calls = []
+    real = lrsc.gf.is_prime_power
+    monkeypatch.setattr(lrsc.gf, "is_prime_power", lambda n: calls.append(n) or real(n))
+    assert TowerField(7, 3).order == 2401
+    assert calls == [7]
+
+
+@pytest.mark.parametrize("q", [3, 4, 7])
+def test_pair_level_build_rejects_a_reducible_quadratic(monkeypatch, q):
+    # over t^2 - 1 = (t - 1)(t + 1) the order test still passes an element,
+    # but its (s+1)-th power leaves the subfield; the build raises, not
+    # an assert, so the check also runs under python -O
+    monkeypatch.setattr(lrsc.gf, "_find_quadratic", lambda field: (0, field.neg(1)))
+    with pytest.raises(RuntimeError, match="outside GF"):
+        TowerField(q, 2)
 
 
 def test_tower_shapes():
@@ -403,9 +423,10 @@ def _prime_mul(p):
 
 
 def test_log_tables_match_the_reference():
-    # the order-tested generator and the fixed-multiplier walk give the tables
-    # of the walk-until-1 search: level 1 by GF(q)'s own product, each level
-    # above by the pair product over the (already pinned) level below
+    # the order-tested generator, level 1's walk and the higher levels'
+    # N^a g^b build give the tables of the walk-until-1 search: level 1 by
+    # GF(q)'s own product, each level above by the pair product over the
+    # (already pinned) level below
     for q, levels in _table_shapes():
         f = TowerField(q, levels)
         if levels > 1:

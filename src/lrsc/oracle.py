@@ -11,15 +11,15 @@ Two layers of ground truth:
   (plus an anchor at t=0 to exercise the zero prehistory), asserting the
   anchored packet comes back correct within the deadline.  Each anchor's
   decoder resumes on the clean prefix before it, the state pushing it would
-  leave, and walks the tree of erased/received flags from the erased anchor,
-  forking at each time an erasure is still in budget.  A path stops once
-  the anchored packet is recovered or the deadline passes, and each pattern
-  takes its outcome from the settled node on its path, the same outcome
-  replaying that pattern alone would give.
+  leave, and ``walk`` runs it down the tree of erased/received flags from
+  the erased anchor, forking at each time an erasure is still in budget.
+  A path settles once the anchored packet is recovered or the deadline
+  passes, and every pattern that agrees with the settled node up to its
+  time takes the node's outcome, the one replaying it alone would give.
 
 Pattern enumeration counts are checked against the closed-form binomial
-totals, raising RuntimeError also under ``python -O``, so a silent
-enumeration bug cannot pass as success.
+totals, and each anchor's patterns for distinctness, raising RuntimeError
+also under ``python -O``, so a silent enumeration bug cannot pass as success.
 """
 
 from __future__ import annotations
@@ -89,16 +89,12 @@ def _random_stream(code, horizon, seed, trial):
     return [tuple(rng.randrange(order) for _ in range(k)) for _ in range(horizon)]
 
 
-def _settle_anchor(code, messages, coded, anchor, budget, deadline):
-    """Walk every path of erased/received flags from the erased anchor, with
-    at most `budget` erasures, on one decoder resumed on the clean prefix and
-    forked at each erased branch.  Returns {erasure times: (t, outcome)} for
-    the settled nodes: at t the anchored packet came back as outcome =
-    (delay, message), or t is anchor+deadline and outcome is None."""
-    end = anchor + deadline
-    dec = Decoder(code)
-    dec.resume(messages[:anchor])
-    settled = {}
+def walk(dec, coded, anchor, end, budget):
+    """Walk every path of erased/received flags from the erased anchor to
+    `end`, with at most `budget` erasures, on `dec` resumed on the clean
+    prefix, forking it at each erased branch.  Yields each settled node as
+    (erasure times, t, outcome): at t the anchored packet came back as
+    outcome = (delay, message), or t is `end` and outcome is None."""
     stack = [(dec, anchor, (anchor,))]
     while stack:
         dec, t, erased = stack.pop()
@@ -109,29 +105,18 @@ def _settle_anchor(code, messages, coded, anchor, budget, deadline):
                     got = ev.delay, ev.message
                     break
             if got is not None or t == end:
-                settled[erased] = t, got
+                yield erased, t, got
                 break
             t += 1
             if len(erased) < budget:
                 stack.append((dec.fork(), t, erased + (t,)))
-    return settled
-
-
-def _path_outcome(settled, pattern):
-    """The outcome of the settled node on the pattern's path: the node whose
-    erasure times are the pattern's up to the node's time."""
-    for i in range(1, len(pattern) + 1):
-        node = settled.get(pattern[:i])
-        if node is not None and (i == len(pattern) or node[0] < pattern[i]):
-            return node[1]
-    raise RuntimeError(f"no settled node on the path of pattern {pattern}")
 
 
 def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationReport:
     """Exhaust every erasure pattern of at most `budget` erasures inside the
     window [t, t+deadline] containing t, for anchors t across the middle
     third of a 3*(max(tau, deadline)+1) horizon and at t=0, over `trials`
-    random message streams.  One decoder walk per anchor settles every
+    random message streams.  One ``walk`` per anchor settles every
     pattern there; each pattern still gets its own check, in enumeration
     order."""
     if (any(v.__class__ is not int for v in (budget, deadline, trials, seed))
@@ -143,35 +128,37 @@ def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationRepor
     per_anchor = sum(math.comb(deadline, s - 1) for s in range(1, budget + 1))
     report = VerificationReport(
         description=f"stream {code.label} budget={budget} deadline={deadline}")
-    count = 0
     for trial in range(trials):
         messages = _random_stream(code, horizon, seed, trial)
         enc = Encoder(code)
         coded = [enc.push(m) for m in messages]
         for anchor in anchors:
-            settled = _settle_anchor(code, messages, coded, anchor, budget, deadline)
-            enumerated = 0
-            others = range(anchor + 1, anchor + deadline + 1)
-            for size in range(1, budget + 1):
-                for extra in itertools.combinations(others, size - 1):
-                    enumerated += 1
-                    pattern = (anchor,) + extra
-                    got = _path_outcome(settled, pattern)
-                    if got is None:
-                        report.failures.append(Failure(
-                            pattern, f"packet {anchor} not recovered by {anchor + deadline}"))
-                        continue
-                    delay, message = got
-                    if message != messages[anchor]:
-                        report.failures.append(Failure(
-                            pattern, f"packet {anchor} recovered with wrong symbols"))
-                        continue
-                    h = len(pattern)
-                    if delay > report.max_delay.get(h, -1):
-                        report.max_delay[h] = delay
-            if enumerated != per_anchor:
-                raise RuntimeError(f"enumerated {enumerated} patterns at anchor {anchor}, "
-                                   f"expected {per_anchor}")
-            count += enumerated
-    report.pattern_count = count
+            dec = Decoder(code)
+            dec.resume(messages[:anchor])
+            end = anchor + deadline
+            # a node (E, t) stands for E plus any later erasures in (t, end],
+            # up to the budget
+            expanded = [(erased + extra, got)
+                        for erased, t, got in walk(dec, coded, anchor, end, budget)
+                        for size in range(budget - len(erased) + 1)
+                        for extra in itertools.combinations(range(t + 1, end + 1), size)]
+            outcomes = dict(expanded)
+            # every pattern starts at the anchor, ascends, stays inside the
+            # window and within the budget, so distinct patterns in the
+            # closed-form number are exactly the enumerated set
+            if len(outcomes) != per_anchor or len(expanded) != per_anchor:
+                raise RuntimeError(f"enumerated {len(expanded)} patterns ({len(outcomes)} "
+                                   f"distinct) at anchor {anchor}, expected {per_anchor}")
+            # by (size, times), the enumeration order
+            for pattern in sorted(sorted(outcomes), key=len):
+                got = outcomes[pattern]
+                if got is None:
+                    report.failures.append(Failure(
+                        pattern, f"packet {anchor} not recovered by {end}"))
+                elif got[1] != messages[anchor]:
+                    report.failures.append(Failure(
+                        pattern, f"packet {anchor} recovered with wrong symbols"))
+                elif got[0] > report.max_delay.get(len(pattern), -1):
+                    report.max_delay[len(pattern)] = got[0]
+            report.pattern_count += per_anchor
     return report

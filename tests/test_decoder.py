@@ -184,7 +184,8 @@ def test_inconsistent_parity_raises_under_optimize():
 
 def test_miscounted_enumeration_raises_under_optimize():
     # the oracle's enumeration checks must not be asserts either: the
-    # closed-form counts, and a pattern whose path the walk never settled
+    # closed-form counts, a walk that settles nothing, and a walk that yields
+    # one node twice in place of another, so only distinctness can catch it
     script = textwrap.dedent("""
         import math, types
         import lrsc.oracle as oracle
@@ -197,16 +198,25 @@ def test_miscounted_enumeration_raises_under_optimize():
                 check()
             except RuntimeError as e:
                 print("RuntimeError:", e)
-        oracle._settle_anchor = lambda *args: {}    # a walk that settles nothing
-        try:
-            oracle.verify_stream(code, 1, 2)
-        except RuntimeError as e:
-            print("RuntimeError:", e)
+        oracle.math = math
+        walk = oracle.walk
+
+        def twice(*args):
+            nodes = list(walk(*args))
+            return iter(nodes[:-1] + nodes[:1])
+
+        for fake, budget in ((lambda *args: iter(()), 1), (twice, 2)):
+            oracle.walk = fake
+            try:
+                oracle.verify_stream(code, budget, 2)
+            except RuntimeError as e:
+                print("RuntimeError:", e)
     """)
     res = _run_optimized(script)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.count("RuntimeError: enumerated") == 2, res.stdout
-    assert "RuntimeError: no settled node on the path of pattern" in res.stdout, res.stdout
+    assert res.stdout.count("RuntimeError: enumerated") == 4, res.stdout
+    assert "RuntimeError: enumerated 3 patterns (2 distinct) at anchor 0, expected 3" in res.stdout, \
+        res.stdout
 
 
 def _run_optimized(script):

@@ -1,16 +1,16 @@
 """The library keeps only what it uses.
 
-Every public name that ``src/lrsc`` defines (top-level functions and
-classes, methods, dataclass fields, and instance attributes set as
-``self.name``) must be read somewhere outside its
-own definition: in the library, in ``scripts/`` or in the benchmark harness
-under ``perfbench/`` (its tests excluded).  A method or field counts as read
+Every name that ``src/lrsc`` defines (top-level functions and classes,
+methods, dataclass fields, and instance attributes set as ``self.name``),
+private names included, must be read somewhere outside its own definition:
+in the library, in ``scripts/`` or in the benchmark harness under
+``perfbench/`` (its tests excluded).  A method or field counts as read
 only through an attribute access (``x.name``), so a local variable that
-shares its name does not clear it.  The only exceptions are the ``lrsc``
-subcommands, which click calls: a name the package exports in
-``lrsc.__all__`` needs a reader too, since an export no program reads is
-a helper that only tests use, and such a helper belongs in
-``tests/conftest.py``.
+shares its name does not clear it.  The only exceptions are dunder names,
+which Python calls, and the ``lrsc`` subcommands, which click calls: a
+name the package exports in ``lrsc.__all__`` needs a reader too, since an
+export no program reads is a helper that only tests use, and such a
+helper belongs in ``tests/conftest.py``.
 """
 
 import ast
@@ -22,8 +22,8 @@ USERS = LIBRARY + sorted((ROOT / "scripts").glob("*.py")) + sorted(
     p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.relative_to(ROOT).parts)
 
 
-def _public(name):
-    return not name.startswith("_")
+def _checked(name):
+    return not (name.startswith("__") and name.endswith("__"))
 
 
 def _is_dataclass(cls):
@@ -44,27 +44,27 @@ def _is_command(fn):
 
 
 def definitions(path, tree):
-    """(name, path, first line, last line, member?) of each public
+    """(name, path, first line, last line, member?) of each non-dunder
     definition, and the names exempt as subcommands."""
     defs, commands = [], set()
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _checked(node.name):
             defs.append((node.name, path, node.lineno, node.end_lineno, False))
             if isinstance(node, ast.FunctionDef) and _is_command(node):
                 commands.add(node.name)
         if not isinstance(node, ast.ClassDef):
             continue
         for item in node.body:
-            if isinstance(item, ast.FunctionDef) and _public(item.name):
+            if isinstance(item, ast.FunctionDef) and _checked(item.name):
                 defs.append((item.name, path, item.lineno, item.end_lineno, True))
             elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                  and _is_dataclass(node) and _public(item.target.id)):
+                  and _is_dataclass(node) and _checked(item.target.id)):
                 defs.append((item.target.id, path, item.lineno, item.end_lineno, True))
         attrs = {}      # name -> its first self.name store in the class
         for sub in ast.walk(node):
             if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
                     and isinstance(sub.value, ast.Name) and sub.value.id == "self"
-                    and _public(sub.attr)):
+                    and _checked(sub.attr)):
                 attrs.setdefault(sub.attr, sub)
         defs += [(name, path, a.lineno, a.end_lineno, True) for name, a in attrs.items()]
     return defs, commands
@@ -105,12 +105,14 @@ def test_every_library_name_has_a_non_test_user():
 
 
 def test_guard_sees_a_test_only_helper(tmp_path, monkeypatch):
-    # a definition nothing reads is flagged, and a read elsewhere clears it;
+    # a definition nothing reads is flagged, a private one too, and a read
+    # elsewhere clears it;
     # a field or an instance attribute is read only through an attribute,
     # not by a same-named local
     lib = tmp_path / "lib.py"
     lib.write_text("from dataclasses import dataclass\n\n\n"
                    "def helper():\n    return helper\n\n\ndef used():\n    pass\n\n\n"
+                   "def _helper():\n    pass\n\n\n"
                    "@dataclass\nclass Report:\n    shadowed: int\n    read: int\n\n\n"
                    "class Box:\n    def __init__(self):\n"
                    "        self.unread = 1\n        self.seen = 2\n")
@@ -120,4 +122,5 @@ def test_guard_sees_a_test_only_helper(tmp_path, monkeypatch):
     monkeypatch.setattr(f"{__name__}.ROOT", tmp_path)
     monkeypatch.setattr(f"{__name__}.LIBRARY", [lib])
     monkeypatch.setattr(f"{__name__}.USERS", [lib, user])
-    assert unused_names() == ["lib.py:4 helper", "lib.py:14 shadowed", "lib.py:20 unread"]
+    assert unused_names() == ["lib.py:4 helper", "lib.py:12 _helper", "lib.py:18 shadowed",
+                              "lib.py:24 unread"]

@@ -106,9 +106,8 @@ def test_every_library_name_has_a_non_test_user():
 
 def test_guard_sees_a_test_only_helper(tmp_path, monkeypatch):
     # a definition nothing reads is flagged, a private one too, and a read
-    # elsewhere clears it;
-    # a field or an instance attribute is read only through an attribute,
-    # not by a same-named local
+    # elsewhere clears it; a field or an instance attribute is read only
+    # through an attribute, not by a same-named local
     lib = tmp_path / "lib.py"
     lib.write_text("from dataclasses import dataclass\n\n\n"
                    "def helper():\n    return helper\n\n\ndef used():\n    pass\n\n\n"

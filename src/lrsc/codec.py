@@ -16,6 +16,7 @@ full-budget deadline, and best-effort recovery past the guarantee.
 
 from __future__ import annotations
 
+import collections
 import copy
 from dataclasses import dataclass
 
@@ -34,8 +35,8 @@ class PacketOutcome:
 
 
 class DecodeError(ValueError):
-    """A parity the decoder read contradicts the resolved symbols or its
-    state; ``Decoder`` says which parities it reads."""
+    """A received parity contradicts the resolved symbols, or references a
+    symbol the decoder's window does not hold."""
 
 
 def _sort_template(terms):
@@ -199,14 +200,12 @@ class Decoder(Echelon):
     ``resume`` on a run of received packets whenever nothing is unresolved.
     Each push returns the packets whose fate was settled by it: a recovered
     outcome the moment the record ``known[t]`` holds all k message symbols,
-    or a lost outcome once time moves past the t+tau deadline.  Records of
-    lost packets stay live for a few windows, their unresolved symbols (t, j)
-    in the echelon rows, so later parities can still be stripped; a late
-    resolution never un-marks the loss.
+    or a lost outcome once time moves past the t+tau deadline.  The window
+    is the last tau+1 packets, as far back as a parity reaches: the push at
+    t retires packet t-tau-1, reporting it lost if it is unresolved, and
+    drops its record and its unresolved symbols' rows.
 
-    Parities are read, and so checked, only on pushes made while some symbol
-    is unresolved.  On a clean stretch a corrupted parity passes unnoticed:
-    checking it would cost an encoder's worth of field work per packet.
+    Every received packet's parities are read, and so checked.
     """
 
     def __init__(self, code):
@@ -218,10 +217,6 @@ class Decoder(Echelon):
         self.next_t = 0
         self.known = {}          # t -> list of k symbols, None where unresolved
         self.missing = set()     # t whose record still holds a None
-        # any horizon > tau gives the same outcomes: no parity reaches further
-        # back, and _prune retires an unknown exactly.  A longer one keeps
-        # reading, and so checking, parities for longer after a loss.
-        self.horizon = 4 * (code.tau + 1)
 
     @property
     def unknowns(self):
@@ -237,46 +232,58 @@ class Decoder(Echelon):
         return c
 
     def push(self, t, symbols) -> list[PacketOutcome]:
-        if t != self.next_t:
-            raise ValueError(f"packets must be pushed in time order; expected t={self.next_t}, got t={t}")
+        if t != self.next_t or t.__class__ is not int:
+            raise ValueError(f"packets must be pushed in time order as ints; "
+                             f"expected t={self.next_t}, got t={t!r}")
+        if symbols is not None:
+            self.code.field.check(symbols, self.n)
         self.next_t += 1
         out = []
-        if t - self.tau - 1 in self.missing:
-            out.append(PacketOutcome(t - self.tau - 1, recovered=False))
+        dead = t - self.tau - 1
+        record = self.known.pop(dead, None)
+        if dead in self.missing:
+            # exact: each (dead, j) in turn is the smallest live id (see
+            # Echelon), and no later parity reads it
+            self.missing.remove(dead)
+            out.append(PacketOutcome(dead, recovered=False))
+            for j, v in enumerate(record):
+                if v is None:
+                    self.rows.pop((dead, j), None)
         if symbols is None:
             self.known[t] = [None] * self.k
             self.missing.add(t)
         else:
-            self.code.field.check(symbols, self.n)
             msg = tuple(symbols[:self.k])
             self.known[t] = list(msg)
             out.append(PacketOutcome(t, recovered=True, delay=0, message=msg))
-            if self.missing:
-                for i in range(self.n - self.k):
-                    self._absorb_parity(i, t, symbols[self.k + i], out)
-        self._prune(t)
+            for i in range(self.n - self.k):
+                self._absorb_parity(i, t, symbols[self.k + i], out)
         return out
 
     def resume(self, messages):
-        """Take the next len(messages) packets as received, given by their
-        k message symbols (a coded packet's first k), in one step, and
-        return nothing.
+        """Take the next packets as received, given by their k message
+        symbols (a coded packet's first k), in one pass over the iterable
+        `messages`, and return nothing.
 
-        The state is the one pushing them would leave: push reads no parity
-        while nothing is unresolved, settles no earlier packet, and keeps
-        only the last ``horizon`` records.  Only a decoder with nothing
-        unresolved can resume; a fresh one has nothing unresolved.
+        The state is the one pushing them would leave but for the parities,
+        which are not read: each packet settles at delay 0, nothing earlier
+        settles, and only the last tau+1 records are kept.  Every message is
+        checked before any is taken.  Only a decoder with nothing unresolved
+        can resume; a fresh one has nothing unresolved.
         """
         if self.missing:
             raise ValueError(f"resume needs nothing unresolved; packets {sorted(self.missing)} are")
-        k, field = self.k, self.code.field
+        k, check = self.k, self.code.field.check
+        window = collections.deque(maxlen=self.tau + 1)
+        t = self.next_t
         for msg in messages:
-            field.check(msg, k)
-        known, t = self.known, self.next_t
-        for msg in messages:
-            known[t] = list(msg)
-            known.pop(t - self.horizon, None)
+            check(msg, k)
+            window.append(msg)
             t += 1
+        known, cut = self.known, t - self.tau - 1
+        for old in [u for u in known if u < cut]:
+            del known[old]
+        known.update(zip(range(t - len(window), t), map(list, window)))
         self.next_t = t
 
     def _absorb_parity(self, i, t, value, out):
@@ -296,17 +303,4 @@ class Decoder(Echelon):
         record[j] = value
         if None not in record:
             self.missing.discard(t)
-            if now - t <= self.tau:      # later, push already reported it lost
-                out.append(PacketOutcome(t, recovered=True, delay=now - t, message=tuple(record)))
-
-    # -- retention --
-
-    def _prune(self, t):
-        # exact: each (tp, j) in turn is the smallest live id (see Echelon)
-        tp = t - self.horizon
-        if tp < 0:
-            return
-        for j, v in enumerate(self.known.pop(tp)):
-            if v is None:
-                self.rows.pop((tp, j), None)
-        self.missing.discard(tp)
+            out.append(PacketOutcome(t, recovered=True, delay=now - t, message=tuple(record)))

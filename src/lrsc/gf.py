@@ -242,11 +242,12 @@ def _base_mul(a, b, p, m, poly):
 class TowerField:
     """Quadratic-extension tower of the given number of levels over GF(q).
 
-    Level 1 is GF(q) = GF(p^m) itself, reduced by the irreducible ``poly``
-    over GF(p).  ``level_order(j)`` gives the order of the level-j subfield
+    Level 1 is GF(q) = GF(p^m) itself, reduced by ``_monic_irreducible(p,
+    m)``.  ``level_order(j)`` gives the order of the level-j subfield
     (levels 0 and 1 both mean GF(q)); ``order`` is the top level's.  All
     arithmetic acts on ints below ``order``; lower-level elements are
-    already embedded.
+    already embedded.  Level j >= 2 adjoins a root of the quadratic
+    x^2 + ``_lin`` x + ``_const`` over level j-1.
 
     A tower of L >= 2 levels holds the tower of L - 1 levels.  Up to order
     2^16 every operation reads this level's tables; above that ``_log`` is
@@ -267,8 +268,7 @@ class TowerField:
         self.p, self.m = p, m
         self.dim_p = m << (levels - 1)   # over GF(p)
         if levels == 1:
-            self.poly = poly = _monic_irreducible(p, m)
-            self.quads = {}                   # level -> (lin, const), coeffs in the level below
+            poly = _monic_irreducible(p, m)
             def mul(x, y):
                 return x * y % p if m == 1 else _base_mul(x, y, p, m, poly)
             g = _generator(q, mul, 2 if q > 2 else 1)     # 1 has order 1
@@ -279,11 +279,9 @@ class TowerField:
         else:
             below = TowerField.__new__(TowerField)
             below._build(q, levels - 1, p, m, sizes)
-            self.poly = below.poly
             self._s = below.order
             self._badd, self._bsub, self._bneg, self._bmul = below.add, below.sub, below.neg, below.mul
             self._lin, self._const = _find_quadratic(below)
-            self.quads = {**below.quads, levels: (self._lin, self._const)}
             if order > _LOG_TABLE_MAX:
                 self._log = None
                 self.add, self.sub, self.neg = self._pair_add, self._pair_sub, self._pair_neg

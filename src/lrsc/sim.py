@@ -11,6 +11,7 @@ decoder's window, so a run takes each clean stretch with ``Decoder.resume``.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -93,16 +94,16 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     `seed` changes no outcome; it is only reported.
 
     While nothing is unresolved, the received packets up to the next erasure
-    go to ``Decoder.resume`` in blocks of at most ``horizon``, each recovered
-    with delay 0; packets are pushed one by one only at an erasure and while
-    some packet is unresolved."""
-    if not isinstance(packets, int) or isinstance(packets, bool) or packets < 1:
+    go to ``Decoder.resume`` in one step, each recovered with delay 0;
+    packets are pushed one by one only at an erasure and while some packet
+    is unresolved."""
+    if packets.__class__ is not int or packets < 1:
         raise ValueError(f"packets must be an int of at least 1, got {packets!r}")
     if seed.__class__ is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
     dec = Decoder(code)
     zeros = (0,) * code.n
-    block = [(0,) * code.k] * dec.horizon
+    zero_msg = (0,) * code.k
     hist = Counter()
     lost = 0
     erased_fn = channel.erased
@@ -110,17 +111,16 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     t = 0
     while t < end:
         if not dec.missing:
-            stop = min(end, t + dec.horizon)
             u = t
-            while u < stop and not erased_fn(u):
+            while u < end and not erased_fn(u):
                 u += 1
             if u > t:
-                dec.resume(block[:u - t])
+                dec.resume(itertools.repeat(zero_msg, u - t))
                 if t < packets:
                     hist[0] += min(u, packets) - t
                 t = u
-                if u == stop:
-                    continue
+                if t == end:
+                    break
             gone = True         # the scan stopped at an erasure
         else:
             gone = erased_fn(t)

@@ -23,16 +23,32 @@ return to 1, the search that the library's order test stands for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 
+from lrsc import gf
 from lrsc.codec import Decoder, Encoder
 from lrsc.oracle import Failure, VerificationReport, _random_stream
 
 
 # -- independent arithmetic on the ints of a tower's level 1, GF(q) = GF(p^m),
-#    via polynomial reduction by the tower's ``poly`` --
+#    via polynomial reduction by the library's degree-m irreducible --
+
+@functools.cache
+def base_polynomial(p, m):
+    """The monic irreducible over GF(p) that reduces level 1, GF(p^m)."""
+    return gf._monic_irreducible(p, m)
+
+
+@functools.cache
+def level_quadratic(q, lvl):
+    """(lin, const) of the quadratic x^2 + lin x + const over level lvl-1
+    that level lvl of a tower over GF(q) adjoins a root of."""
+    level = gf.TowerField(q, lvl)
+    return level._lin, level._const
+
 
 def _base_digits(x, p, m):
     out = []
@@ -56,7 +72,7 @@ def naive_base_mul(tower, a, b):
     for i, x in enumerate(da):
         for j, y in enumerate(db):
             prod[i + j] = (prod[i + j] + x * y) % p
-    poly = tower.poly
+    poly = base_polynomial(p, m)
     for i in range(len(prod) - 1, m - 1, -1):
         c = prod[i]
         if c:
@@ -107,7 +123,7 @@ def _pair_neg(tower, u, lvl):
 def _pair_mul(tower, u, v, lvl):
     if lvl == 1:
         return naive_base_mul(tower, u, v)
-    lin, const = tower.quads[lvl]
+    lin, const = level_quadratic(tower.q, lvl)
     lin_p = _to_pair(tower, lin, lvl - 1)
     const_p = _to_pair(tower, const, lvl - 1)
     a0, a1 = u
@@ -295,7 +311,9 @@ def check_decoder_invariants(dec):
     """Assert the decoder's rows are in reduced echelon form over its live
     unknowns: each row is 1 at its own pivot, its smallest id, which no
     other row holds.  The missing packets are exactly those whose record
-    holds an unresolved symbol."""
+    holds an unresolved symbol, and the records are those of the last tau+1
+    times."""
+    assert sorted(dec.known) == list(range(max(0, dec.next_t - dec.tau - 1), dec.next_t))
     assert dec.missing == {t for t, s in dec.known.items() if None in s}
     for pid, (coeffs, _) in dec.rows.items():
         assert coeffs.get(pid) == 1

@@ -357,6 +357,21 @@ def test_decode_inconsistent_parity_exits_one(tmp_path):
     assert "time 20: received parity inconsistent" in res.output
 
 
+def test_decode_corrupted_parity_on_a_clean_stream_exits_one(tmp_path):
+    # no erasure anywhere: the corrupted parity is still read and named
+    msg = tmp_path / "msg.trace"
+    coded = tmp_path / "coded.trace"
+    msg.write_text("".join(f"{t} | [{t % 3}],[{(t + 1) % 3}]\n" for t in range(21)))
+    _run("encode", "2", "5", "2", "--in", str(msg), "--out", str(coded))
+    lines = coded.read_text().splitlines()
+    head, parity = lines[14].rsplit("| ", 1)
+    lines[14] = head + ("| [1]" if parity == "[0]" else "| [0]")
+    coded.write_text("\n".join(lines) + "\n")
+    res = _run("decode", "2", "5", "2", "--in", str(coded))
+    assert res.exit_code == 1
+    assert "time 14: received parity inconsistent" in res.output
+
+
 def test_decode_malformed_trace_reports_line(tmp_path):
     coded = tmp_path / "coded.trace"
     coded.write_text("0 | [1],[2] | [0]\nnonsense\n")

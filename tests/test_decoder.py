@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lrsc
-from lrsc.codec import Decoder, Encoder, MdsDeCode, make_lrsc
+from lrsc.codec import DecodeError, Decoder, Encoder, MdsDeCode, make_lrsc
 from lrsc.sim import PecChannel
 
 from conftest import check_decoder_invariants, pinned_coordinates, random_stream
@@ -88,7 +88,7 @@ def test_out_of_order_push_rejected():
 def test_beyond_guarantee_burst():
     # three erasures against a budget of two: packets 9 and 10 are lost at
     # their deadlines, 11 comes back inside the deadline, later packets are
-    # untouched, and late resolutions never emit a second outcome
+    # untouched, and no packet gets a second outcome
     code = make_lrsc(2, 5, 2)
     msgs = random_stream(random.Random(5), 3, 2, 30)
     dec, events = _drive(code, _coded(code, msgs), {9, 10, 11})
@@ -105,15 +105,23 @@ def test_beyond_guarantee_burst():
 
 
 def test_late_resolution_strips_for_later_packets():
-    # after the burst, the decoder keeps resolving old unknowns internally;
-    # the packet records must hold correct values wherever they resolved them
+    # while the burst's records stay in the window, the decoder keeps
+    # resolving their unknowns from later parities; after every push the
+    # records must hold correct values wherever they resolved them
     code = make_lrsc(2, 5, 2)
     msgs = random_stream(random.Random(6), 3, 2, 30)
-    dec, _ = _drive(code, _coded(code, msgs), {9, 10, 11})
-    for t, record in dec.known.items():
-        for j, val in enumerate(record):
-            if val is not None:
-                assert val == msgs[t][j], (t, j)
+    coded = _coded(code, msgs)
+    dec = Decoder(code)
+    burst, resolved = {9, 10, 11}, set()
+    for now in range(30):
+        dec.push(now, None if now in burst else coded[now])
+        for t, record in dec.known.items():
+            for j, val in enumerate(record):
+                if val is not None:
+                    assert val == msgs[t][j], (now, t, j)
+                    if t in burst:
+                        resolved.add((t, j))
+    assert resolved
 
 
 def test_random_in_guarantee_patterns_all_codes():
@@ -151,13 +159,51 @@ def test_received_message_is_the_tuple_the_encoder_sent():
 
 
 def test_decoder_packet_shape_validation():
+    # a refused packet leaves the decoder as it was, so the same time can be
+    # pushed again; it took its time slot and left no record, and the next
+    # parity read raised DecodeError
     code = make_lrsc(2, 5, 2)
-    dec = Decoder(code)
-    with pytest.raises(ValueError):
-        dec.push(0, (1, 2))
-    for syms in [(7, 1, 0), (1, "x", 0)]:      # 7 is outside GF(3), "x" is no element
+    coded = _coded(code, random_stream(random.Random(4), 3, 2, 12))
+    dec, _ = _drive(code, coded, {3}, upto=5)
+    before = copy.deepcopy(_state(dec))
+    for syms in [(1, 2), (7, 1, 0), (1, "x", 0)]:      # 7 is outside GF(3), "x" is no element
         with pytest.raises(ValueError):
-            Decoder(code).push(0, syms)
+            dec.push(5, syms)
+        assert _state(dec) == before
+    replay = [ev for t in range(5, 12) for ev in dec.push(t, coded[t])]
+    assert replay == _drive(code, coded, {3})[1][-len(replay):]
+
+
+def test_push_rejects_a_time_that_is_not_an_int():
+    # True == 1 and 0.0 == 0, yet neither is a time: each is refused before
+    # it settles a packet or keys a record
+    code = make_lrsc(2, 5, 2)
+    coded = _coded(code, random_stream(random.Random(3), 3, 2, 2))
+    dec = Decoder(code)
+    with pytest.raises(ValueError, match="got t=0.0"):
+        dec.push(0.0, coded[0])
+    assert dec.push(0, coded[0])[0].t.__class__ is int
+    for bad in (True, type("Time", (int,), {})(1)):
+        with pytest.raises(ValueError, match="as ints"):
+            dec.push(bad, coded[1])
+    assert dec.next_t == 1 and [t.__class__ for t in dec.known] == [int]
+
+
+@pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: MdsDeCode(2, 5)],
+                         ids=["lrsc-2-5-2", "mds-de-2-5"])
+@pytest.mark.parametrize("at", [0, 30])
+def test_corrupted_parity_on_a_clean_stream_raises(make, at):
+    # every received packet's parities are read and checked, with no erasure
+    # anywhere in the stream
+    code = make()
+    coded = _coded(code, random_stream(random.Random(5), code.field.order, code.k, at + 1))
+    dec = Decoder(code)
+    for t in range(at):
+        dec.push(t, coded[t])
+    f = code.field
+    bad = coded[at][:-1] + (f.add(coded[at][-1], 1),)
+    with pytest.raises(DecodeError, match="received parity inconsistent"):
+        dec.push(at, bad)
 
 
 def test_inconsistent_parity_raises_under_optimize():
@@ -226,42 +272,24 @@ def _run_optimized(script):
                           env=env, timeout=60)
 
 
-@pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: MdsDeCode(2, 5),
-                                  lambda: make_lrsc(3, 7, 2)])
-@pytest.mark.parametrize("eps", [0.2, 0.4])
-def test_outcomes_do_not_depend_on_horizon(make, eps):
-    code = make()
-    rng = random.Random(11)
-    msgs = random_stream(rng, code.field.order, code.k, 3000)
-    coded = _coded(code, msgs)
-    channel = PecChannel(eps, 3)
-    streams = []
-    for windows in (1, 4, 16):
-        dec = Decoder(code)
-        dec.horizon = windows * (code.tau + 1)
-        stream = []
-        for t, pkt in enumerate(coded):
-            for ev in dec.push(t, None if channel.erased(t) else pkt):
-                stream.append((ev.t, ev.recovered, ev.delay))
-        streams.append(stream)
-    assert streams[0] == streams[1] == streams[2]
-    assert not all(recovered for _, recovered, _ in streams[0])
-
-
 def test_unknown_retention_horizon_prunes():
+    # after every push the records, unknowns and rows lie in the last tau+1
+    # times: a packet leaves the window at its deadline, lost or not
     code = make_lrsc(2, 5, 2)
+    tau = code.tau
     msgs = random_stream(random.Random(8), 3, 2, 140)
     coded = _coded(code, msgs)
     dec = Decoder(code)
     # a hopeless burst wider than the budget, then a long clean run
     erased = set(range(10, 16))
+    lost, with_rows = [], 0
     for t in range(140):
-        dec.push(t, None if t in erased else coded[t])
-    horizon = 4 * (code.tau + 1)
-    assert all(t >= 140 - horizon - 1 for (t, _) in dec.unknowns)
-    assert all(t >= 140 - horizon - 1 for t in dec.known)
-    assert all(t >= 140 - horizon - 1 for (t, _) in dec.rows)
-    check_decoder_invariants(dec)
+        lost += [ev.t for ev in dec.push(t, None if t in erased else coded[t]) if not ev.recovered]
+        assert sorted(dec.known) == list(range(max(0, t - tau), t + 1)), t
+        assert all(u >= t - tau for (u, _) in dec.unknowns | set(dec.rows)), t
+        check_decoder_invariants(dec)
+        with_rows += bool(dec.rows)
+    assert lost and with_rows and not dec.missing and not dec.rows
 
 
 def test_long_regime_decoding():
@@ -286,7 +314,7 @@ def _dense_code(name):
 
 def _dense_pinned(code, coded, erased, now):
     """Erased symbols (t, j), t <= now, that the parities received up to now
-    pin, with their values: one dense system over all of them, no horizon."""
+    pin, with their values: one dense system over all of them, no window."""
     cols = [(t, j) for t in sorted(erased) if t <= now for j in range(code.k)]
     index = {sid: c for c, sid in enumerate(cols)}
     f = code.field
@@ -316,9 +344,8 @@ def _dense_pinned(code, coded, erased, now):
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(_DENSE_CODES)),
        seed=st.integers(0, 2 ** 32 - 1),
-       erased=st.sets(st.integers(0, 47), max_size=10),
-       windows=st.sampled_from([1, 4]))
-def test_hypothesis_decoder_matches_dense_reference(name, seed, erased, windows):
+       erased=st.sets(st.integers(0, 47), max_size=10))
+def test_hypothesis_decoder_matches_dense_reference(name, seed, erased):
     # after every push the decoder settles exactly the packets the dense
     # system over every erased symbol settles: recovered once all k symbols
     # are pinned within tau, lost at t+tau+1 otherwise
@@ -326,7 +353,6 @@ def test_hypothesis_decoder_matches_dense_reference(name, seed, erased, windows)
     msgs = random_stream(random.Random(seed), code.field.order, code.k, 48)
     coded = _coded(code, msgs)
     dec = Decoder(code)
-    dec.horizon = windows * (code.tau + 1)
     tau = code.tau
     settled = set()
     for now in range(48):
@@ -349,10 +375,10 @@ def test_hypothesis_decoder_matches_dense_reference(name, seed, erased, windows)
                 want.append((t, True, now - t, msgs[t]))
                 settled.add(t)
         assert got == sorted(want), now
-        # inside the horizon, an erased packet's record holds exactly the
-        # symbols the dense system pins, late resolutions included
+        # inside the window, an erased packet's record holds exactly the
+        # symbols the dense system pins
         for t in erased:
-            if now - dec.horizon < t <= now:
+            if now - tau <= t <= now:
                 resolved = {(t, j): v for j, v in enumerate(dec.known[t]) if v is not None}
                 assert resolved == {sid: v for sid, v in pinned.items() if sid[0] == t}, (now, t)
 
@@ -366,10 +392,11 @@ def _state(dec):
 def test_resume_equals_pushing_the_clean_prefix(make):
     code = make()
     a = code.params.a if code.params else code.a
-    tau, horizon = code.tau, Decoder(code).horizon
-    msgs = random_stream(random.Random(21), code.field.order, code.k, 3 * (code.tau + 1))
+    tau = code.tau
+    window = tau + 1
+    msgs = random_stream(random.Random(21), code.field.order, code.k, 3 * window)
     coded = _coded(code, msgs)
-    for length in range(3 * (code.tau + 1) + 1):
+    for length in range(3 * window + 1):
         pushed, _ = _drive(code, coded, set(), upto=length)
         resumed = Decoder(code)
         assert resumed.resume(msgs[:length]) is None
@@ -377,13 +404,15 @@ def test_resume_equals_pushing_the_clean_prefix(make):
         assert resumed.missing == pushed.missing == set()
         assert resumed.rows == pushed.rows == {}
         assert resumed.next_t == pushed.next_t == length
+        check_decoder_invariants(resumed)
 
     # mid-stream: a recovered erasure, then a burst of a+1 that loses a
-    # packet whose record is pruned past the horizon; resume at every t with
-    # nothing unresolved, then push one tail opening with a burst of a into both
+    # packet whose record leaves the window at its deadline; resume at every
+    # t with nothing unresolved, then push one tail opening with a burst of a
+    # into both
     burst = range(tau + 1, tau + 2 + a)
-    prefix = burst[-1] + horizon + 3
-    clean, tail = 2 * horizon + 1, a + tau + 1     # the burst settles by then
+    prefix = burst[-1] + window + 3
+    clean, tail = 2 * window + 1, a + tau + 1     # the burst settles by then
     msgs = random_stream(random.Random(23), code.field.order, code.k, prefix + clean + tail)
     coded = _coded(code, msgs)
     erased = {2, *burst}
@@ -397,8 +426,9 @@ def test_resume_equals_pushing_the_clean_prefix(make):
                 if length:
                     pushed.push(t + length - 1, coded[t + length - 1])
                 resumed = dec.fork()
-                resumed.resume(msgs[t:t + length])
+                resumed.resume(iter(msgs[t:t + length]))       # one pass over any iterable
                 assert _state(resumed) == _state(pushed), (t, length)
+                check_decoder_invariants(resumed)
                 start = t + length
                 outcomes = []
                 for d in (resumed, pushed.fork()):
@@ -407,7 +437,7 @@ def test_resume_equals_pushing_the_clean_prefix(make):
                 assert outcomes[0] == outcomes[1], (t, length)
         if t < prefix:
             lost += [ev.t for ev in dec.push(t, None if t in erased else coded[t]) if not ev.recovered]
-    assert lost and max(resumed_at) > max(lost) + horizon, resumed_at
+    assert lost and max(resumed_at) > max(lost) + window, resumed_at
 
 
 def test_resume_validation():
@@ -429,8 +459,11 @@ def test_resume_validation():
         t += 1
     dec.resume(msgs[t:t + 2])
     assert dec.next_t == t + 2 and dec.known[t + 1] == list(msgs[t + 1])
+    # a bad message late in a one-pass iterable leaves the state as it was
+    before = copy.deepcopy(_state(dec))
     with pytest.raises(ValueError, match="expected 2 symbols, got 3"):
-        Decoder(code).resume(msgs[:3] + [(1, 2, 0)])
+        dec.resume(iter(msgs[:3] + [(1, 2, 0)]))
+    assert _state(dec) == before
     for bad in [(7, 1), (1, "x")]:      # 7 is outside GF(3), "x" is no element
         with pytest.raises(ValueError, match="not an element"):
             Decoder(code).resume(msgs[:3] + [bad])
@@ -456,10 +489,13 @@ def test_fork_is_an_independent_decoder_in_the_same_state(make):
     length = 6 * (tau + 1)
     coded = _coded(code, random_stream(rng, code.field.order, code.k, length))
     forked_with_rows = 0
-    for _ in range(12):
+    a = code.params.a if code.params else code.a
+    for rep in range(12):
         cut = rng.randrange(tau + 1, length - tau - 1)
         prefix = {t for t in range(cut) if rng.random() < 0.25}
         tails = [{t for t in range(cut, length) if rng.random() < p} for p in (0.15, 0.4)]
+        if rep % 2:     # cut inside an unresolved burst: a erasures, one received packet
+            prefix = (prefix | set(range(cut - a - 1, cut - 1))) - {cut - 1}
         dec = _TaggedDecoder(code)
         for t in range(cut):
             dec.push(t, None if t in prefix else coded[t])

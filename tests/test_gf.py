@@ -12,9 +12,9 @@ import lrsc.gf
 from lrsc.gf import (TowerField, is_prime_power, make_tower, smallest_prime_power_at_least,
                      tower_orders)
 
-from conftest import (frobenius_fixed, in_subfield, log_tables_reference, naive_base_add,
-                      naive_base_mul, naive_base_neg, naive_tower_add, naive_tower_mul,
-                      naive_tower_neg)
+from conftest import (frobenius_fixed, in_subfield, level_quadratic, log_tables_reference,
+                      naive_base_add, naive_base_mul, naive_base_neg, naive_tower_add,
+                      naive_tower_mul, naive_tower_neg)
 
 # (q, a) for every field shape the package builds: prime and extension base
 # fields at level 1, and towers over both, in characteristic 2 and odd
@@ -136,7 +136,7 @@ def test_gf3_arithmetic():
 def test_gf9_generator_square():
     # level-2 quadratic over GF(3) is t^2 + 1, so the adjoined root squares to -1
     f = make_tower(3, 3)
-    assert f.quads[2] == (0, 1)
+    assert level_quadratic(3, 2) == (0, 1)
     assert f.mul(3, 3) == 2
 
 
@@ -144,7 +144,7 @@ def test_gf16_generator_square_reduces_by_quadratic():
     # chosen quadratic is t^2 + w*t + 1 over GF(4), so beta^2 = w*beta + 1,
     # which is digits (1, 2) = 9 in the int encoding
     f = make_tower(4, 3)
-    assert f.quads[2] == (2, 1)
+    assert level_quadratic(4, 2) == (2, 1)
     assert f.mul(4, 4) == 9
 
 
@@ -260,12 +260,11 @@ def test_level_one_arithmetic_matches_naive_base(q, a):
 def test_determinism():
     f1 = make_tower(4, 3)
     f2 = make_tower(4, 3)
-    assert f1.poly == f2.poly
-    assert f1.quads == f2.quads
+    assert (f1._lin, f1._const) == (f2._lin, f2._const)
     assert all(f1.mul(x, y) == f2.mul(x, y) for x in range(16) for y in range(16))
     g1 = make_tower(3, 4)
     g2 = make_tower(3, 4)
-    assert g1.quads == g2.quads
+    assert (g1._lin, g1._const) == (g2._lin, g2._const)
     assert g1.level_scalar(3) == g2.level_scalar(3)
 
 
@@ -307,13 +306,18 @@ def test_element_text_format():
 
 def test_base_field_irreducibles():
     # smallest by constant-first lexicographic order on the coefficients
-    assert TowerField(4, 1).poly == (1, 1, 1)
-    assert TowerField(8, 1).poly == (1, 0, 1, 1)       # t^3 + t^2 + 1
-    assert TowerField(9, 1).poly == (1, 0, 1)          # t^2 + 1
-    assert TowerField(16, 1).poly == (1, 0, 0, 1, 1)   # t^4 + t^3 + 1
-    # every level reduces its GF(q) digits by level 1's polynomial
-    for f, pm_poly in [(TowerField(7, 1), (7, 1, (0, 1))), (TowerField(4, 3), (2, 2, (1, 1, 1)))]:
-        assert (f.p, f.m, f.poly) == pm_poly
+    assert lrsc.gf._monic_irreducible(2, 2) == (1, 1, 1)
+    assert lrsc.gf._monic_irreducible(2, 3) == (1, 0, 1, 1)       # t^3 + t^2 + 1
+    assert lrsc.gf._monic_irreducible(3, 2) == (1, 0, 1)          # t^2 + 1
+    assert lrsc.gf._monic_irreducible(2, 4) == (1, 0, 0, 1, 1)    # t^4 + t^3 + 1
+    assert lrsc.gf._monic_irreducible(7, 1) == (0, 1)
+    # every level reduces its GF(q) digits by it: t = p, and t^m is minus
+    # the polynomial's lower coefficients, read as digits
+    for q, levels in [(4, 1), (8, 1), (9, 1), (16, 1), (7, 1), (4, 3)]:
+        f = TowerField(q, levels)
+        tail = lrsc.gf._monic_irreducible(f.p, f.m)[:-1]
+        want = sum((-c % f.p) * f.p ** i for i, c in enumerate(tail))
+        assert f.pow(f.p % q, f.m) == want, (q, levels)
 
 
 def test_check_accepts_exactly_the_field_elements():

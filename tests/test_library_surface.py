@@ -72,12 +72,22 @@ def definitions(path, tree):
 
 def references(path, tree):
     """(name, path, line, attribute?) of every name read and attribute
-    accessed."""
+    accessed, but for an attribute read inside the value assigned to an
+    attribute of the same name (``self.x = below.x``): that read only
+    hands the value on."""
+    handed_on = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            stored = {sub.attr for target in node.targets for sub in ast.walk(target)
+                      if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)}
+            handed_on |= {id(sub) for sub in ast.walk(node.value)
+                          if isinstance(sub, ast.Attribute) and sub.attr in stored}
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.append((node.id, path, node.lineno, False))
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and id(node) not in handed_on):
             out.append((node.attr, path, node.lineno, True))
     return out
 
@@ -107,14 +117,16 @@ def test_every_library_name_has_a_non_test_user():
 def test_guard_sees_a_test_only_helper(tmp_path, monkeypatch):
     # a definition nothing reads is flagged, a private one too, and a read
     # elsewhere clears it; a field or an instance attribute is read only
-    # through an attribute, not by a same-named local
+    # through an attribute, not by a same-named local, nor inside the value
+    # assigned to the same attribute
     lib = tmp_path / "lib.py"
     lib.write_text("from dataclasses import dataclass\n\n\n"
                    "def helper():\n    return helper\n\n\ndef used():\n    pass\n\n\n"
                    "def _helper():\n    pass\n\n\n"
                    "@dataclass\nclass Report:\n    shadowed: int\n    read: int\n\n\n"
-                   "class Box:\n    def __init__(self):\n"
-                   "        self.unread = 1\n        self.seen = 2\n")
+                   "class Box:\n    def __init__(self, below=None):\n"
+                   "        self.unread = 1\n        self.seen = 2\n"
+                   "        self.relayed = {**below.relayed, 1: 2} if below else {}\n")
     user = tmp_path / "user.py"
     user.write_text("from lib import Box, Report, used\nused()\n"
                     "shadowed = unread = 1\nprint(shadowed, unread, Report(shadowed, 2).read, Box().seen)\n")
@@ -122,4 +134,4 @@ def test_guard_sees_a_test_only_helper(tmp_path, monkeypatch):
     monkeypatch.setattr(f"{__name__}.LIBRARY", [lib])
     monkeypatch.setattr(f"{__name__}.USERS", [lib, user])
     assert unused_names() == ["lib.py:4 helper", "lib.py:12 _helper", "lib.py:18 shadowed",
-                              "lib.py:24 unread"]
+                              "lib.py:24 unread", "lib.py:26 relayed"]

@@ -113,9 +113,10 @@ def test_channel_rejects_a_bool_eps_and_a_non_int_seed(eps, seed, match):
         PecChannel(eps, seed)
 
 
-@pytest.mark.parametrize("packets", [0, -4, 10.5, 2.0, True])
+@pytest.mark.parametrize("packets", [0, -4, 10.5, 2.0, True, type("Count", (int,), {})(100)])
 def test_run_sim_rejects_non_positive_packet_count(packets):
-    # a float ran and reported a fractional count, True ran one packet
+    # a float ran and reported a fractional count, True ran one packet, and
+    # an int subclass ran where every other entry point refuses it
     with pytest.raises(ValueError, match="packets"):
         run_sim(make_lrsc(2, 5, 2), PecChannel(0.1, 1), packets)
 
@@ -224,12 +225,13 @@ def _bursts(a):
             frozenset(range(9, 9 + a)) | frozenset(range(14 + a, 15 + 2 * a))]
 
 
-def _gaps(a, tau, horizon):
-    """Replay patterns with clean gaps around the horizon, each from t=0 and
-    between two bursts of a, and erasures at the last counted packet and at
-    the last step; returned as (pattern, packets)."""
+def _gaps(a, tau):
+    """Replay patterns with clean gaps around the decoder's tau+1 window,
+    each from t=0 and between two bursts of a, and erasures at the last
+    counted packet and at the last step; returned as (pattern, packets)."""
+    window = tau + 1
     out = []
-    for gap in (horizon - 1, horizon, horizon + 1, 3 * horizon + 1):
+    for gap in (window - 1, window, window + 1, 3 * window + 1):
         packets = 2 * gap + 2 * a + 2
         out.append((frozenset(range(gap, gap + a)) | frozenset(range(2 * gap + a, 2 * gap + 2 * a))
                     | {packets - 1, packets + tau}, packets))
@@ -238,7 +240,8 @@ def _gaps(a, tau, horizon):
 
 def _outcomes_of_run_sim(monkeypatch, code, channel, packets, seed):
     """run_sim's result, its decoder's outcomes, recorded on the way with a
-    delay-0 outcome for each resumed packet, and the length of every resume."""
+    delay-0 outcome for each resumed packet, and after every resume its time
+    and the times of its records."""
     outcomes, resumes = [], []
 
     class Recording(lrsc.sim.Decoder):
@@ -248,9 +251,10 @@ def _outcomes_of_run_sim(monkeypatch, code, channel, packets, seed):
             return out
 
         def resume(self, messages):
+            messages = list(messages)
             start = self.next_t
             super().resume(messages)
-            resumes.append(len(messages))
+            resumes.append((self.next_t, sorted(self.known)))
             outcomes.extend(PacketOutcome(t, recovered=True, delay=0, message=msg)
                             for t, msg in enumerate(messages, start))
 
@@ -262,15 +266,16 @@ def _outcomes_of_run_sim(monkeypatch, code, channel, packets, seed):
 def test_run_sim_matches_value_path(monkeypatch, make, args):
     # the all-zero stream settles every packet as random messages do: the
     # outcome streams agree packet for packet, and so do the loss count and
-    # delay histogram that every SimResult statistic derives from.  Clean
-    # stretches go to resume in blocks of at most the horizon, so memory
-    # stays bounded however long the stretch.
+    # delay histogram that every SimResult statistic derives from.  Each
+    # clean stretch goes to resume in one step, after which the decoder
+    # holds records for the last tau+1 times at most, however long the
+    # stretch.
     code = make(*args)
     a = code.params.a if code.params else code.a
-    horizon = lrsc.sim.Decoder(code).horizon
+    tau = code.tau
     channels = [(PecChannel(eps, seed), 400, seed) for eps in (0.02, 0.15, 0.35) for seed in (1, 2)]
     channels += [(ReplayChannel(pat), 40, 3) for pat in _bursts(a)]
-    channels += [(ReplayChannel(pat), packets, 3) for pat, packets in _gaps(a, code.tau, horizon)]
+    channels += [(ReplayChannel(pat), packets, 3) for pat, packets in _gaps(a, tau)]
     for ch, packets, seed in channels:
         res, zero_outcomes, resumes = _outcomes_of_run_sim(monkeypatch, code, ch, packets, seed)
         values = value_path_outcomes(code, ch, packets, seed)
@@ -280,7 +285,8 @@ def test_run_sim_matches_value_path(monkeypatch, make, args):
         hist = Counter(e.delay for e in counted if e.recovered)
         assert (res.recovered, res.lost, res.delay_hist) == \
             (sum(hist.values()), len(counted) - sum(hist.values()), dict(sorted(hist.items()))), ch
-        assert max(resumes, default=0) <= horizon, ch
+        for now, records in resumes:
+            assert records == list(range(max(0, now - tau - 1), now)), (ch, now)
         if getattr(ch, "eps", None) == 0.02:
             assert resumes, ch
 

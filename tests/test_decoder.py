@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 import lrsc
 from lrsc.codec import DecodeError, Decoder, Encoder, MdsDeCode, make_lrsc
-from lrsc.sim import PecChannel
 
 from conftest import check_decoder_invariants, pinned_coordinates, random_stream
 

@@ -17,7 +17,6 @@ full-budget deadline, and best-effort recovery past the guarantee.
 from __future__ import annotations
 
 import collections
-import copy
 from dataclasses import dataclass
 
 from .gf import make_tower, smallest_prime_power_at_least
@@ -147,14 +146,13 @@ def make_lrsc(a: int, tau: int, r: int, q_override: int | None = None) -> LrscCo
     return LrscCode(derive_params(a, tau, r, q_override))
 
 
-def parity_terms(field, template, t, records):
-    """Walk a parity template at time t over records (time -> symbols, None
-    where unresolved): the coefficients {(t', j): c} of the unresolved terms
-    and the sum of the resolved ones.  A referenced time without a record
-    raises DecodeError."""
-    add, mul = field.add, field.mul
+def parity_terms(field, template, t, records, k):
+    """Walk a parity template at time t over records (time -> k symbols,
+    None where unresolved): the coefficients {t'*k + j: c} of the unresolved
+    terms and the sum of the resolved ones.  A referenced time without a
+    record raises DecodeError."""
     coeffs = {}
-    acc = 0
+    cs, xs = [], []
     for j, d, c in template:
         tt = t - d
         if tt < 0:
@@ -164,10 +162,11 @@ def parity_terms(field, template, t, records):
             raise DecodeError(f"symbol {(tt, j)} neither known nor tracked")
         x = record[j]
         if x is None:
-            coeffs[(tt, j)] = c
+            coeffs[tt * k + j] = c
         elif x:
-            acc = add(acc, mul(c, x))
-    return coeffs, acc
+            cs.append(c)
+            xs.append(x)
+    return coeffs, field.dot(cs, xs)
 
 
 class Encoder:
@@ -187,7 +186,7 @@ class Encoder:
         self.next_t += 1
         history = self.history
         history[t] = msg
-        parities = tuple(parity_terms(code.field, tp, t, history)[1] for tp in code.templates)
+        parities = tuple(parity_terms(code.field, tp, t, history, code.k)[1] for tp in code.templates)
         history.pop(t - code.tau - 1, None)
         return msg + parities
 
@@ -209,7 +208,7 @@ class Decoder(Echelon):
     """
 
     def __init__(self, code):
-        super().__init__(code.field)     # rows: pivot id (t, j) -> [coeff dict, rhs]
+        super().__init__(code.field)     # rows: pivot id t*k + j -> [coeff dict, rhs]
         self.code = code
         self.k = code.k
         self.n = code.n
@@ -225,7 +224,8 @@ class Decoder(Echelon):
 
     def fork(self):
         """An independent decoder in the same state; keeps the class."""
-        c = copy.copy(self)
+        c = object.__new__(type(self))
+        c.__dict__.update(self.__dict__)
         c.known = {t: list(v) for t, v in self.known.items()}
         c.missing = set(self.missing)
         c.rows = {p: [dict(cf), rhs] for p, (cf, rhs) in self.rows.items()}
@@ -235,29 +235,39 @@ class Decoder(Echelon):
         if t != self.next_t or t.__class__ is not int:
             raise ValueError(f"packets must be pushed in time order as ints; "
                              f"expected t={self.next_t}, got t={t!r}")
+        code, k = self.code, self.k
         if symbols is not None:
-            self.code.field.check(symbols, self.n)
+            code.field.check(symbols, self.n)
         self.next_t += 1
         out = []
         dead = t - self.tau - 1
-        record = self.known.pop(dead, None)
+        known, rows = self.known, self.rows
+        record = known.pop(dead, None)
         if dead in self.missing:
-            # exact: each (dead, j) in turn is the smallest live id (see
-            # Echelon), and no later parity reads it
+            # exact: each id of packet dead in turn is the smallest live id
+            # (see Echelon), and no later parity reads it
             self.missing.remove(dead)
-            out.append(PacketOutcome(dead, recovered=False))
+            out.append(PacketOutcome(dead, False))
             for j, v in enumerate(record):
                 if v is None:
-                    self.rows.pop((dead, j), None)
+                    rows.pop(dead * k + j, None)
         if symbols is None:
-            self.known[t] = [None] * self.k
+            known[t] = [None] * k
             self.missing.add(t)
-        else:
-            msg = tuple(symbols[:self.k])
-            self.known[t] = list(msg)
-            out.append(PacketOutcome(t, recovered=True, delay=0, message=msg))
-            for i in range(self.n - self.k):
-                self._absorb_parity(i, t, symbols[self.k + i], out)
+            return out
+        msg = tuple(symbols[:k])
+        known[t] = list(msg)
+        out.append(PacketOutcome(t, True, 0, msg))
+        field = code.field
+        for template, value in zip(code.templates, symbols[k:]):
+            coeffs, acc = parity_terms(field, template, t, known, k)
+            row = [coeffs, field.sub(value, acc)]
+            touched = self.insert(row)
+            if not touched and row[1]:
+                raise DecodeError("received parity inconsistent with resolved symbols")
+            for qid in touched:
+                if len(rows[qid][0]) == 1:
+                    self._resolve(qid, rows.pop(qid)[1], t, out)
         return out
 
     def resume(self, messages):
@@ -268,16 +278,21 @@ class Decoder(Echelon):
         The state is the one pushing them would leave but for the parities,
         which are not read: each packet settles at delay 0, nothing earlier
         settles, and only the last tau+1 records are kept.  Every message is
-        checked before any is taken.  Only a decoder with nothing unresolved
-        can resume; a fresh one has nothing unresolved.
+        checked before any is taken; a tuple that is the object checked just
+        before it is not checked again.  Only a decoder with nothing
+        unresolved can resume; a fresh one has nothing unresolved.
         """
         if self.missing:
             raise ValueError(f"resume needs nothing unresolved; packets {sorted(self.missing)} are")
         k, check = self.k, self.code.field.check
         window = collections.deque(maxlen=self.tau + 1)
         t = self.next_t
+        checked = None
         for msg in messages:
-            check(msg, k)
+            if msg is not checked:
+                check(msg, k)
+                # a list may change between two reads; a tuple cannot
+                checked = msg if msg.__class__ is tuple else None
             window.append(msg)
             t += 1
         known, cut = self.known, t - self.tau - 1
@@ -286,21 +301,10 @@ class Decoder(Echelon):
         known.update(zip(range(t - len(window), t), map(list, window)))
         self.next_t = t
 
-    def _absorb_parity(self, i, t, value, out):
-        coeffs, acc = parity_terms(self.code.field, self.code.templates[i], t, self.known)
-        row = [coeffs, self._sub(value, acc)]
-        if self.insert(row) is None:
-            if row[1]:
-                raise DecodeError("received parity inconsistent with resolved symbols")
-            return
-        rows = self.rows
-        for qid in [qid for qid, (qc, _) in rows.items() if len(qc) == 1]:
-            self._resolve(qid, rows.pop(qid)[1], t, out)
-
     def _resolve(self, sid, value, now, out):
-        t, j = sid
+        t, j = divmod(sid, self.k)
         record = self.known[t]
         record[j] = value
         if None not in record:
             self.missing.discard(t)
-            out.append(PacketOutcome(t, recovered=True, delay=now - t, message=tuple(record)))
+            out.append(PacketOutcome(t, True, now - t, tuple(record)))

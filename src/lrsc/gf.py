@@ -21,7 +21,9 @@ Level 1 walks them by GF(q)'s polynomial product.  A level of order s^2
 takes s+1 quadratic products to reach N = g^(s+1), which lies in the level
 below, and reads every other power g^(a(s+1)+b) = N^a g^b from the tables
 below.  A larger field uses the quadratic product over the level below
-directly.
+directly.  The decoder's inner loops, a parity's sum of products and a row
+update or scaling, are one call each (``dot``, ``row_sub``, ``row_scale``)
+over the same tables, or over the pair arithmetic above 2^16.
 
 Construction is deterministic: the base irreducible and every level
 quadratic are the lexicographically smallest valid choices, comparing
@@ -286,6 +288,7 @@ class TowerField:
                 self._log = None
                 self.add, self.sub, self.neg = self._pair_add, self._pair_sub, self._pair_neg
                 self.mul, self.pow = self._pair_mul, functools.partial(_power, self._pair_mul)
+                self.dot, self.row_sub, self.row_scale = self._pair_dot, self._pair_row_sub, self._pair_row_scale
                 return
             # every x below s lies in the level below, so its order is below n
             powers = self._pair_powers(_generator(order, self._pair_mul, self._s), below)
@@ -323,6 +326,59 @@ class TowerField:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.pow(x, self.order - 2)
 
+    # -- the decoder's inner loops, one call per parity or row: a product's
+    # log, a sum of two logs, is below 2n-1, and its difference from a log
+    # below n lies in (-n, 2n-1), where zech reads
+
+    def dot(self, cs, xs):
+        """The sum of c*x over the pairs of cs and xs."""
+        exp, log, zech = self._exp, self._log, self._zech
+        acc = 0
+        for c, x in zip(cs, xs):
+            if c and x:
+                lt = log[c] + log[x]
+                if acc:
+                    la = log[acc]
+                    acc = exp[la + zech[lt - la]]
+                else:
+                    acc = exp[lt]
+        return acc
+
+    def row_sub(self, row, f, pivot):
+        """row -= f*pivot in place, for a nonzero f and rows [coeff dict, rhs]
+        that store no zero coefficient; a coefficient that cancels is dropped."""
+        exp, log, zech = self._exp, self._log, self._zech
+        lf = (log[f] + self._half) % (self.order - 1)      # log(-f)
+        coeffs = row[0]
+        for cid, cv in pivot[0].items():
+            lt = lf + log[cv]
+            x = coeffs.get(cid)
+            if x:
+                lx = log[x]
+                x = exp[lx + zech[lt - lx]]
+                if x:
+                    coeffs[cid] = x
+                else:
+                    del coeffs[cid]
+            else:
+                coeffs[cid] = exp[lt]
+        x, y = row[1], pivot[1]
+        if y:
+            lt = lf + log[y]
+            if x:
+                lx = log[x]
+                row[1] = exp[lx + zech[lt - lx]]
+            else:
+                row[1] = exp[lt]
+
+    def row_scale(self, row, s):
+        """The row [coeff dict, rhs], storing no zero coefficient, times a
+        nonzero s, as a new row."""
+        exp, log = self._exp, self._log
+        ls = log[s]
+        return [{cid: exp[ls + log[cv]] for cid, cv in row[0].items()},
+                row[1] and exp[ls + log[row[1]]]]
+
     # -- arithmetic as pairs (x0, x1) = x0 + x1*t over the level below --
 
     def _pair_add(self, x, y):
@@ -345,6 +401,26 @@ class TowerField:
         lo = sub(mul(x0, y0), mul(self._const, p11))
         hi = sub(add(mul(x0, y1), mul(x1, y0)), mul(self._lin, p11))
         return lo + hi * s
+
+    def _pair_dot(self, cs, xs):
+        acc = 0
+        for c, x in zip(cs, xs):
+            acc = self._pair_add(acc, self._pair_mul(c, x))
+        return acc
+
+    def _pair_row_sub(self, row, f, pivot):
+        sub, mul, coeffs = self._pair_sub, self._pair_mul, row[0]
+        for cid, cv in pivot[0].items():
+            x = sub(coeffs.get(cid, 0), mul(f, cv))
+            if x:
+                coeffs[cid] = x
+            else:
+                del coeffs[cid]
+        row[1] = sub(row[1], mul(f, pivot[1]))
+
+    def _pair_row_scale(self, row, s):
+        mul = self._pair_mul
+        return [{cid: mul(s, cv) for cid, cv in row[0].items()}, mul(s, row[1])]
 
     def _pair_powers(self, g, below):
         """g^0..g^(n-1) for a generator g of this level, n = s^2 - 1 over the

@@ -21,52 +21,43 @@ def _freeze(rows):
 
 class Echelon:
     """Sparse system in reduced row echelon form: ``rows`` maps pivot ids
-    (ordered hashables) to rows [coeff dict, rhs], 1 at a pivot no other row holds.
-    A pivot is its row's smallest id, as clearing a pivot adds only larger ids
-    to a row; so popping the row of the smallest id, if any, projects it out."""
+    (ints) to rows [coeff dict, rhs], storing no zero coefficient, 1 at a
+    pivot no other row holds.  A pivot is its row's smallest id, as clearing
+    a pivot adds only larger ids to a row; so popping the row of the smallest
+    id, if any, projects it out."""
 
     def __init__(self, field):
-        self._sub, self._mul, self._inv = field.sub, field.mul, field.inv
+        self._inv, self._row_sub, self._row_scale = field.inv, field.row_sub, field.row_scale
         self.rows = {}
 
     def insert(self, row):
-        """Reduce row [coeffs, rhs] and store it under its smallest id, which
-        is returned; a row reducing to nothing returns None, rhs in row[1]."""
-        rows = self.rows
-        for pid in [p for p in row[0] if p in rows]:
-            self._eliminate(row, pid, rows[pid])
-        if not row[0]:
-            return None
-        pid = min(row[0])
-        rows[pid] = self._pivot(row, pid)
-        return pid
-
-    def _eliminate(self, row, pid, pivot):
-        """Clear id pid from row [coeffs, rhs] by subtracting the matching
-        multiple of pivot, a row whose coefficient at pid is 1."""
-        sub, mul = self._sub, self._mul
-        coeffs = row[0]
-        f = coeffs.pop(pid)
-        for cid, cval in pivot[0].items():
-            if cid != pid:
-                nv = sub(coeffs.get(cid, 0), mul(f, cval))
-                if nv:
-                    coeffs[cid] = nv
-                else:
-                    coeffs.pop(cid, None)
-        row[1] = sub(row[1], mul(f, pivot[1]))
+        """Reduce row [coeffs, rhs], store it under its smallest id and
+        return the ids of the rows this changed, in ``rows`` order, its own
+        last; a row reducing to nothing returns [], its rhs in row[1]."""
+        rows, row_sub, coeffs = self.rows, self._row_sub, row[0]
+        for pid in [p for p in coeffs if p in rows]:
+            # the pivot's 1 at pid cancels the row's coefficient there
+            row_sub(row, coeffs[pid], rows[pid])
+        if not coeffs:
+            return []
+        return self._pivot(row, min(coeffs))
 
     def _pivot(self, row, pid):
-        """Scale row [coeffs, rhs] to 1 at id pid and clear pid from every
-        stored row with it; returns the scaled row."""
+        """Scale row [coeffs, rhs] to 1 at id pid, clear pid from every
+        stored row with it and store it under pid; returns the ids of the
+        rows this changed, in ``rows`` order, pid last."""
         s = self._inv(row[0][pid])
         if s != 1:
-            mul = self._mul
-            row = [{cid: mul(s, cv) for cid, cv in row[0].items()}, mul(s, row[1])]
-        for qrow in self.rows.values():
-            if pid in qrow[0]:
-                self._eliminate(qrow, pid, row)
-        return row
+            row = self._row_scale(row, s)
+        rows, row_sub, touched = self.rows, self._row_sub, []
+        for qid, qrow in rows.items():
+            qc = qrow[0]
+            if pid in qc:
+                row_sub(qrow, qc[pid], row)
+                touched.append(qid)
+        rows[pid] = row
+        touched.append(pid)
+        return touched
 
 
 def _sparse(row):
@@ -76,7 +67,7 @@ def _sparse(row):
 def rank(field, rows):
     """Number of linearly independent rows."""
     ech = Echelon(field)
-    return sum(ech.insert([_sparse(r), 0]) is not None for r in rows)
+    return sum(bool(ech.insert([_sparse(r), 0])) for r in rows)
 
 
 def in_span(field, vec, vectors):
@@ -86,7 +77,7 @@ def in_span(field, vec, vectors):
     ech = Echelon(field)
     for coords, v in zip(zip(*vectors), vec):
         row = [_sparse(coords), v]
-        if ech.insert(row) is None and row[1]:
+        if not ech.insert(row) and row[1]:
             return False
     return True
 

@@ -310,7 +310,7 @@ def subfield_perturbation(tower, nrows, ncols, seed):
 def check_decoder_invariants(dec):
     """Assert the decoder's rows are in reduced echelon form over its live
     unknowns: each row is 1 at its own pivot, its smallest id, which no
-    other row holds.  The missing packets are exactly those whose record
+    other row holds, and stores no zero coefficient.  The missing packets are exactly those whose record
     holds an unresolved symbol, and the records are those of the last tau+1
     times."""
     assert sorted(dec.known) == list(range(max(0, dec.next_t - dec.tau - 1), dec.next_t))
@@ -318,7 +318,8 @@ def check_decoder_invariants(dec):
     for pid, (coeffs, _) in dec.rows.items():
         assert coeffs.get(pid) == 1
         assert pid == min(coeffs)
-        assert set(coeffs) <= dec.unknowns
+        assert all(coeffs.values())
+        assert {divmod(c, dec.k) for c in coeffs} <= dec.unknowns
         for qid, (qc, _) in dec.rows.items():
             if qid != pid:
                 assert pid not in qc

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import itertools
 import os
 import random
 import subprocess
@@ -285,7 +286,7 @@ def test_unknown_retention_horizon_prunes():
     for t in range(140):
         lost += [ev.t for ev in dec.push(t, None if t in erased else coded[t]) if not ev.recovered]
         assert sorted(dec.known) == list(range(max(0, t - tau), t + 1)), t
-        assert all(u >= t - tau for (u, _) in dec.unknowns | set(dec.rows)), t
+        assert all(u >= t - tau for (u, _) in dec.unknowns | {divmod(p, dec.k) for p in dec.rows}), t
         check_decoder_invariants(dec)
         with_rows += bool(dec.rows)
     assert lost and with_rows and not dec.missing and not dec.rows
@@ -345,10 +346,26 @@ def _dense_pinned(code, coded, erased, now):
        seed=st.integers(0, 2 ** 32 - 1),
        erased=st.sets(st.integers(0, 47), max_size=10))
 def test_hypothesis_decoder_matches_dense_reference(name, seed, erased):
+    _check_against_dense(_dense_code(name), seed, erased)
+
+
+@pytest.mark.parametrize("args", [(3, 7, 2, 257), (4, 9, 2, 17)], ids=["lrsc-3-7-2-q257", "lrsc-4-9-2-q17"])
+def test_pair_backed_decoder_matches_dense_reference(args):
+    # above order 2^16 (66049 and 83521 here) the field's row and sum
+    # kernels are loops over its pair arithmetic
+    code = make_lrsc(*args)
+    assert code.field._log is None
+    rng = random.Random(26)
+    for seed in range(4):
+        burst = rng.randrange(40)
+        erased = set(rng.sample(range(48), 6)) | set(range(burst, burst + code.params.a))
+        _check_against_dense(code, seed, erased)
+
+
+def _check_against_dense(code, seed, erased):
     # after every push the decoder settles exactly the packets the dense
     # system over every erased symbol settles: recovered once all k symbols
     # are pinned within tau, lost at t+tau+1 otherwise
-    code = _dense_code(name)
     msgs = random_stream(random.Random(seed), code.field.order, code.k, 48)
     coded = _coded(code, msgs)
     dec = Decoder(code)
@@ -466,6 +483,38 @@ def test_resume_validation():
     for bad in [(7, 1), (1, "x")]:      # 7 is outside GF(3), "x" is no element
         with pytest.raises(ValueError, match="not an element"):
             Decoder(code).resume(msgs[:3] + [bad])
+
+
+def test_resume_checks_a_repeated_tuple_once():
+    # run_sim hands resume one all-zero tuple per clean packet: the tuple
+    # checked just before is not checked again, yet every message is still
+    # checked before any is taken
+    code = make_lrsc(2, 5, 2)
+    field, zero = code.field, (0, 0)
+    checked = []
+    field.check = lambda symbols, count: (checked.append(symbols), type(field).check(field, symbols, count))
+    dec = Decoder(code)
+    dec.resume(itertools.repeat(zero, 500))
+    assert checked == [zero] and dec.next_t == 500
+    before = copy.deepcopy(_state(dec))
+    with pytest.raises(ValueError, match="not an element"):
+        dec.resume(itertools.chain(itertools.repeat(zero, 1000), [zero, (0, 3)]))
+    assert _state(dec) == before
+    assert checked == [zero, zero, (0, 3)]
+    # an equal tuple that is another object is checked; a list is checked
+    # each time it comes, as it may change in between
+    dec.resume([zero, tuple([0, 0]), zero])
+    assert len(checked) == 6
+
+    def one_list():
+        msg = [0, 0]
+        yield msg
+        msg[1] = 3          # outside GF(3)
+        yield msg
+
+    with pytest.raises(ValueError, match="not an element"):
+        dec.resume(one_list())
+    assert dec.next_t == 503
 
 
 class _TaggedDecoder(Decoder):

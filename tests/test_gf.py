@@ -441,3 +441,73 @@ def test_log_tables_match_the_reference():
             mul = _prime_mul(f.p)
         want = log_tables_reference(f.order, f.p, mul)
         assert (f._exp, f._log, f._zech, f._half) == want, (q, levels)
+
+
+# -- the decoder's kernels against the scalar add/sub/mul path --
+
+# GF(4), GF(16), GF(256) in characteristic 2; GF(9), GF(625), GF(2401) odd;
+# GF(17^4) = GF(83521) above the table limit, on its pair arithmetic
+KERNEL_FIELDS = [(2, 2), (4, 2), (16, 2), (3, 2), (5, 3), (7, 3), (17, 3)]
+
+
+def _edge_elements(f):
+    """Elements whose logs sit at the table bounds: near 0, near half =
+    log(-1) and near n = order-1, so that log(-f) = log f + half runs past n."""
+    if f._log is None:
+        return [1, f.neg(1), f.order - 1]
+    n, half = f.order - 1, f._half
+    return sorted({f._exp[i % n] for i in (0, 1, half - 1, half, half + 1, n - 2, n - 1)})
+
+
+def _row_sub_reference(f, row, fac, pivot):
+    coeffs = dict(row[0])
+    for cid, cv in pivot[0].items():
+        coeffs[cid] = f.sub(coeffs.get(cid, 0), f.mul(fac, cv))
+    return [{cid: v for cid, v in coeffs.items() if v}, f.sub(row[1], f.mul(fac, pivot[1]))]
+
+
+@pytest.mark.parametrize("q,levels", KERNEL_FIELDS,
+                         ids=[f"GF{q ** 2 ** (levels - 1)}" for q, levels in KERNEL_FIELDS])
+def test_kernels_match_the_scalar_path(q, levels):
+    f = TowerField(q, levels)
+    assert (f._log is None) == (f.order > 1 << 16)
+    rng = random.Random(q * 10 + levels)
+    edge = _edge_elements(f)
+
+    def elem(nonzero=False):
+        x = rng.choice(edge) if rng.random() < 0.5 else rng.randrange(f.order)
+        return elem(nonzero) if nonzero and not x else x
+
+    def row(width):
+        return [{i: elem(True) for i in rng.sample(range(12), rng.randrange(width))}, elem()]
+
+    for _ in range(300):
+        m = rng.randrange(8)
+        cs, xs = [elem() for _ in range(m)], [elem() for _ in range(m)]
+        want = 0
+        for c, x in zip(cs, xs):
+            want = f.add(want, f.mul(c, x))
+        assert f.dot(cs, xs) == want, (cs, xs)
+        r, pivot, fac = row(9), row(9), elem(True)
+        want = _row_sub_reference(f, r, fac, pivot)
+        f.row_sub(r, fac, pivot)
+        assert r == want, fac
+        s = elem(True)
+        want = [{cid: f.mul(s, v) for cid, v in pivot[0].items()}, f.mul(s, pivot[1])]
+        assert f.row_scale(pivot, s) == want, s
+
+
+@pytest.mark.parametrize("q,levels", KERNEL_FIELDS,
+                         ids=[f"GF{q ** 2 ** (levels - 1)}" for q, levels in KERNEL_FIELDS])
+def test_kernels_cancel_to_zero(q, levels):
+    f = TowerField(q, levels)
+    for c in _edge_elements(f):
+        for x in _edge_elements(f):
+            # c*x + c*(-x) = 0, then a term after the cancellation
+            assert f.dot([c, c], [x, f.neg(x)]) == 0
+            assert f.dot([c, c, x], [x, f.neg(x), c]) == f.mul(c, x)
+            # row - fac * (row / fac) is empty, rhs included
+            row = [{3: c, 5: x, 8: f.mul(c, x)}, x]
+            pivot = f.row_scale(row, f.inv(c))
+            f.row_sub(row, c, pivot)
+            assert row == [{}, 0], (c, x)

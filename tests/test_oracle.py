@@ -258,8 +258,8 @@ class _NoClearDecoder(Decoder):
     """Scales a new pivot row but leaves the pivot in the stored rows."""
 
     def _pivot(self, row, pid):
-        s = self._inv(row[0][pid])
-        return [{cid: self._mul(s, cv) for cid, cv in row[0].items()}, self._mul(s, row[1])]
+        self.rows[pid] = self._row_scale(row, self._inv(row[0][pid]))
+        return [pid]
 
 
 @pytest.mark.parametrize("mutant", [_LateDecoder, _WrongSymbolDecoder, _NoClearDecoder],

@@ -278,21 +278,16 @@ class Decoder(Echelon):
         The state is the one pushing them would leave but for the parities,
         which are not read: each packet settles at delay 0, nothing earlier
         settles, and only the last tau+1 records are kept.  Every message is
-        checked before any is taken; a tuple that is the object checked just
-        before it is not checked again.  Only a decoder with nothing
-        unresolved can resume; a fresh one has nothing unresolved.
+        checked before any is taken.  Only a decoder with nothing unresolved
+        can resume; a fresh one has nothing unresolved.
         """
         if self.missing:
             raise ValueError(f"resume needs nothing unresolved; packets {sorted(self.missing)} are")
         k, check = self.k, self.code.field.check
         window = collections.deque(maxlen=self.tau + 1)
         t = self.next_t
-        checked = None
         for msg in messages:
-            if msg is not checked:
-                check(msg, k)
-                # a list may change between two reads; a tuple cannot
-                checked = msg if msg.__class__ is tuple else None
+            check(msg, k)
             window.append(msg)
             t += 1
         known, cut = self.known, t - self.tau - 1

@@ -20,10 +20,11 @@ them from the powers of its smallest generator g, found by an order test.
 Level 1 walks them by GF(q)'s polynomial product.  A level of order s^2
 takes s+1 quadratic products to reach N = g^(s+1), which lies in the level
 below, and reads every other power g^(a(s+1)+b) = N^a g^b from the tables
-below.  A larger field uses the quadratic product over the level below
-directly.  The decoder's inner loops, a parity's sum of products and a row
-update or scaling, are one call each (``dot``, ``row_sub``, ``row_scale``)
-over the same tables, or over the pair arithmetic above 2^16.
+below; its order test reads the log of N there too.  A larger field uses
+the quadratic product over the level below directly.  The decoder's
+inner loops, a parity's sum of products and a row update or scaling, are
+one call each (``dot``, ``row_sub``, ``row_scale``) over the same tables,
+or over the pair arithmetic above 2^16.
 
 Construction is deterministic: the base irreducible and every level
 quadratic are the lexicographically smallest valid choices, comparing
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 _LOG_TABLE_MAX = 1 << 16
 _BASE_TABLE_MAX = 256
@@ -184,12 +186,12 @@ def _power(mul, x, e):
     return mul(acc, x) if e else acc
 
 
-def _generator(order, mul, first):
-    """The smallest element from ``first`` on of order n = order - 1, found by
-    the order test: g^(n/f) != 1 for each prime f dividing n, each power by
-    ``_power`` over ``mul``."""
+def _generator(order, mul):
+    """The smallest element of order n = order - 1, found by the order test:
+    g^(n/f) != 1 for each prime f dividing n, each power by ``_power`` over
+    ``mul``."""
     exps = _order_exponents(order - 1)
-    for g in range(first, order):
+    for g in range(min(2, order - 1), order):     # 1 has order 1, unless order is 2
         for e in exps:
             if _power(mul, g, e) == 1:
                 break
@@ -273,7 +275,7 @@ class TowerField:
             poly = _monic_irreducible(p, m)
             def mul(x, y):
                 return x * y % p if m == 1 else _base_mul(x, y, p, m, poly)
-            g = _generator(q, mul, 2 if q > 2 else 1)     # 1 has order 1
+            g = _generator(q, mul)
             x, powers = 1, [1]
             for _ in range(q - 2):
                 x = mul(g, x)
@@ -290,8 +292,7 @@ class TowerField:
                 self.mul, self.pow = self._pair_mul, functools.partial(_power, self._pair_mul)
                 self.dot, self.row_sub, self.row_scale = self._pair_dot, self._pair_row_sub, self._pair_row_scale
                 return
-            # every x below s lies in the level below, so its order is below n
-            powers = self._pair_powers(_generator(order, self._pair_mul, self._s), below)
+            powers = self._pair_powers(self._pair_generator(below), below)
         self._exp, self._log, self._zech, self._half = _log_tables(powers, p)
 
     # -- arithmetic from the tables --
@@ -422,6 +423,25 @@ class TowerField:
         mul = self._pair_mul
         return [{cid: mul(s, cv) for cid, cv in row[0].items()}, mul(s, row[1])]
 
+    def _pair_generator(self, below):
+        """The smallest generator g of this level, of order n = s^2 - 1 over
+        the level below of order s, by the order test read from the level
+        below.  Every x below s lies there, so the search starts at s.
+        N = g^(s+1) lies in the level below, and for a prime f dividing s-1,
+        g^(n/f) = N^((s-1)/f): those tests all pass iff log N is prime to
+        s-1.  For a prime f dividing s+1 alone, g^(n/f) = h^(s-1) with
+        h = g^((s+1)/f), which is 1 iff h lies in the level below."""
+        s, mul = self._s, self._pair_mul
+        exps = [e for e in _order_exponents(s + 1) if (s - 1) % ((s + 1) // e)]
+        for g in range(s, self.order):
+            big_n = _power(mul, g, s + 1)
+            if not 0 < big_n < s:
+                raise RuntimeError(f"g^{s + 1} = {big_n} is outside GF({s}): "
+                                   "a broken product or quadratic")
+            if math.gcd(below._log[big_n], s - 1) == 1 and all(_power(mul, g, e) >= s for e in exps):
+                return g
+        raise RuntimeError(f"no multiplicative generator of GF({self.order})")
+
     def _pair_powers(self, g, below):
         """g^0..g^(n-1) for a generator g of this level, n = s^2 - 1 over the
         level below of order s.  N = g^(s+1) lies in the level below and
@@ -433,9 +453,6 @@ class TowerField:
         for _ in range(s + 1):
             gb.append(self._pair_mul(gb[-1], g))
         big_n = gb.pop()
-        if not 0 < big_n < s:
-            raise RuntimeError(f"g^{s + 1} = {big_n} is outside GF({s}): "
-                               "a broken product or quadratic")
         blog, bexp, nb = below._log, below._exp, s - 1
         zero = 2 * nb                       # a log that reads the zero tail of exp
         halves = [(blog[x % s] if x % s else zero, blog[x // s] if x // s else zero) for x in gb]

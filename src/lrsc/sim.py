@@ -4,14 +4,16 @@ The channel is a pure function of (seed, t): each packet's erasure decision
 comes from a splitmix64 mix of the two, so runs are reproducible across
 machines and order independent.  The codes are linear and the decoder's
 steps depend only on which packets are erased, never on symbol values, so
-a run pushes the all-zero stream and draws no messages.  While nothing is
-unresolved, a received packet settles at delay 0 and changes only the
-decoder's window, so a run takes each clean stretch with ``Decoder.resume``.
+a run stands for the all-zero stream and draws no messages.  On that stream
+the decoder is a finite automaton over erasure flags: a run walks a table
+of its states, built for the call, and pushes a decoder only where the
+table lacks a move.  While nothing is unresolved, a received packet
+settles at delay 0, so a run counts each clean stretch straight from the
+channel.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -86,6 +88,93 @@ def _percentile(hist, total, frac):
     return None
 
 
+# The most decoder states one run_sim call stores.  Past it, a run goes on
+# from a miss with the pushed decoder itself until nothing is unresolved.
+_STATE_CAP = 2048
+
+
+def _key(dec):
+    """The decoder's state, with every symbol id shifted by next_t*k: its
+    unresolved ids and its reduced echelon rows, () when nothing is
+    unresolved.  On the all-zero stream every rhs is 0, so equal keys have
+    equal futures."""
+    if not dec.missing:
+        return ()
+    k, known, base = dec.k, dec.known, dec.next_t * dec.k
+    ids = sorted([t * k + j - base for t in dec.missing for j, v in enumerate(known[t]) if v is None])
+    rows = sorted([tuple(sorted([(i - base, c) for i, c in cf.items()])) for cf, _ in dec.rows.values()])
+    return tuple(ids), tuple(rows)
+
+
+def _step(dec, packet):
+    """Push the packet at the decoder's next time; its outcomes as
+    (offset from that time, delay or None for a loss)."""
+    now = dec.next_t
+    return tuple([(ev.t - now, ev.delay) for ev in dec.push(now, packet)])
+
+
+def _walk(code, erased, end):
+    """Settle the all-zero stream of times 0..end-1 over the channel's
+    ``erased``.  Yields (t, run, outs) per step: the `run` packets before t
+    were received while nothing was unresolved and settle at delay 0, then
+    the push at t settles the packets t + offset for each (offset, delay or
+    None for a loss) in outs.  The last step may have t = end and no push.
+
+    The steps walk a table of decoder states (``_key``) that maps state x
+    flag to (next state, outs).  A missing move forks a decoder held in
+    its state and pushes it once; a state's decoder is dropped once both
+    its moves exist.  Past ``_STATE_CAP`` stored states, a miss that leads
+    to a new state pushes its decoder on, one step at a time, until nothing
+    is unresolved."""
+    zeros = (0,) * code.n
+    index = {(): 0}                     # key -> state; 0, clean, is always stored
+    held = [Decoder(code)]              # state -> a decoder in it, or None
+    # state -> its move on either flag; clean's move on a received packet
+    # is the scan's, so its decoder is dropped with its first erasure move
+    received, gone = [(0, ((0, 0),))], [None]
+    state, t = 0, 0
+    while t < end:
+        run = 0
+        if state:
+            moves = gone if erased(t) else received
+        else:
+            u = t
+            while u < end and not erased(u):
+                u += 1
+            run, t = u - t, u
+            if t == end:
+                yield t, run, ()
+                return
+            moves = gone
+        move = moves[state]
+        if move is None:
+            other = (received if moves is gone else gone)[state]
+            full = len(held) >= _STATE_CAP
+            dec = held[state] if other is not None and not full else held[state].fork()
+            outs = _step(dec, None if moves is gone else zeros)
+            key = _key(dec)
+            nxt = index.get(key)
+            if nxt is None and full:
+                yield t, run, outs
+                while dec.missing and t + 1 < end:
+                    t += 1
+                    yield t, 0, _step(dec, None if erased(t) else zeros)
+                state = 0
+                t += 1
+                continue
+            if nxt is None:
+                nxt = index[key] = len(held)
+                held.append(dec)
+                received.append(None)
+                gone.append(None)
+            move = moves[state] = (nxt, outs)
+            if other is not None:
+                held[state] = None
+        state, outs = move
+        yield t, run, outs
+        t += 1
+
+
 def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     """Drive `packets` all-zero packets through channel -> decoder, then
     tau+1 further steps so every counted packet meets its deadline.  A
@@ -93,44 +182,24 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     is any object with ``eps``, which the result reports, and ``erased(t)``.
     `seed` changes no outcome; it is only reported.
 
-    While nothing is unresolved, the received packets up to the next erasure
-    go to ``Decoder.resume`` in one step, each recovered with delay 0;
-    packets are pushed one by one only at an erasure and while some packet
-    is unresolved."""
+    The run sums the steps of ``_walk``: each clean stretch is counted
+    straight from the channel scan, and a decoder is pushed only where the
+    walk's table of decoder states, built for this call, lacks a move."""
     if packets.__class__ is not int or packets < 1:
         raise ValueError(f"packets must be an int of at least 1, got {packets!r}")
     if seed.__class__ is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
-    dec = Decoder(code)
-    zeros = (0,) * code.n
-    zero_msg = (0,) * code.k
     hist = Counter()
     lost = 0
-    erased_fn = channel.erased
-    end = packets + code.tau + 1
-    t = 0
-    while t < end:
-        if not dec.missing:
-            u = t
-            while u < end and not erased_fn(u):
-                u += 1
-            if u > t:
-                dec.resume(itertools.repeat(zero_msg, u - t))
-                if t < packets:
-                    hist[0] += min(u, packets) - t
-                t = u
-                if t == end:
-                    break
-            gone = True         # the scan stopped at an erasure
-        else:
-            gone = erased_fn(t)
-        for ev in dec.push(t, None if gone else zeros):
-            if ev.t < packets:
-                if ev.recovered:
-                    hist[ev.delay] += 1
-                else:
+    for t, run, outs in _walk(code, channel.erased, packets + code.tau + 1):
+        if run and t - run < packets:
+            hist[0] += min(t, packets) - t + run
+        for off, delay in outs:
+            if t + off < packets:
+                if delay is None:
                     lost += 1
-        t += 1
+                else:
+                    hist[delay] += 1
     recovered = sum(hist.values())
     if recovered + lost != packets:
         raise RuntimeError(f"{recovered} recovered + {lost} lost != {packets} packets")

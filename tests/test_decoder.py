@@ -485,26 +485,33 @@ def test_resume_validation():
             Decoder(code).resume(msgs[:3] + [bad])
 
 
-def test_resume_checks_a_repeated_tuple_once():
-    # run_sim hands resume one all-zero tuple per clean packet: the tuple
-    # checked just before is not checked again, yet every message is still
-    # checked before any is taken
+def test_resume_checks_every_message_and_keeps_the_last_window():
+    # every message is checked before any is taken, a repeated tuple each
+    # time it comes; however long the run, the decoder then holds the
+    # records of the last tau+1 times, mid-stream too
     code = make_lrsc(2, 5, 2)
-    field, zero = code.field, (0, 0)
+    field, zero, window = code.field, (0, 0), code.tau + 1
     checked = []
     field.check = lambda symbols, count: (checked.append(symbols), type(field).check(field, symbols, count))
     dec = Decoder(code)
     dec.resume(itertools.repeat(zero, 500))
-    assert checked == [zero] and dec.next_t == 500
+    assert checked == [zero] * 500 and dec.next_t == 500
+    assert sorted(dec.known) == list(range(500 - window, 500))
     before = copy.deepcopy(_state(dec))
     with pytest.raises(ValueError, match="not an element"):
         dec.resume(itertools.chain(itertools.repeat(zero, 1000), [zero, (0, 3)]))
     assert _state(dec) == before
-    assert checked == [zero, zero, (0, 3)]
-    # an equal tuple that is another object is checked; a list is checked
-    # each time it comes, as it may change in between
-    dec.resume([zero, tuple([0, 0]), zero])
-    assert len(checked) == 6
+    assert len(checked) == 1502
+    coded_zero = (0,) * code.n
+    dec.push(500, None)
+    dec.push(501, coded_zero)
+    dec.push(502, coded_zero)
+    assert not dec.missing
+    for length in (0, 1, window - 1, window, window + 1, 300):
+        now = dec.next_t + length
+        dec.resume(itertools.repeat(zero, length))
+        assert sorted(dec.known) == list(range(now - window, now)), length
+        check_decoder_invariants(dec)
 
     def one_list():
         msg = [0, 0]
@@ -512,9 +519,10 @@ def test_resume_checks_a_repeated_tuple_once():
         msg[1] = 3          # outside GF(3)
         yield msg
 
+    before = copy.deepcopy(_state(dec))
     with pytest.raises(ValueError, match="not an element"):
         dec.resume(one_list())
-    assert dec.next_t == 503
+    assert _state(dec) == before
 
 
 class _TaggedDecoder(Decoder):

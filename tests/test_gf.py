@@ -85,9 +85,9 @@ def test_tower_is_validated_once(monkeypatch):
 
 @pytest.mark.parametrize("q", [3, 4, 7])
 def test_pair_level_build_rejects_a_reducible_quadratic(monkeypatch, q):
-    # over t^2 - 1 = (t - 1)(t + 1) the order test still passes an element,
-    # but its (s+1)-th power leaves the subfield; the build raises, not
-    # an assert, so the check also runs under python -O
+    # over t^2 - 1 = (t - 1)(t + 1) the order test reaches an element whose
+    # (s+1)-th power leaves the subfield; the build raises, not an assert,
+    # so the check also runs under python -O
     monkeypatch.setattr(lrsc.gf, "_find_quadratic", lambda field: (0, field.neg(1)))
     with pytest.raises(RuntimeError, match="outside GF"):
         TowerField(q, 2)

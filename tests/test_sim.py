@@ -8,7 +8,7 @@ import pytest
 
 import lrsc.sim
 from conftest import ReplayChannel, explain_losses_reference, value_path_outcomes
-from lrsc.codec import MdsDeCode, PacketOutcome, make_lrsc
+from lrsc.codec import Decoder, MdsDeCode, make_lrsc
 from lrsc.oracle import verify_stream
 from lrsc.sim import (CSV_HEADER, PecChannel, csv_rows,
                       explain_losses, hist_rows, run_sim, splitmix64, sweep)
@@ -238,57 +238,98 @@ def _gaps(a, tau):
     return out
 
 
-def _outcomes_of_run_sim(monkeypatch, code, channel, packets, seed):
-    """run_sim's result, its decoder's outcomes, recorded on the way with a
-    delay-0 outcome for each resumed packet, and after every resume its time
-    and the times of its records."""
-    outcomes, resumes = [], []
+def _channels(code, eps_list):
+    """PecChannels at each eps on seeds 1 and 2, then the replay patterns,
+    as (channel, packets, seed)."""
+    a = code.params.a if code.params else code.a
+    channels = [(PecChannel(eps, seed), 400, seed) for eps in eps_list for seed in (1, 2)]
+    channels += [(ReplayChannel(pat), 40, 3) for pat in _bursts(a)]
+    channels += [(ReplayChannel(pat), packets, 3) for pat, packets in _gaps(a, code.tau)]
+    return channels
 
-    class Recording(lrsc.sim.Decoder):
-        def push(self, t, packet):
-            out = super().push(t, packet)
-            outcomes.extend(out)
-            return out
 
-        def resume(self, messages):
-            messages = list(messages)
-            start = self.next_t
-            super().resume(messages)
-            resumes.append((self.next_t, sorted(self.known)))
-            outcomes.extend(PacketOutcome(t, recovered=True, delay=0, message=msg)
-                            for t, msg in enumerate(messages, start))
+def _settled_in_order(outcomes, tau):
+    """(t, recovered, delay) by the time each packet settled, then by t."""
+    return sorted(outcomes, key=lambda e: (e[0] + (e[2] if e[1] else tau + 1), e[0]))
 
-    monkeypatch.setattr(lrsc.sim, "Decoder", Recording)
-    return run_sim(code, channel, packets, seed), outcomes, resumes
+
+def _walk_outcomes(code, channel, packets):
+    """The outcome stream of run_sim's table walk, each clean stretch as one
+    delay-0 outcome per packet, and the lengths of those stretches."""
+    outcomes, runs = [], []
+    for t, run, outs in lrsc.sim._walk(code, channel.erased, packets + code.tau + 1):
+        outcomes += [(u, True, 0) for u in range(t - run, t)]
+        outcomes += [(t + off, delay is not None, delay) for off, delay in outs]
+        runs.append(run)
+    return outcomes, runs
 
 
 @pytest.mark.parametrize("make,args", _SIM_CODES, ids=lambda x: getattr(x, "__name__", str(x)))
-def test_run_sim_matches_value_path(monkeypatch, make, args):
+def test_run_sim_matches_value_path(make, args):
     # the all-zero stream settles every packet as random messages do: the
-    # outcome streams agree packet for packet, and so do the loss count and
-    # delay histogram that every SimResult statistic derives from.  Each
-    # clean stretch goes to resume in one step, after which the decoder
-    # holds records for the last tau+1 times at most, however long the
-    # stretch.
+    # outcome streams agree packet for packet, clean stretches included, and
+    # so do the loss count and delay histogram that every SimResult
+    # statistic derives from.  Within one push the table keeps the order of
+    # the push that filled it, so both streams are compared in settling order.
     code = make(*args)
-    a = code.params.a if code.params else code.a
-    tau = code.tau
-    channels = [(PecChannel(eps, seed), 400, seed) for eps in (0.02, 0.15, 0.35) for seed in (1, 2)]
-    channels += [(ReplayChannel(pat), 40, 3) for pat in _bursts(a)]
-    channels += [(ReplayChannel(pat), packets, 3) for pat, packets in _gaps(a, tau)]
-    for ch, packets, seed in channels:
-        res, zero_outcomes, resumes = _outcomes_of_run_sim(monkeypatch, code, ch, packets, seed)
-        values = value_path_outcomes(code, ch, packets, seed)
-        assert [(e.t, e.recovered, e.delay) for e in zero_outcomes] == \
-            [(e.t, e.recovered, e.delay) for e in values], ch
-        counted = [e for e in values if e.t < packets]
-        hist = Counter(e.delay for e in counted if e.recovered)
+    for ch, packets, seed in _channels(code, (0.02, 0.15, 0.35)):
+        walked, runs = _walk_outcomes(code, ch, packets)
+        values = [(e.t, e.recovered, e.delay) for e in value_path_outcomes(code, ch, packets, seed)]
+        assert _settled_in_order(walked, code.tau) == _settled_in_order(values, code.tau), ch
+        res = run_sim(code, ch, packets, seed)
+        counted = [e for e in values if e[0] < packets]
+        hist = Counter(e[2] for e in counted if e[1])
         assert (res.recovered, res.lost, res.delay_hist) == \
             (sum(hist.values()), len(counted) - sum(hist.values()), dict(sorted(hist.items()))), ch
-        for now, records in resumes:
-            assert records == list(range(max(0, now - tau - 1), now)), (ch, now)
         if getattr(ch, "eps", None) == 0.02:
-            assert resumes, ch
+            assert any(runs), ch
+
+
+def _plain_run(code, channel, packets):
+    """(lost, delay histogram) of the all-zero stream pushed packet by packet
+    into one decoder: run_sim without its table."""
+    dec, zeros = Decoder(code), (0,) * code.n
+    hist, lost = Counter(), 0
+    for t in range(packets + code.tau + 1):
+        for ev in dec.push(t, None if channel.erased(t) else zeros):
+            if ev.t < packets:
+                if ev.recovered:
+                    hist[ev.delay] += 1
+                else:
+                    lost += 1
+    return lost, dict(sorted(hist.items()))
+
+
+@pytest.mark.parametrize("make,args", _SIM_CODES, ids=lambda x: getattr(x, "__name__", str(x)))
+def test_run_sim_equals_a_plain_decoder_loop(monkeypatch, make, args):
+    # with the real state cap, and with caps of 1 and 8, past which a run
+    # pushes a live decoder until nothing is unresolved
+    code = make(*args)
+    for ch, packets, seed in _channels(code, (0.02, 0.15, 0.35, 0.5)):
+        want = _plain_run(code, ch, packets)
+        for cap in (lrsc.sim._STATE_CAP, 1, 8):
+            monkeypatch.setattr(lrsc.sim, "_STATE_CAP", cap)
+            res = run_sim(code, ch, packets, seed)
+            assert (res.lost, res.delay_hist) == want, (ch, cap)
+
+
+@pytest.mark.parametrize("code,states", [(make_lrsc(2, 3, 1), 12), (make_lrsc(2, 5, 2), 169),
+                                         (MdsDeCode(2, 5), 160)], ids=lambda x: getattr(x, "label", x))
+def test_state_keys_are_canonical(code, states):
+    # every state reachable from clean under any flags, one decoder pushed
+    # per move: a key that told apart two equal states would count more
+    zeros = (0,) * code.n
+    reached, todo = {(): Decoder(code)}, [()]
+    while todo and len(reached) <= states:
+        dec = reached[todo.pop()]
+        for packet in (None, zeros):
+            nxt = dec.fork()
+            nxt.push(nxt.next_t, packet)
+            key = lrsc.sim._key(nxt)
+            if key not in reached:
+                reached[key] = nxt
+                todo.append(key)
+    assert len(reached) == states
 
 
 def test_run_sim_encodes_nothing_and_ignores_its_seed(monkeypatch):

@@ -305,9 +305,10 @@ def test_run_sim_equals_a_plain_decoder_loop(monkeypatch, make, args):
     # with the real state cap, and with caps of 1 and 8, past which a run
     # pushes a live decoder until nothing is unresolved
     code = make(*args)
+    caps = (lrsc.sim._STATE_CAP, 1, 8)
     for ch, packets, seed in _channels(code, (0.02, 0.15, 0.35, 0.5)):
         want = _plain_run(code, ch, packets)
-        for cap in (lrsc.sim._STATE_CAP, 1, 8):
+        for cap in caps:
             monkeypatch.setattr(lrsc.sim, "_STATE_CAP", cap)
             res = run_sim(code, ch, packets, seed)
             assert (res.lost, res.delay_hist) == want, (ch, cap)

@@ -135,6 +135,8 @@ def cmd_verify(a, tau, r, q, kind, budget, deadline, trials, seed):
     reports += [verify_stream(code, h, d, trials=trials, seed=seed) for h, d in suites]
     for rep in reports:
         click.echo(f"{rep.description}: {rep.summary()}")
+        if rep.transitions:
+            click.echo(f"  decoder table: transitions={rep.transitions} replays={rep.replays}")
         for fail in rep.failures[:20]:
             click.echo(f"  FAIL pattern={fail.pattern} {fail.detail}")
     sys.exit(1 if any(rep.failures for rep in reports) else 0)

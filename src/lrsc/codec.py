@@ -17,6 +17,7 @@ full-budget deadline, and best-effort recovery past the guarantee.
 from __future__ import annotations
 
 import collections
+import functools
 from dataclasses import dataclass
 
 from .gf import make_tower, smallest_prime_power_at_least
@@ -191,6 +192,160 @@ class Encoder:
         return msg + parities
 
 
+# The most states one transition table stores.  Past it, a decoder that
+# enters a new state eliminates each push, and keys its state only once
+# nothing is unresolved (``_LIVE``).
+_STATE_CAP = 2048
+
+
+class _State:
+    """A decoder's coefficient state: its unresolved ids and its rows, each
+    row a tuple of (id, coeff) sorted by id, its pivot first, every id
+    shifted by -next_t*k.  ``moves`` holds its move on a received and on an
+    erased packet, each None until recorded, or is None for a state that
+    the table does not store.  A move is (next state, outs, plan): outs
+    lists the packets the push settles as (offset from the push time,
+    delay or None for a loss), and plan is the push on values alone
+    (``_Recorder.plan``), or None in a table that keeps no plans."""
+
+    __slots__ = ("ids", "rows", "moves")
+
+    def __init__(self, key, stored):
+        self.ids, self.rows = key
+        self.moves = [None, None] if stored else None
+
+
+# The state of a decoder past the cap that has left the states it keys:
+# only its rows hold its system, until nothing is unresolved.
+_LIVE = _State(((), ()), False)
+
+
+class Transitions:
+    """The transition table that a decoder shares with its forks: the states
+    they met, by ``_key``, each with its recorded moves.  It counts the
+    moves it recorded and the pushes that replayed one.  With ``plans``
+    false a move keeps only its next state and its outcomes, and no push
+    replays it."""
+
+    def __init__(self):
+        self.index = {}
+        self.clean = self.state(((), ()))
+        self.plans = True
+        self.terms = None           # the parity templates, as ``_Recorder.parity`` reads them
+        self.recorded = 0
+        self.replayed = 0
+
+    def state(self, key):
+        """The state of this key: the stored one, or a new one, stored while
+        the table holds fewer than ``_STATE_CAP``."""
+        st = self.index.get(key)
+        if st is None:
+            st = _State(key, len(self.index) < _STATE_CAP)
+            if st.moves is not None:
+                self.index[key] = st
+        return st
+
+
+def _key(dec):
+    """The decoder's state: its unresolved ids and its rows by pivot, every
+    id shifted by -next_t*k.  Its rows are in reduced echelon form with
+    smallest-id pivots, which is unique, so equal keys have equal futures
+    on equal values."""
+    rows = dec.rows
+    if not dec.missing and not rows:
+        return (), ()
+    k, known, base = dec.k, dec.known, dec.next_t * dec.k
+    ids = sorted([t * k + j - base for t in dec.missing for j, v in enumerate(known[t]) if v is None])
+    cfs = [rows[p][0] for p in sorted(rows)]
+    return tuple(ids), tuple([tuple([(i - base, cf[i]) for i in sorted(cf)]) for cf in cfs])
+
+
+class _Recorder:
+    """Records the plan of one push while the decoder eliminates, for
+    ``_State`` moves.  The plan works on values in slots: the rhs of the
+    state's rows, then one input per parity, then one slot per scaled row.
+    The recorder holds the decoder's row kernels for the push and logs the
+    rhs of every row operation in slots; the push reports its parities,
+    checks and writes."""
+
+    def __init__(self, dec, rows):
+        self.dec = dec
+        self.held = [rows[p] for p in sorted(rows)]     # the state's order; every logged row
+        # stays alive, so ids stay distinct
+        self.slot = {id(row): i for i, row in enumerate(self.held)}
+        self.base = len(self.held)          # parity p's input is in slot base + p
+        self.scaled = 0
+        self.ops, self.reads, self.parities, self.checks, self.writes = [], [], [], [], []
+        self.written = {}                   # id -> slot, of each symbol the push resolved
+        self.replayable = True
+        self.prep, self.neg = dec.code.field.prep, dec.code.field.neg
+        self.row_sub, self.row_scale = dec._row_sub, dec._row_scale
+        dec._row_sub, dec._row_scale = self.sub, self.scale
+
+    def sub(self, row, f, pivot):
+        self.row_sub(row, f, pivot)
+        self.ops.append((self.slot[id(row)], self.prep(self.neg(f)), self.slot[id(pivot)], True))
+
+    def scale(self, row, s):
+        new = self.row_scale(row, s)
+        self.held.append(new)
+        self.slot[id(new)] = dst = self.base + self.dec.n - self.dec.k + self.scaled
+        self.scaled += 1
+        self.ops.append((dst, self.prep(s), self.slot[id(row)], False))
+        return new
+
+    def close(self):
+        self.dec._row_sub, self.dec._row_scale = self.row_sub, self.row_scale
+
+    def parity(self, p, t, coeffs, row):
+        """Parity p's row at time t: its value less every term of its
+        template that the push found resolved, those whose id is neither
+        among the unresolved `coeffs` nor written by this push; a term
+        before time 0 reads 0.  A symbol this push wrote before is
+        subtracted by a row operation on its write."""
+        dec, table, written = self.dec, self.dec.table, self.written
+        if table.terms is None:             # (id - t*k, (delta, j), -c) per term, -c for run_ops
+            k, prep, neg = dec.k, self.prep, self.neg
+            table.terms = [[(j - d * k, (d, j), prep(neg(c))) for j, d, c in tp] for tp in dec.code.templates]
+        self.held.append(row)
+        self.slot[id(row)] = dst = self.base + p
+        tk, reads = t * dec.k, self.reads
+        terms = [term for term in table.terms[p] if tk + term[0] not in coeffs]
+        if written:
+            for term in terms:
+                if tk + term[0] in written:
+                    self.ops.append((dst, term[2], written[tk + term[0]], True))
+            terms = [term for term in terms if tk + term[0] not in written]
+        first = dec.n - dec.k + len(reads)
+        reads += [term[1] for term in terms]
+        self.parities.append(((p, *range(first, first + len(terms))),
+                              (self.prep(1), *[term[2] for term in terms])))
+
+    def check(self, row):
+        self.checks.append(self.slot[id(row)])
+
+    def write(self, sid, t, row, fills):
+        # a plan writes every value after all its row operations, which is
+        # the push's order only where each write fills an unresolved symbol
+        u, j = divmod(sid, self.dec.k)
+        self.writes.append((u - t, j, self.slot[id(row)]))
+        self.written[sid] = self.slot[id(row)]
+        self.replayable = self.replayable and fills
+
+    def plan(self, order):
+        """The plan, for the next state's rows in `order`: (reads, parities,
+        ops, scaled, rows, checks, writes).  A received packet's parities
+        read its parity values, then the symbols (delta, j) of reads, each
+        the record t - delta's symbol j, or 0 before time 0, and parities
+        sums them (``dots``) into the parity inputs.  ops are the row
+        operations on slots (``run_ops``), which add `scaled` slots; rows
+        are the slots of the next state's rhs values, checks those of
+        values that must be 0, and writes (offset, j, slot) resolve a
+        record's symbol."""
+        return (tuple(self.reads), tuple(self.parities), tuple(self.ops), self.scaled,
+                tuple([self.slot[id(row)] for row in order]), tuple(self.checks), tuple(self.writes))
+
+
 class Decoder(Echelon):
     """Sliding-window decoder over one packet stream.
 
@@ -205,10 +360,19 @@ class Decoder(Echelon):
     drops its record and its unresolved symbols' rows.
 
     Every received packet's parities are read, and so checked.
+
+    The code is linear, so no coefficient of the system depends on a
+    symbol value.  The coefficients are the decoder's ``state`` in a
+    transition table (``Transitions``) that it shares with its forks; the
+    decoder holds the values: the records and the rhs of each row.  The
+    first push of a (state, flag) builds the rows, eliminates and records
+    the move as a plan on values; every later push of it, by any fork,
+    replays the plan.  A parity term before time 0 reads as 0 in both, so a
+    plan recorded at the start of a stream holds at any time.
     """
 
     def __init__(self, code):
-        super().__init__(code.field)     # rows: pivot id t*k + j -> [coeff dict, rhs]
+        super().__init__(code.field)
         self.code = code
         self.k = code.k
         self.n = code.n
@@ -216,6 +380,19 @@ class Decoder(Echelon):
         self.next_t = 0
         self.known = {}          # t -> list of k symbols, None where unresolved
         self.missing = set()     # t whose record still holds a None
+        self.table = Transitions()
+        self.state = self.table.clean
+        self._rhs = []           # the rhs of the state's rows, in its order
+        self._dots, self._run_ops = code.field.dots, code.field.run_ops
+
+    @functools.cached_property
+    def rows(self):
+        """pivot id t*k + j -> [coeff dict, rhs]: the system, built from the
+        state and the values when first read.  An elimination works on it
+        and keeps it; a replay drops it."""
+        base = self.next_t * self.k
+        return {base + row[0][0]: [{base + i: c for i, c in row}, v]
+                for row, v in zip(self.state.rows, self._rhs)}
 
     @property
     def unknowns(self):
@@ -223,51 +400,155 @@ class Decoder(Echelon):
         return {(t, j) for t in self.missing for j, v in enumerate(self.known[t]) if v is None}
 
     def fork(self):
-        """An independent decoder in the same state; keeps the class."""
+        """An independent decoder in the same state; keeps the class and
+        shares the table, and the records that are whole, which no push
+        changes."""
         c = object.__new__(type(self))
         c.__dict__.update(self.__dict__)
-        c.known = {t: list(v) for t, v in self.known.items()}
+        if self.state is _LIVE:
+            c.rows = {p: [dict(cf), v] for p, (cf, v) in self.rows.items()}
+        else:
+            c.__dict__.pop("rows", None)
+        c.known = known = self.known.copy()
+        for t in self.missing:
+            known[t] = known[t][:]
         c.missing = set(self.missing)
-        c.rows = {p: [dict(cf), rhs] for p, (cf, rhs) in self.rows.items()}
+        return c
+
+    def at(self, state, t):
+        """A fork in `state`, a state of its table, at time t on the
+        all-zero stream: every resolved symbol and every rhs is 0."""
+        c = object.__new__(type(self))
+        c.__dict__.update(self.__dict__)
+        k, base = self.k, t * self.k
+        c.__dict__.pop("rows", None)
+        c.next_t, c.state, c._rhs = t, state, [0] * len(state.rows)
+        c.known = {u: [0] * k for u in range(max(0, t - self.tau - 1), t)}
+        c.missing = set()
+        for i in state.ids:
+            u, j = divmod(base + i, k)
+            c.known[u][j] = None
+            c.missing.add(u)
         return c
 
     def push(self, t, symbols) -> list[PacketOutcome]:
         if t != self.next_t or t.__class__ is not int:
             raise ValueError(f"packets must be pushed in time order as ints; "
                              f"expected t={self.next_t}, got t={t!r}")
-        code, k = self.code, self.k
         if symbols is not None:
-            code.field.check(symbols, self.n)
-        self.next_t += 1
-        out = []
-        dead = t - self.tau - 1
-        known, rows = self.known, self.rows
-        record = known.pop(dead, None)
-        if dead in self.missing:
-            # exact: each id of packet dead in turn is the smallest live id
-            # (see Echelon), and no later parity reads it
-            self.missing.remove(dead)
-            out.append(PacketOutcome(dead, False))
-            for j, v in enumerate(record):
-                if v is None:
-                    rows.pop(dead * k + j, None)
+            self.code.field.check(symbols, self.n)
+        moves = self.state.moves
+        move = moves and moves[symbols is None]
+        if move and move[2] is not None:
+            return self._replay(t, symbols, move)
+        return self._eliminate(t, symbols, moves)
+
+    def _replay(self, t, symbols, move):
+        """Push by a recorded move, on the values alone."""
+        self.table.replayed += 1
+        self.__dict__.pop("rows", None)
+        nxt, outs, (reads, parities, ops, scaled, rows, checks, writes) = move
+        k, known, missing = self.k, self.known, self.missing
+        self.next_t = t + 1
+        known.pop(t - self.tau - 1, None)
+        x = self._rhs
         if symbols is None:
             known[t] = [None] * k
-            self.missing.add(t)
+            missing.add(t)
+        else:
+            msg = tuple(symbols[:k])
+            known[t] = list(msg)
+            got = list(symbols[k:]) + [known[t - d][j] if t >= d else 0 for d, j in reads]
+            x = x + self._dots(parities, got)
+            if ops:
+                x += [0] * scaled
+                self._run_ops(ops, x)
+            for i in checks:
+                if x[i]:
+                    raise DecodeError("received parity inconsistent with resolved symbols")
+            for off, j, i in writes:
+                known[t + off][j] = x[i]
+        self._rhs = [x[i] for i in rows]
+        self.state = nxt
+        out = []
+        for off, delay in outs:
+            u = t + off
+            if delay is None:
+                missing.remove(u)
+                out.append(PacketOutcome(u, False))
+            elif off:
+                missing.discard(u)
+                out.append(PacketOutcome(u, True, delay, tuple(known[u])))
+            else:
+                out.append(PacketOutcome(t, True, 0, msg))
+        return out
+
+    def _eliminate(self, t, symbols, moves):
+        """Push by elimination on the state's rows, built with this decoder's
+        values.  Where the table stores this state and the next, record the
+        move, with its plan where the table keeps plans (``_Recorder``)."""
+        k, known, missing, table = self.k, self.known, self.missing, self.table
+        rows = self.rows
+        rec = _Recorder(self, rows) if moves is not None and table.plans else None
+        self.next_t = t + 1
+        out = []
+        try:
+            dead = t - self.tau - 1
+            record = known.pop(dead, None)
+            if dead in missing:
+                # exact: each id of packet dead in turn is the smallest live id
+                # (see Echelon), and no later parity reads it
+                missing.remove(dead)
+                out.append(PacketOutcome(dead, False))
+                for j, v in enumerate(record):
+                    if v is None:
+                        rows.pop(dead * k + j, None)
+            if symbols is None:
+                known[t] = [None] * k
+                missing.add(t)
+            else:
+                field = self.code.field
+                msg = tuple(symbols[:k])
+                known[t] = list(msg)
+                out.append(PacketOutcome(t, True, 0, msg))
+                for p, (template, value) in enumerate(zip(self.code.templates, symbols[k:])):
+                    coeffs, acc = parity_terms(field, template, t, known, k)
+                    row = [coeffs, field.sub(value, acc)]
+                    if rec is not None:
+                        rec.parity(p, t, coeffs, row)
+                    touched = self.insert(row)
+                    if not touched:
+                        if rec is not None:
+                            rec.check(row)
+                        if row[1]:
+                            raise DecodeError("received parity inconsistent with resolved symbols")
+                    for qid in touched:
+                        if len(rows[qid][0]) == 1:
+                            row = rows.pop(qid)
+                            u, j = divmod(qid, k)
+                            record = known[u]
+                            if u not in missing:        # whole, so maybe a fork's too
+                                known[u] = record = record[:]
+                            if rec is not None:
+                                rec.write(qid, t, row, record[j] is None)
+                            record[j] = row[1]
+                            if None not in record:
+                                missing.discard(u)
+                                out.append(PacketOutcome(u, True, t - u, tuple(record)))
+        finally:
+            if rec is not None:
+                rec.close()
+        if moves is None and missing:
+            self.state = _LIVE
             return out
-        msg = tuple(symbols[:k])
-        known[t] = list(msg)
-        out.append(PacketOutcome(t, True, 0, msg))
-        field = code.field
-        for template, value in zip(code.templates, symbols[k:]):
-            coeffs, acc = parity_terms(field, template, t, known, k)
-            row = [coeffs, field.sub(value, acc)]
-            touched = self.insert(row)
-            if not touched and row[1]:
-                raise DecodeError("received parity inconsistent with resolved symbols")
-            for qid in touched:
-                if len(rows[qid][0]) == 1:
-                    self._resolve(qid, rows.pop(qid)[1], t, out)
+        pids = sorted(rows)
+        self._rhs = [rows[p][1] for p in pids]
+        key = _key(self)
+        self.state = nxt = table.index.get(key) or table.state(key)
+        if moves is not None and nxt.moves is not None and (rec is None or rec.replayable):
+            moves[symbols is None] = (nxt, tuple([(ev.t - t, ev.delay) for ev in out]),
+                                      rec and rec.plan([rows[p] for p in pids]))
+            table.recorded += 1
         return out
 
     def resume(self, messages):
@@ -281,7 +562,7 @@ class Decoder(Echelon):
         checked before any is taken.  Only a decoder with nothing unresolved
         can resume; a fresh one has nothing unresolved.
         """
-        if self.missing:
+        if self.state is not self.table.clean:
             raise ValueError(f"resume needs nothing unresolved; packets {sorted(self.missing)} are")
         k, check = self.k, self.code.field.check
         window = collections.deque(maxlen=self.tau + 1)
@@ -295,11 +576,3 @@ class Decoder(Echelon):
             del known[old]
         known.update(zip(range(t - len(window), t), map(list, window)))
         self.next_t = t
-
-    def _resolve(self, sid, value, now, out):
-        t, j = divmod(sid, self.k)
-        record = self.known[t]
-        record[j] = value
-        if None not in record:
-            self.missing.discard(t)
-            out.append(PacketOutcome(t, True, now - t, tuple(record)))

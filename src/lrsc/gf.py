@@ -291,6 +291,7 @@ class TowerField:
                 self.add, self.sub, self.neg = self._pair_add, self._pair_sub, self._pair_neg
                 self.mul, self.pow = self._pair_mul, functools.partial(_power, self._pair_mul)
                 self.dot, self.row_sub, self.row_scale = self._pair_dot, self._pair_row_sub, self._pair_row_scale
+                self.prep, self.dots, self.run_ops = self._pair_prep, self._pair_dots, self._pair_run_ops
                 return
             powers = self._pair_powers(self._pair_generator(below), below)
         self._exp, self._log, self._zech, self._half = _log_tables(powers, p)
@@ -344,6 +345,49 @@ class TowerField:
                 else:
                     acc = exp[lt]
         return acc
+
+    def prep(self, c):
+        """A nonzero coefficient in the form ``dots`` and ``run_ops`` take:
+        its log here, itself above 2^16."""
+        return self._log[c]
+
+    def dots(self, sums, xs):
+        """For each (indices, coefficients) in sums, the sum of c*xs[i] over
+        its pairs, the coefficients as ``prep`` gives them: a list, one
+        value per sum."""
+        exp, log, zech = self._exp, self._log, self._zech
+        out = []
+        for idx, lcs in sums:
+            acc = 0
+            for i, lc in zip(idx, lcs):
+                x = xs[i]
+                if x:
+                    lt = lc + log[x]
+                    if acc:
+                        la = log[acc]
+                        acc = exp[la + zech[lt - la]]
+                    else:
+                        acc = exp[lt]
+            out.append(acc)
+        return out
+
+    def run_ops(self, ops, xs):
+        """Row operations on the values xs, in place: each (dst, g, src,
+        own) sets xs[dst] to g*xs[src], plus xs[dst] where own is true, g
+        as ``prep`` gives it."""
+        exp, log, zech = self._exp, self._log, self._zech
+        for dst, lg, src, own in ops:
+            y = xs[src]
+            if y:
+                lt = lg + log[y]
+                x = xs[dst] if own else 0
+                if x:
+                    lx = log[x]
+                    xs[dst] = exp[lx + zech[lt - lx]]
+                else:
+                    xs[dst] = exp[lt]
+            elif not own:
+                xs[dst] = 0
 
     def row_sub(self, row, f, pivot):
         """row -= f*pivot in place, for a nonzero f and rows [coeff dict, rhs]
@@ -408,6 +452,17 @@ class TowerField:
         for c, x in zip(cs, xs):
             acc = self._pair_add(acc, self._pair_mul(c, x))
         return acc
+
+    def _pair_prep(self, c):
+        return c
+
+    def _pair_dots(self, sums, xs):
+        return [self._pair_dot(cs, [xs[i] for i in idx]) for idx, cs in sums]
+
+    def _pair_run_ops(self, ops, xs):
+        for dst, g, src, own in ops:
+            v = self._pair_mul(g, xs[src])
+            xs[dst] = self._pair_add(xs[dst], v) if own else v
 
     def _pair_row_sub(self, row, f, pivot):
         sub, mul, coeffs = self._pair_sub, self._pair_mul, row[0]

@@ -32,7 +32,7 @@ class Echelon:
 
     def insert(self, row):
         """Reduce row [coeffs, rhs], store it under its smallest id and
-        return the ids of the rows this changed, in ``rows`` order, its own
+        return the ids of the rows this changed, in pivot order, its own
         last; a row reducing to nothing returns [], its rhs in row[1]."""
         rows, row_sub, coeffs = self.rows, self._row_sub, row[0]
         for pid in [p for p in coeffs if p in rows]:
@@ -45,15 +45,18 @@ class Echelon:
     def _pivot(self, row, pid):
         """Scale row [coeffs, rhs] to 1 at id pid, clear pid from every
         stored row with it and store it under pid; returns the ids of the
-        rows this changed, in ``rows`` order, pid last."""
+        rows this changed, in pivot order, pid last.  Only a row of a
+        smaller pivot can hold pid."""
         s = self._inv(row[0][pid])
         if s != 1:
             row = self._row_scale(row, s)
         rows, row_sub, touched = self.rows, self._row_sub, []
-        for qid, qrow in rows.items():
-            qc = qrow[0]
+        for qid in sorted(rows):
+            if qid > pid:
+                break
+            qc = rows[qid][0]
             if pid in qc:
-                row_sub(qrow, qc[pid], row)
+                row_sub(rows[qid], qc[pid], row)
                 touched.append(qid)
         rows[pid] = row
         touched.append(pid)

@@ -45,6 +45,8 @@ class VerificationReport:
     pattern_count: int = 0
     failures: list = dc_field(default_factory=list)
     max_delay: dict = dc_field(default_factory=dict)
+    transitions: int = 0        # decoder moves recorded by elimination
+    replays: int = 0            # pushes that replayed a recorded move
 
     @property
     def ok(self) -> bool:
@@ -132,14 +134,16 @@ def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationRepor
         messages = _random_stream(code, horizon, seed, trial)
         enc = Encoder(code)
         coded = [enc.push(m) for m in messages]
+        # one clean decoder walks forward through the anchors, and each
+        # anchor's walk starts from a fork of it: all share one table
+        dec, at = Decoder(code), 0
         for anchor in anchors:
-            dec = Decoder(code)
-            dec.resume(messages[:anchor])
-            end = anchor + deadline
+            dec.resume(messages[at:anchor])
+            at, end = anchor, anchor + deadline
             # a node (E, t) stands for E plus any later erasures in (t, end],
             # up to the budget
             expanded = [(erased + extra, got)
-                        for erased, t, got in walk(dec, coded, anchor, end, budget)
+                        for erased, t, got in walk(dec.fork(), coded, anchor, end, budget)
                         for size in range(budget - len(erased) + 1)
                         for extra in itertools.combinations(range(t + 1, end + 1), size)]
             outcomes = dict(expanded)
@@ -161,4 +165,6 @@ def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationRepor
                 elif got[0] > report.max_delay.get(len(pattern), -1):
                     report.max_delay[len(pattern)] = got[0]
             report.pattern_count += per_anchor
+        report.transitions += dec.table.recorded
+        report.replays += dec.table.replayed
     return report

@@ -46,7 +46,11 @@ class PecChannel:
         object.__setattr__(self, "_cut", int(self.eps * 2.0 ** 64))
 
     def erased(self, t: int) -> bool:
-        return splitmix64(self._key ^ t) < self._cut
+        # splitmix64(key ^ t), written out: the walk calls this once a packet
+        z = ((self._key ^ t) + 0x9E3779B97F4A7C15) & _M64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        return z ^ (z >> 31) < self._cut
 
 
 @dataclass(slots=True)
@@ -88,24 +92,6 @@ def _percentile(hist, total, frac):
     return None
 
 
-# The most decoder states one run_sim call stores.  Past it, a run goes on
-# from a miss with the pushed decoder itself until nothing is unresolved.
-_STATE_CAP = 2048
-
-
-def _key(dec):
-    """The decoder's state, with every symbol id shifted by next_t*k: its
-    unresolved ids and its reduced echelon rows, () when nothing is
-    unresolved.  On the all-zero stream every rhs is 0, so equal keys have
-    equal futures."""
-    if not dec.missing:
-        return ()
-    k, known, base = dec.k, dec.known, dec.next_t * dec.k
-    ids = sorted([t * k + j - base for t in dec.missing for j, v in enumerate(known[t]) if v is None])
-    rows = sorted([tuple(sorted([(i - base, c) for i, c in cf.items()])) for cf, _ in dec.rows.values()])
-    return tuple(ids), tuple(rows)
-
-
 def _step(dec, packet):
     """Push the packet at the decoder's next time; its outcomes as
     (offset from that time, delay or None for a loss)."""
@@ -120,24 +106,22 @@ def _walk(code, erased, end):
     the push at t settles the packets t + offset for each (offset, delay or
     None for a loss) in outs.  The last step may have t = end and no push.
 
-    The steps walk a table of decoder states (``_key``) that maps state x
-    flag to (next state, outs).  A missing move forks a decoder held in
-    its state and pushes it once; a state's decoder is dropped once both
-    its moves exist.  Past ``_STATE_CAP`` stored states, a miss that leads
-    to a new state pushes its decoder on, one step at a time, until nothing
-    is unresolved."""
+    The steps walk the transition table of one decoder, built through the
+    module name ``Decoder``, from state to state by their recorded moves;
+    the walk reads only a move's next state and outcomes, so the table
+    keeps no plans.  A missing move is recorded by a push of a fork placed
+    in the state (``Decoder.at``), and that fork is pushed on while the
+    moves it meets are missing.  Where the table is full and a push leads
+    to a state it does not store, the fork goes on, one push at a time,
+    until it meets a stored state."""
+    root = Decoder(code)
+    root.table.plans = False
+    clean = root.state
     zeros = (0,) * code.n
-    index = {(): 0}                     # key -> state; 0, clean, is always stored
-    held = [Decoder(code)]              # state -> a decoder in it, or None
-    # state -> its move on either flag; clean's move on a received packet
-    # is the scan's, so its decoder is dropped with its first erasure move
-    received, gone = [(0, ((0, 0),))], [None]
-    state, t = 0, 0
+    state, t, dec = clean, 0, root
     while t < end:
         run = 0
-        if state:
-            moves = gone if erased(t) else received
-        else:
+        if state is clean:
             u = t
             while u < end and not erased(u):
                 u += 1
@@ -145,32 +129,24 @@ def _walk(code, erased, end):
             if t == end:
                 yield t, run, ()
                 return
-            moves = gone
-        move = moves[state]
+            flag = True
+        else:
+            flag = erased(t)
+        move = state.moves[flag]
         if move is None:
-            other = (received if moves is gone else gone)[state]
-            full = len(held) >= _STATE_CAP
-            dec = held[state] if other is not None and not full else held[state].fork()
-            outs = _step(dec, None if moves is gone else zeros)
-            key = _key(dec)
-            nxt = index.get(key)
-            if nxt is None and full:
-                yield t, run, outs
-                while dec.missing and t + 1 < end:
+            if dec.state is not state or dec.next_t != t:
+                dec = root.at(state, t)
+            got = dec.push(t, None if flag else zeros)
+            move = state.moves[flag]
+            if move is None:
+                yield t, run, tuple([(ev.t - t, ev.delay) for ev in got])
+                while dec.state.moves is None and t + 1 < end:
                     t += 1
                     yield t, 0, _step(dec, None if erased(t) else zeros)
-                state = 0
+                state = dec.state
                 t += 1
                 continue
-            if nxt is None:
-                nxt = index[key] = len(held)
-                held.append(dec)
-                received.append(None)
-                gone.append(None)
-            move = moves[state] = (nxt, outs)
-            if other is not None:
-                held[state] = None
-        state, outs = move
+        state, outs, _ = move
         yield t, run, outs
         t += 1
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import lrsc.codec
 import lrsc.sim
 from conftest import ReplayChannel, explain_losses_reference, value_path_outcomes
 from lrsc.codec import Decoder, MdsDeCode, make_lrsc
@@ -303,13 +304,13 @@ def _plain_run(code, channel, packets):
 @pytest.mark.parametrize("make,args", _SIM_CODES, ids=lambda x: getattr(x, "__name__", str(x)))
 def test_run_sim_equals_a_plain_decoder_loop(monkeypatch, make, args):
     # with the real state cap, and with caps of 1 and 8, past which a run
-    # pushes a live decoder until nothing is unresolved
+    # pushes a live decoder until it meets a stored state
     code = make(*args)
-    caps = (lrsc.sim._STATE_CAP, 1, 8)
+    caps = (lrsc.codec._STATE_CAP, 1, 8)
     for ch, packets, seed in _channels(code, (0.02, 0.15, 0.35, 0.5)):
         want = _plain_run(code, ch, packets)
         for cap in caps:
-            monkeypatch.setattr(lrsc.sim, "_STATE_CAP", cap)
+            monkeypatch.setattr(lrsc.codec, "_STATE_CAP", cap)
             res = run_sim(code, ch, packets, seed)
             assert (res.lost, res.delay_hist) == want, (ch, cap)
 
@@ -320,13 +321,14 @@ def test_state_keys_are_canonical(code, states):
     # every state reachable from clean under any flags, one decoder pushed
     # per move: a key that told apart two equal states would count more
     zeros = (0,) * code.n
-    reached, todo = {(): Decoder(code)}, [()]
+    root = Decoder(code)
+    reached, todo = {lrsc.codec._key(root): root}, [lrsc.codec._key(root)]
     while todo and len(reached) <= states:
         dec = reached[todo.pop()]
         for packet in (None, zeros):
             nxt = dec.fork()
             nxt.push(nxt.next_t, packet)
-            key = lrsc.sim._key(nxt)
+            key = lrsc.codec._key(nxt)
             if key not in reached:
                 reached[key] = nxt
                 todo.append(key)

@@ -276,7 +276,7 @@ class _Recorder:
         self.base = len(self.held)          # parity p's input is in slot base + p
         self.scaled = 0
         self.ops, self.reads, self.parities, self.checks, self.writes = [], [], [], [], []
-        self.written = {}                   # id -> slot, of each symbol the push resolved
+        self.written = set()                # the ids this push resolved
         self.replayable = True
         self.prep, self.neg = dec.code.field.prep, dec.code.field.neg
         self.row_sub, self.row_scale = dec._row_sub, dec._row_scale
@@ -299,23 +299,19 @@ class _Recorder:
 
     def parity(self, p, t, coeffs, row):
         """Parity p's row at time t: its value less every term of its
-        template that the push found resolved, those whose id is neither
-        among the unresolved `coeffs` nor written by this push; a term
-        before time 0 reads 0.  A symbol this push wrote before is
-        subtracted by a row operation on its write."""
-        dec, table, written = self.dec, self.dec.table, self.written
-        if table.terms is None:             # (id - t*k, (delta, j), -c) per term, -c for run_ops
+        template whose id is not among the unresolved `coeffs`; a term
+        before time 0 reads 0.  A plan reads them all before it writes, so
+        a term this push resolved leaves the push without one."""
+        dec, table = self.dec, self.dec.table
+        if table.terms is None:             # (id - t*k, (delta, j), -c) per term
             k, prep, neg = dec.k, self.prep, self.neg
             table.terms = [[(j - d * k, (d, j), prep(neg(c))) for j, d, c in tp] for tp in dec.code.templates]
         self.held.append(row)
-        self.slot[id(row)] = dst = self.base + p
+        self.slot[id(row)] = self.base + p
         tk, reads = t * dec.k, self.reads
         terms = [term for term in table.terms[p] if tk + term[0] not in coeffs]
-        if written:
-            for term in terms:
-                if tk + term[0] in written:
-                    self.ops.append((dst, term[2], written[tk + term[0]], True))
-            terms = [term for term in terms if tk + term[0] not in written]
+        if self.written and any(tk + term[0] in self.written for term in terms):
+            self.replayable = False
         first = dec.n - dec.k + len(reads)
         reads += [term[1] for term in terms]
         self.parities.append(((p, *range(first, first + len(terms))),
@@ -329,7 +325,7 @@ class _Recorder:
         # the push's order only where each write fills an unresolved symbol
         u, j = divmod(sid, self.dec.k)
         self.writes.append((u - t, j, self.slot[id(row)]))
-        self.written[sid] = self.slot[id(row)]
+        self.written.add(sid)
         self.replayable = self.replayable and fills
 
     def plan(self, order):

@@ -16,15 +16,18 @@ leans on:
 
 Every field of order at most 2^16 computes with the same few reads of
 its exp, log and Zech tables, whatever p, m and level.  Each level builds
-them from the powers of its smallest generator g, found by an order test.
-Level 1 walks them by GF(q)'s polynomial product.  A level of order s^2
-takes s+1 quadratic products to reach N = g^(s+1), which lies in the level
-below, and reads every other power g^(a(s+1)+b) = N^a g^b from the tables
-below; its order test reads the log of N there too.  A larger field uses
-the quadratic product over the level below directly.  The decoder's
-inner loops, a parity's sum of products and a row update or scaling, are
-one call each (``dot``, ``row_sub``, ``row_scale``) over the same tables,
-or over the pair arithmetic above 2^16.
+them from the powers of its smallest generator g.  A prime field finds g
+by an order test and walks its powers mod p.  GF(p^m), m > 1, walks each
+candidate's powers by shift-and-reduce steps on the digit vector until
+they return to 1, and takes the first to need p^m - 1 steps.  A level of
+order s^2 takes s+1 quadratic products to reach N = g^(s+1), which lies
+in the level below, and reads every other power g^(a(s+1)+b) = N^a g^b
+from the tables below; its order test reads the log of N there too.  A
+larger field uses the quadratic product over the level below directly.
+The decoder's inner loops, a parity's sum of products, a row update or
+scaling, and a replayed plan's sums and row operations, are one call
+each (``dot``, ``row_sub``, ``row_scale``, ``dots``, ``run_ops``) over the
+same tables, or over the pair arithmetic above 2^16.
 
 Construction is deterministic: the base irreducible and every level
 quadratic are the lexicographically smallest valid choices, comparing
@@ -154,7 +157,7 @@ def _monic_irreducible(p: int, m: int):
         return (0, 1)
     for tail in itertools.product(range(p), repeat=m):
         cand = tail + (1,)
-        if _is_irreducible(cand, p):
+        if tail[0] and _is_irreducible(cand, p):      # a 0 constant term has the root 0
             return cand
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")
 
@@ -232,15 +235,35 @@ def _find_quadratic(field):
     raise RuntimeError(f"no irreducible quadratic over GF({size})")
 
 
-def _base_mul(a, b, p, m, poly):
-    """Product in GF(p^m) = GF(p)[t]/poly, on base-p coefficient vectors."""
-    db = _digits(b, p, m)
-    prod = [0] * (2 * m - 1)
-    for i, x in enumerate(_digits(a, p, m)):
-        if x:
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    return _undigits(_poly_mod(prod, poly, p), p)
+def _base_powers(p, m, poly):
+    """g^0..g^(q-2) for the smallest generator g of GF(q) = GF(p)[t]/poly,
+    q = p^m with m > 1.  Each candidate's powers are walked until they
+    return to 1, and the first to take q-1 steps is g.  A step x -> x*g is
+    the sum of g's digits times x*t^i, each x*t one shift and one reduce
+    of the digit vector: t^m = -(poly's lower terms).  The last digit's
+    term skips its product where it is x itself."""
+    q, low = p ** m, [-c % p for c in poly[:m]]
+    for g in range(p, q):                   # below p lies GF(p), of order p-1
+        gd = _digits(g, p, m)
+        top = max(i for i, d in enumerate(gd) if d)
+        x, powers = [1] + [0] * (m - 1), [1]
+        while True:
+            acc = [0] * m
+            for i in range(top):
+                if gd[i]:
+                    acc = [(a + gd[i] * b) % p for a, b in zip(acc, x)]
+                c, x = x[-1], [0] + x[:-1]
+                if c:
+                    x = [(a + c * b) % p for a, b in zip(x, low)]
+            if any(acc) or gd[top] != 1:
+                x = [(a + gd[top] * b) % p for a, b in zip(acc, x)]
+            v = _undigits(x, p)
+            if v == 1:
+                break
+            powers.append(v)
+        if len(powers) == q - 1:
+            return powers
+    raise RuntimeError(f"no multiplicative generator of GF({q})")
 
 
 class TowerField:
@@ -271,14 +294,13 @@ class TowerField:
         self.order = order = sizes[levels]
         self.p, self.m = p, m
         self.dim_p = m << (levels - 1)   # over GF(p)
-        if levels == 1:
-            poly = _monic_irreducible(p, m)
-            def mul(x, y):
-                return x * y % p if m == 1 else _base_mul(x, y, p, m, poly)
-            g = _generator(q, mul)
+        if levels == 1 and m > 1:
+            powers = _base_powers(p, m, _monic_irreducible(p, m))
+        elif levels == 1:
+            g = _generator(q, lambda x, y: x * y % p)
             x, powers = 1, [1]
             for _ in range(q - 2):
-                x = mul(g, x)
+                x = x * g % p
                 powers.append(x)
         else:
             below = TowerField.__new__(TowerField)

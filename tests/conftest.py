@@ -16,7 +16,9 @@ on a ``ReplayChannel`` of fixed erasure times, and
 ``explain_losses_reference`` the brute-force form of the loss-cause scan.
 ``verify_stream_reference`` replays every oracle pattern on a fresh decoder
 of its own (``anchor_recovery_reference``), the run that ``verify_stream``'s
-one forked decoder walk per anchor stands for.  ``log_tables_reference``
+one forked decoder walk per anchor stands for.  ``pushes_through`` records a
+decoder's outcomes and rows push by push, so that a decoder replaying its
+table's plans can be held to one that eliminates.  ``log_tables_reference``
 finds each field's generator by walking its candidates' powers until they
 return to 1, the search that the library's order test stands for.
 """
@@ -29,7 +31,7 @@ import random
 from dataclasses import dataclass
 
 from lrsc import gf
-from lrsc.codec import Decoder, Encoder
+from lrsc.codec import DecodeError, Decoder, Encoder
 from lrsc.oracle import Failure, VerificationReport, _random_stream
 
 
@@ -323,6 +325,23 @@ def check_decoder_invariants(dec):
         for qid, (qc, _) in dec.rows.items():
             if qid != pid:
                 assert pid not in qc
+
+
+def pushes_through(dec, packets):
+    """Push each packet (its symbols, or None for an erasure) at the
+    decoder's next time.  Returns, per push, its outcomes as (t, recovered,
+    delay, message) and the rows it left, as {pivot: (coeffs, rhs)}; a
+    DecodeError ends the list with its message."""
+    out = []
+    for packet in packets:
+        try:
+            events = dec.push(dec.next_t, packet)
+        except DecodeError as e:
+            out.append(("DecodeError", str(e)))
+            break
+        out.append(([(ev.t, ev.recovered, ev.delay, ev.message) for ev in events],
+                    {pid: (dict(cf), v) for pid, (cf, v) in dec.rows.items()}))
+    return out
 
 
 def random_stream(rng, order, k, length):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import lrsc
 from lrsc.codec import DecodeError, Decoder, Encoder, MdsDeCode, make_lrsc
 
-from conftest import check_decoder_invariants, pinned_coordinates, random_stream
+from conftest import check_decoder_invariants, pinned_coordinates, pushes_through, random_stream
 
 
 def _coded(code, msgs):
@@ -349,6 +349,52 @@ def test_hypothesis_decoder_matches_dense_reference(name, seed, erased):
     _check_against_dense(_dense_code(name), seed, erased)
 
 
+_REPLAY_CODES = {"lrsc-2-5-2": lambda: make_lrsc(2, 5, 2),       # exact
+                 "lrsc-3-7-2": lambda: make_lrsc(3, 7, 2),       # short
+                 "lrsc-2-6-2": lambda: make_lrsc(2, 6, 2),       # long
+                 "mds-de-2-5": lambda: MdsDeCode(2, 5)}
+
+
+@functools.cache
+def _replay_code(name):
+    return _REPLAY_CODES[name]()
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_REPLAY_CODES)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       warm=st.lists(st.booleans(), max_size=40),
+       flags=st.lists(st.booleans(), min_size=1, max_size=40),
+       start=st.integers(0, 30),
+       corrupt=st.one_of(st.none(), st.integers(0, 39)))
+def test_hypothesis_replay_matches_elimination(name, seed, warm, flags, start, corrupt):
+    # a fork of a decoder whose table another stream has filled pushes a
+    # stream as a fresh decoder does, which eliminates every push: the same
+    # outcomes, rows and DecodeError, push for push.  The stream starts
+    # after a clean prefix, so plans recorded near time 0, whose early
+    # parity terms read 0, replay later; a corrupted parity must raise or
+    # decode alike on both
+    code = _replay_code(name)
+    rng = random.Random(seed)
+    order, k = code.field.order, code.k
+    warm_coded = _coded(code, random_stream(rng, order, k, len(warm)))
+    msgs = random_stream(rng, order, k, start + len(flags))
+    coded = _coded(code, msgs)[start:]
+    if corrupt is not None and corrupt < len(flags):
+        pkt = coded[corrupt]
+        coded[corrupt] = pkt[:k] + (code.field.add(pkt[k], 1),) + pkt[k + 1:]
+    run = [None if f else pkt for f, pkt in zip(flags, coded)]
+    root = Decoder(code)
+    pushes_through(root.fork(), [None if f else pkt for f, pkt in zip(warm, warm_coded)])
+    forked, fresh = root.fork(), Decoder(code)
+    for dec in (forked, fresh):
+        dec.resume(msgs[:start])
+    assert forked.table is root.table and fresh.table is not root.table
+    assert pushes_through(forked, run) == pushes_through(fresh, run)
+    if warm[:1] == flags[:1]:
+        assert root.table.replayed      # from clean, the first push met a recorded move
+
+
 @pytest.mark.parametrize("args", [(3, 7, 2, 257), (4, 9, 2, 17)], ids=["lrsc-3-7-2-q257", "lrsc-4-9-2-q17"])
 def test_pair_backed_decoder_matches_dense_reference(args):
     # above order 2^16 (66049 and 83521 here) the field's row and sum
@@ -533,13 +579,28 @@ class _TaggedDecoder(Decoder):
         self.tag = "kept"
 
 
-@pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 7, 2),
-                                  lambda: MdsDeCode(2, 5)], ids=["lrsc-2-5-2", "lrsc-3-7-2", "mds-de-2-5"])
+_FORK_CODES = pytest.mark.parametrize(
+    "make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 7, 2), lambda: MdsDeCode(2, 5)],
+    ids=["lrsc-2-5-2", "lrsc-3-7-2", "mds-de-2-5"])
+
+
+@_FORK_CODES
 def test_fork_is_an_independent_decoder_in_the_same_state(make):
     # a decoder and its fork take diverging continuations of one prefix: each
     # gives the outcomes of a fresh replay of its own stream, and no push into
     # one changes the other's records, rows or time
-    code = make()
+    _check_fork(make())
+
+
+@_FORK_CODES
+def test_fork_past_the_state_cap_is_an_independent_decoder(monkeypatch, make):
+    # with a table that stores only the clean state, a decoder with anything
+    # unresolved holds its system in its rows alone, which a fork copies
+    monkeypatch.setattr(lrsc.codec, "_STATE_CAP", 1)
+    _check_fork(make())
+
+
+def _check_fork(code):
     tau = code.tau
     rng = random.Random(41)
     length = 6 * (tau + 1)

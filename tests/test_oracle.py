@@ -16,8 +16,8 @@ from lrsc.gf import make_tower
 from lrsc.matrix import parity_weights, stacked_parity_check, superregular_matrix
 from lrsc.oracle import verify_scalar, verify_stream
 
-from conftest import (anchor_recovery_reference, mat_vec, random_stream, rref, stream_codeword,
-                      verify_stream_reference)
+from conftest import (anchor_recovery_reference, mat_vec, pushes_through, random_stream, rref,
+                      stream_codeword, verify_stream_reference)
 
 
 def test_scalar_3_2_all_patterns_pass():
@@ -342,6 +342,64 @@ def test_walk_matches_per_pattern_replay(monkeypatch, args, budget, deadline, tr
     want = verify_stream_reference(code, budget, deadline, trials=trials, seed=seed, decoder=decoder)
     assert got.summary() == want.summary()
     assert [(f.pattern, f.detail) for f in got.failures] == [(f.pattern, f.detail) for f in want.failures]
+
+
+@pytest.mark.parametrize("mutant", [_LateDecoder, _WrongSymbolDecoder, _NoClearDecoder],
+                         ids=["late", "wrong-symbol", "no-clear"])
+@pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 8, 2),
+                                  lambda: MdsDeCode(2, 5)], ids=["lrsc-2-5-2", "lrsc-3-8-2", "mds-de-2-5"])
+def test_a_mutant_replays_the_plans_of_its_own_pushes(make, mutant):
+    # a plan holds whatever the recording push did: the no-clear mutant's
+    # own _pivot, rows and all, replays on a fork as a fresh mutant
+    # eliminates it
+    code = make()
+    rng = random.Random(17)
+    enc = Encoder(code)
+    coded = [enc.push(m) for m in random_stream(rng, code.field.order, code.k, 120)]
+    runs = [[None if rng.random() < p else pkt for pkt in coded] for p in (0.2, 0.3, 0.2)]
+    root = mutant(code)
+    pushes_through(root.fork(), runs[0])
+    pushes_through(root.fork(), runs[1])
+    replayed = root.table.replayed
+    assert pushes_through(root.fork(), runs[2]) == pushes_through(mutant(code), runs[2])
+    assert root.table.replayed > replayed
+
+
+def _battery():
+    """verify_all.py's stream suites, as (code args, budget, deadline)."""
+    suites = []
+    for a, tau, r in [(a, a * (r + 1) - 1, r) for a in (2, 3, 4) for r in (1, 2, 3)] + [
+            (2, 4, 2), (3, 7, 2), (3, 8, 3), (4, 9, 3)]:
+        suites += [((a, tau, r), a, tau), ((a, tau, r), 1, r)]
+    for a, r in [(3, 2), (4, 1), (4, 2)]:
+        suites += [((a, a * (r + 1) - 1, r), h, h * (r + 1) - 1) for h in range(1, a + 1)]
+    return suites
+
+
+def test_the_first_anchor_records_every_transition(monkeypatch):
+    # the decoder table holds a move per (state, flag): verify_stream's
+    # first anchor meets them all and every later anchor replays them, so
+    # a suite records a fixed number of transitions, independent of seed
+    per_anchor = []
+    walk = lrsc.oracle.walk
+
+    def counted(dec, *args):
+        before = dec.table.recorded
+        yield from walk(dec, *args)
+        per_anchor.append(dec.table.recorded - before)
+
+    monkeypatch.setattr(lrsc.oracle, "walk", counted)
+    recorded = {}
+    for args, budget, deadline in _battery():
+        per_anchor.clear()
+        rep = verify_stream(make_lrsc(*args), budget, deadline)
+        assert rep.transitions == per_anchor[0] and not any(per_anchor[1:]), (args, budget, deadline)
+        recorded[args, budget, deadline] = rep.transitions, rep.replays
+    assert recorded[(2, 5, 2), 2, 5] == (12, 72)
+    assert recorded[(4, 11, 2), 4, 11][0] == 222
+    assert recorded[(4, 15, 3), 4, 15][0] == 831
+    rep = verify_stream(make_lrsc(2, 5, 2), 2, 5, trials=2, seed=9)
+    assert (rep.transitions, rep.replays) == (24, 144)     # one table per trial
 
 
 def test_verify_all_output_is_golden():

@@ -12,12 +12,24 @@ symbols in ``matrix.Echelon``, the reduced-echelon system that ``rank`` and
 ``in_span`` also run on.  A packet is recovered the moment the system pins
 its last unresolved symbol, which serves the single-erasure deadline, the
 full-budget deadline, and best-effort recovery past the guarantee.
+
+The code is linear, so no coefficient of the system depends on a symbol
+value.  The coefficients are the decoder's state in a transition table
+(``Transitions``), which a decoder built by ``Decoder(code)`` starts and
+shares with every fork of itself; the table lives as long as they do, one
+``verify_stream`` or ``run_sim`` call, and code objects stay immutable.
+The first push of a (state, flag) eliminates on the state's rows, built
+with the decoder's values, and records the move as a plan on values:
+which resolved parity terms to sum, the rhs row operations, the zero
+checks and the writes.  Every later push of that (state, flag), by any
+fork, checks its packet as before and replays the plan, with no
+coefficient dict.  A parity term before time 0 reads 0 in both, so a plan
+recorded at the start of a stream holds at any time.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 from dataclasses import dataclass
 
 from .gf import make_tower, smallest_prime_power_at_least
@@ -201,34 +213,37 @@ _STATE_CAP = 2048
 class _State:
     """A decoder's coefficient state: its unresolved ids and its rows, each
     row a tuple of (id, coeff) sorted by id, its pivot first, every id
-    shifted by -next_t*k.  ``moves`` holds its move on a received and on an
-    erased packet, each None until recorded, or is None for a state that
-    the table does not store.  A move is (next state, outs, plan): outs
-    lists the packets the push settles as (offset from the push time,
+    shifted by -next_t*k.  A stored state has its ``number`` in its table,
+    and ``moves``: its move on a received and on an erased packet, each
+    None until recorded.  A move is (the next state's number, outs, plan):
+    outs lists the packets the push settles as (offset from the push time,
     delay or None for a loss), and plan is the push on values alone
-    (``_Recorder.plan``), or None in a table that keeps no plans."""
+    (``_Recorder.plan``), or None in a table that keeps no plans.  Moves
+    name states by number, so a table holds no reference cycle and goes
+    with its last decoder."""
 
-    __slots__ = ("ids", "rows", "moves")
+    __slots__ = ("ids", "rows", "number", "moves")
 
-    def __init__(self, key, stored):
+    def __init__(self, key, number):
         self.ids, self.rows = key
-        self.moves = [None, None] if stored else None
+        self.number = number
+        self.moves = None if number is None else [None, None]
 
 
 # The state of a decoder past the cap that has left the states it keys:
 # only its rows hold its system, until nothing is unresolved.
-_LIVE = _State(((), ()), False)
+_LIVE = _State(((), ()), None)
 
 
 class Transitions:
     """The transition table that a decoder shares with its forks: the states
-    they met, by ``_key``, each with its recorded moves.  It counts the
-    moves it recorded and the pushes that replayed one.  With ``plans``
-    false a move keeps only its next state and its outcomes, and no push
-    replays it."""
+    they met, by ``_key`` and by number, each with its recorded moves.  It
+    counts the moves it recorded and the pushes that replayed one.  With
+    ``plans`` false a move keeps only its next state and its outcomes, and
+    no push replays it."""
 
     def __init__(self):
-        self.index = {}
+        self.index, self.states = {}, []
         self.clean = self.state(((), ()))
         self.plans = True
         self.terms = None           # the parity templates, as ``_Recorder.parity`` reads them
@@ -240,9 +255,11 @@ class Transitions:
         the table holds fewer than ``_STATE_CAP``."""
         st = self.index.get(key)
         if st is None:
-            st = _State(key, len(self.index) < _STATE_CAP)
+            n = len(self.states)
+            st = _State(key, n if n < _STATE_CAP else None)
             if st.moves is not None:
                 self.index[key] = st
+                self.states.append(st)
         return st
 
 
@@ -270,8 +287,9 @@ class _Recorder:
 
     def __init__(self, dec, rows):
         self.dec = dec
-        self.held = [rows[p] for p in sorted(rows)]     # the state's order; every logged row
-        # stays alive, so ids stay distinct
+        # every logged row, the state's first in its order, held so that
+        # no two of them share an id
+        self.held = [rows[p] for p in sorted(rows)]
         self.slot = {id(row): i for i, row in enumerate(self.held)}
         self.base = len(self.held)          # parity p's input is in slot base + p
         self.scaled = 0
@@ -357,14 +375,11 @@ class Decoder(Echelon):
 
     Every received packet's parities are read, and so checked.
 
-    The code is linear, so no coefficient of the system depends on a
-    symbol value.  The coefficients are the decoder's ``state`` in a
-    transition table (``Transitions``) that it shares with its forks; the
-    decoder holds the values: the records and the rhs of each row.  The
-    first push of a (state, flag) builds the rows, eliminates and records
-    the move as a plan on values; every later push of it, by any fork,
-    replays the plan.  A parity term before time 0 reads as 0 in both, so a
-    plan recorded at the start of a stream holds at any time.
+    The system's coefficients are ``state``, a state of the decoder's
+    ``table``; the decoder holds the values, its records and the rhs of
+    each of the state's rows.  A push replays the move its table recorded
+    for (state, flag), or else eliminates and records it (see the module
+    notes).
     """
 
     def __init__(self, code):
@@ -379,16 +394,24 @@ class Decoder(Echelon):
         self.table = Transitions()
         self.state = self.table.clean
         self._rhs = []           # the rhs of the state's rows, in its order
+        self._system = None      # ``rows``, once built
         self._dots, self._run_ops = code.field.dots, code.field.run_ops
 
-    @functools.cached_property
+    @property
     def rows(self):
         """pivot id t*k + j -> [coeff dict, rhs]: the system, built from the
         state and the values when first read.  An elimination works on it
         and keeps it; a replay drops it."""
-        base = self.next_t * self.k
-        return {base + row[0][0]: [{base + i: c for i, c in row}, v]
-                for row, v in zip(self.state.rows, self._rhs)}
+        system = self._system
+        if system is None:
+            base = self.next_t * self.k
+            system = self._system = {base + row[0][0]: [{base + i: c for i, c in row}, v]
+                                     for row, v in zip(self.state.rows, self._rhs)}
+        return system
+
+    @rows.setter
+    def rows(self, rows):
+        self._system = rows
 
     @property
     def unknowns(self):
@@ -401,10 +424,8 @@ class Decoder(Echelon):
         changes."""
         c = object.__new__(type(self))
         c.__dict__.update(self.__dict__)
-        if self.state is _LIVE:
-            c.rows = {p: [dict(cf), v] for p, (cf, v) in self.rows.items()}
-        else:
-            c.__dict__.pop("rows", None)
+        c._system = ({p: [dict(cf), v] for p, (cf, v) in self.rows.items()}
+                     if self.state is _LIVE else None)
         c.known = known = self.known.copy()
         for t in self.missing:
             known[t] = known[t][:]
@@ -412,12 +433,13 @@ class Decoder(Echelon):
         return c
 
     def at(self, state, t):
-        """A fork in `state`, a state of its table, at time t on the
-        all-zero stream: every resolved symbol and every rhs is 0."""
+        """A decoder of this one's class and table in `state`, a state the
+        table stores, at time t on the all-zero stream: every resolved
+        symbol and every rhs is 0."""
         c = object.__new__(type(self))
         c.__dict__.update(self.__dict__)
         k, base = self.k, t * self.k
-        c.__dict__.pop("rows", None)
+        c._system = None
         c.next_t, c.state, c._rhs = t, state, [0] * len(state.rows)
         c.known = {u: [0] * k for u in range(max(0, t - self.tau - 1), t)}
         c.missing = set()
@@ -442,7 +464,7 @@ class Decoder(Echelon):
     def _replay(self, t, symbols, move):
         """Push by a recorded move, on the values alone."""
         self.table.replayed += 1
-        self.__dict__.pop("rows", None)
+        self._system = None
         nxt, outs, (reads, parities, ops, scaled, rows, checks, writes) = move
         k, known, missing = self.k, self.known, self.missing
         self.next_t = t + 1
@@ -465,7 +487,7 @@ class Decoder(Echelon):
             for off, j, i in writes:
                 known[t + off][j] = x[i]
         self._rhs = [x[i] for i in rows]
-        self.state = nxt
+        self.state = self.table.states[nxt]
         out = []
         for off, delay in outs:
             u = t + off
@@ -542,7 +564,7 @@ class Decoder(Echelon):
         key = _key(self)
         self.state = nxt = table.index.get(key) or table.state(key)
         if moves is not None and nxt.moves is not None and (rec is None or rec.replayable):
-            moves[symbols is None] = (nxt, tuple([(ev.t - t, ev.delay) for ev in out]),
+            moves[symbols is None] = (nxt.number, tuple([(ev.t - t, ev.delay) for ev in out]),
                                       rec and rec.plan([rows[p] for p in pids]))
             table.recorded += 1
         return out

@@ -9,13 +9,19 @@ Two layers of ground truth:
 * ``verify_stream`` drives the real encoder and decoder over a seeded
   random stream and every erasure pattern anchored at mid-horizon times
   (plus an anchor at t=0 to exercise the zero prehistory), asserting the
-  anchored packet comes back correct within the deadline.  Each anchor's
-  decoder resumes on the clean prefix before it, the state pushing it would
-  leave, and ``walk`` runs it down the tree of erased/received flags from
+  anchored packet comes back correct within the deadline.  One clean
+  decoder per trial walks forward through the anchors, resuming on the
+  messages since the last, the state pushing them would leave, and
+  ``walk`` runs a fork of it down the tree of erased/received flags from
   the erased anchor, forking at each time an erasure is still in budget.
   A path settles once the anchored packet is recovered or the deadline
   passes, and every pattern that agrees with the settled node up to its
   time takes the node's outcome, the one replaying it alone would give.
+  The forks share the decoder's transition table: the first anchor's walk
+  records every (state, flag) move it meets, and every later anchor's
+  pushes replay those plans on its own values, so each pattern is still
+  decoded through ``Decoder.push`` and its value checked.  The report
+  counts the moves recorded and replayed.
 
 Pattern enumeration counts are checked against the closed-form binomial
 totals, and each anchor's patterns for distinctness, raising RuntimeError
@@ -120,7 +126,8 @@ def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationRepor
     third of a 3*(max(tau, deadline)+1) horizon and at t=0, over `trials`
     random message streams.  One ``walk`` per anchor settles every
     pattern there; each pattern still gets its own check, in enumeration
-    order."""
+    order.  Each trial's decoder table adds its moves recorded and
+    replayed to the report's ``transitions`` and ``replays``."""
     if (any(v.__class__ is not int for v in (budget, deadline, trials, seed))
             or budget < 1 or deadline < 0 or trials < 1):
         raise ValueError(f"need budget >= 1, deadline >= 0, trials >= 1 and a seed, each an int; "

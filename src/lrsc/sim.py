@@ -5,11 +5,11 @@ comes from a splitmix64 mix of the two, so runs are reproducible across
 machines and order independent.  The codes are linear and the decoder's
 steps depend only on which packets are erased, never on symbol values, so
 a run stands for the all-zero stream and draws no messages.  On that stream
-the decoder is a finite automaton over erasure flags: a run walks a table
-of its states, built for the call, and pushes a decoder only where the
-table lacks a move.  While nothing is unresolved, a received packet
-settles at delay 0, so a run counts each clean stretch straight from the
-channel.
+the decoder is a finite automaton over erasure flags: a run walks the
+transition table of one decoder (``codec.Transitions``), built for the
+call, and pushes a decoder only where the table lacks a move.  While
+nothing is unresolved, a received packet settles at delay 0, so a run
+counts each clean stretch straight from the channel.
 """
 
 from __future__ import annotations
@@ -109,14 +109,14 @@ def _walk(code, erased, end):
     The steps walk the transition table of one decoder, built through the
     module name ``Decoder``, from state to state by their recorded moves;
     the walk reads only a move's next state and outcomes, so the table
-    keeps no plans.  A missing move is recorded by a push of a fork placed
-    in the state (``Decoder.at``), and that fork is pushed on while the
+    keeps no plans.  A missing move is recorded by a push of a decoder
+    placed in the state (``Decoder.at``), which is pushed on while the
     moves it meets are missing.  Where the table is full and a push leads
-    to a state it does not store, the fork goes on, one push at a time,
-    until it meets a stored state."""
+    to a state it does not store, that decoder goes on, one push at a time,
+    until nothing is unresolved."""
     root = Decoder(code)
     root.table.plans = False
-    clean = root.state
+    clean, states = root.state, root.table.states
     zeros = (0,) * code.n
     state, t, dec = clean, 0, root
     while t < end:
@@ -146,8 +146,8 @@ def _walk(code, erased, end):
                 state = dec.state
                 t += 1
                 continue
-        state, outs, _ = move
-        yield t, run, outs
+        state = states[move[0]]
+        yield t, run, move[1]
         t += 1
 
 

@@ -38,12 +38,19 @@ from .matrix import Echelon, is_superregular, parity_weights, superregular_matri
 from .params import CodeParams, derive_params
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PacketOutcome:
     t: int
     recovered: bool
     delay: int | None = None
     message: tuple | None = None
+
+    def __init__(self, t, recovered, delay=None, message=None):
+        # one store of the whole __dict__, where the frozen dataclass's own
+        # __init__ makes one object.__setattr__ call per field: every push
+        # makes its outcomes here
+        object.__setattr__(self, "__dict__", {"t": t, "recovered": recovered,
+                                              "delay": delay, "message": message})
 
 
 class DecodeError(ValueError):
@@ -268,13 +275,17 @@ def _key(dec):
     id shifted by -next_t*k.  Its rows are in reduced echelon form with
     smallest-id pivots, which is unique, so equal keys have equal futures
     on equal values."""
-    rows = dec.rows
-    if not dec.missing and not rows:
+    rows, missing = dec.rows, dec.missing
+    if not missing and not rows:
         return (), ()
-    k, known, base = dec.k, dec.known, dec.next_t * dec.k
-    ids = sorted([t * k + j - base for t in dec.missing for j, v in enumerate(known[t]) if v is None])
-    cfs = [rows[p][0] for p in sorted(rows)]
-    return tuple(ids), tuple([tuple([(i - base, cf[i]) for i in sorted(cf)]) for cf in cfs])
+    k, known = dec.k, dec.known
+    base = dec.next_t * k
+    ids = [t * k + j - base for t in sorted(missing) for j, v in enumerate(known[t]) if v is None]
+    key_rows = []
+    for p in sorted(rows):
+        cf = rows[p][0]
+        key_rows.append(tuple([(i - base, cf[i]) for i in sorted(cf)]))
+    return tuple(ids), tuple(key_rows)
 
 
 class _Recorder:

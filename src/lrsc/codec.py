@@ -30,6 +30,7 @@ recorded at the start of a stream holds at any time.
 from __future__ import annotations
 
 import collections
+import functools
 from dataclasses import dataclass
 
 from .gf import make_tower, smallest_prime_power_at_least
@@ -404,25 +405,20 @@ class Decoder(Echelon):
         self.missing = set()     # t whose record still holds a None
         self.table = Transitions()
         self.state = self.table.clean
-        self._rhs = []           # the rhs of the state's rows, in its order
-        self._system = None      # ``rows``, once built
+        # the rhs of the state's rows, in its order, while ``rows`` is not
+        # built; once it is, the rows hold them
+        self._rhs = []
+        del self.rows
         self._dots, self._run_ops = code.field.dots, code.field.run_ops
 
-    @property
+    @functools.cached_property
     def rows(self):
         """pivot id t*k + j -> [coeff dict, rhs]: the system, built from the
         state and the values when first read.  An elimination works on it
         and keeps it; a replay drops it."""
-        system = self._system
-        if system is None:
-            base = self.next_t * self.k
-            system = self._system = {base + row[0][0]: [{base + i: c for i, c in row}, v]
-                                     for row, v in zip(self.state.rows, self._rhs)}
-        return system
-
-    @rows.setter
-    def rows(self, rows):
-        self._system = rows
+        base = self.next_t * self.k
+        return {base + row[0][0]: [{base + i: c for i, c in row}, v]
+                for row, v in zip(self.state.rows, self._rhs)}
 
     @property
     def unknowns(self):
@@ -435,8 +431,11 @@ class Decoder(Echelon):
         changes."""
         c = object.__new__(type(self))
         c.__dict__.update(self.__dict__)
-        c._system = ({p: [dict(cf), v] for p, (cf, v) in self.rows.items()}
-                     if self.state is _LIVE else None)
+        system = c.__dict__.pop("rows", None)
+        if self.state is _LIVE:
+            c.rows = {p: [dict(cf), v] for p, (cf, v) in system.items()}
+        elif system is not None:
+            c._rhs = [system[p][1] for p in sorted(system)]
         c.known = known = self.known.copy()
         for t in self.missing:
             known[t] = known[t][:]
@@ -450,7 +449,7 @@ class Decoder(Echelon):
         c = object.__new__(type(self))
         c.__dict__.update(self.__dict__)
         k, base = self.k, t * self.k
-        c._system = None
+        c.__dict__.pop("rows", None)
         c.next_t, c.state, c._rhs = t, state, [0] * len(state.rows)
         c.known = {u: [0] * k for u in range(max(0, t - self.tau - 1), t)}
         c.missing = set()
@@ -475,12 +474,15 @@ class Decoder(Echelon):
     def _replay(self, t, symbols, move):
         """Push by a recorded move, on the values alone."""
         self.table.replayed += 1
-        self._system = None
         nxt, outs, (reads, parities, ops, scaled, rows, checks, writes) = move
         k, known, missing = self.k, self.known, self.missing
         self.next_t = t + 1
         known.pop(t - self.tau - 1, None)
-        x = self._rhs
+        system = self.__dict__.pop("rows", None)
+        if system is None:
+            x = self._rhs
+        else:
+            x = [system[p][1] for p in sorted(system)]
         if symbols is None:
             known[t] = [None] * k
             missing.add(t)
@@ -570,13 +572,11 @@ class Decoder(Echelon):
         if moves is None and missing:
             self.state = _LIVE
             return out
-        pids = sorted(rows)
-        self._rhs = [rows[p][1] for p in pids]
         key = _key(self)
         self.state = nxt = table.index.get(key) or table.state(key)
         if moves is not None and nxt.moves is not None and (rec is None or rec.replayable):
             moves[symbols is None] = (nxt.number, tuple([(ev.t - t, ev.delay) for ev in out]),
-                                      rec and rec.plan([rows[p] for p in pids]))
+                                      rec and rec.plan([rows[p] for p in sorted(rows)]))
             table.recorded += 1
         return out
 

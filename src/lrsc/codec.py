@@ -408,7 +408,7 @@ class Decoder(Echelon):
         # the rhs of the state's rows, in its order, while ``rows`` is not
         # built; once it is, the rows hold them
         self._rhs = []
-        del self.rows
+        del self.rows            # Echelon's own; ``rows`` builds from the state
         self._dots, self._run_ops = code.field.dots, code.field.run_ops
 
     @functools.cached_property

@@ -13,18 +13,19 @@ symbols in ``matrix.Echelon``, the reduced-echelon system that ``rank`` and
 its last unresolved symbol, which serves the single-erasure deadline, the
 full-budget deadline, and best-effort recovery past the guarantee.
 
-The code is linear, so no coefficient of the system depends on a symbol
-value.  The coefficients are the decoder's state in a transition table
-(``Transitions``), which a decoder built by ``Decoder(code)`` starts and
-shares with every fork of itself; the table lives as long as they do, one
-``verify_stream`` or ``run_sim`` call, and code objects stay immutable.
-The first push of a (state, flag) eliminates on the state's rows, built
-with the decoder's values, and records the move as a plan on values:
-which resolved parity terms to sum, the rhs row operations, the zero
-checks and the writes.  Every later push of that (state, flag), by any
-fork, checks its packet as before and replays the plan, with no
-coefficient dict.  A parity term before time 0 reads 0 in both, so a plan
-recorded at the start of a stream holds at any time.
+The code is linear, so no coefficient of the system, and no move of the
+decoder, depends on a symbol value.  The coefficients are the decoder's
+state in a transition table (``Transitions``), which a decoder built by
+``Decoder(code)`` starts and shares with every fork of itself; the table
+lives as long as they do, one ``verify_stream`` or ``run_sim`` call, and
+code objects stay immutable.  A move, the push of a received or an erased
+packet from a state, is computed once from the state's ids and rows alone
+(``Decoder.move``): the next state, the packets the push settles, and a
+plan on values, made of the rhs row operations, the zero checks and the
+writes.  Values only ever replay: every push, by any fork, checks its
+packet, reads every term of each parity template and runs the plan, with
+no coefficient dict.  A term before time 0 reads 0, as does an unresolved
+symbol, so one plan holds at any time.
 """
 
 from __future__ import annotations
@@ -55,8 +56,7 @@ class PacketOutcome:
 
 
 class DecodeError(ValueError):
-    """A received parity contradicts the resolved symbols, or references a
-    symbol the decoder's window does not hold."""
+    """A received parity contradicts the resolved symbols."""
 
 
 def _sort_template(terms):
@@ -167,29 +167,6 @@ def make_lrsc(a: int, tau: int, r: int, q_override: int | None = None) -> LrscCo
     return LrscCode(derive_params(a, tau, r, q_override))
 
 
-def parity_terms(field, template, t, records, k):
-    """Walk a parity template at time t over records (time -> k symbols,
-    None where unresolved): the coefficients {t'*k + j: c} of the unresolved
-    terms and the sum of the resolved ones.  A referenced time without a
-    record raises DecodeError."""
-    coeffs = {}
-    cs, xs = [], []
-    for j, d, c in template:
-        tt = t - d
-        if tt < 0:
-            continue
-        record = records.get(tt)
-        if record is None:
-            raise DecodeError(f"symbol {(tt, j)} neither known nor tracked")
-        x = record[j]
-        if x is None:
-            coeffs[tt * k + j] = c
-        elif x:
-            cs.append(c)
-            xs.append(x)
-    return coeffs, field.dot(cs, xs)
-
-
 class Encoder:
     """Systematic streaming encoder; retains the last tau+1 message packets."""
 
@@ -200,21 +177,24 @@ class Encoder:
 
     def push(self, message) -> tuple:
         """The next coded packet: its n symbols, k message then n-k parity."""
-        code = self.code
+        code, field = self.code, self.code.field
         msg = tuple(message)
-        code.field.check(msg, code.k)
+        field.check(msg, code.k)
         t = self.next_t
         self.next_t += 1
         history = self.history
         history[t] = msg
-        parities = tuple(parity_terms(code.field, tp, t, history, code.k)[1] for tp in code.templates)
+        # a term before time 0 reads 0
+        parities = tuple(field.dot([c for _, _, c in tp], [history[t - d][j] if d <= t else 0 for j, d, _ in tp])
+                         for tp in code.templates)
         history.pop(t - code.tau - 1, None)
         return msg + parities
 
 
-# The most states one transition table stores.  Past it, a decoder that
-# enters a new state eliminates each push, and keys its state only once
-# nothing is unresolved (``_LIVE``).
+# The most states one transition table stores.  Past it, a move into a
+# state the table does not hold leads to a transient state, which is not
+# stored: a decoder and ``sim._walk`` step through it as through a stored
+# one, computing its moves afresh.
 _STATE_CAP = 2048
 
 
@@ -223,12 +203,12 @@ class _State:
     row a tuple of (id, coeff) sorted by id, its pivot first, every id
     shifted by -next_t*k.  A stored state has its ``number`` in its table,
     and ``moves``: its move on a received and on an erased packet, each
-    None until recorded.  A move is (the next state's number, outs, plan):
-    outs lists the packets the push settles as (offset from the push time,
-    delay or None for a loss), and plan is the push on values alone
-    (``_Recorder.plan``), or None in a table that keeps no plans.  Moves
-    name states by number, so a table holds no reference cycle and goes
-    with its last decoder."""
+    None until recorded; a transient state has neither.  A move is (the
+    next state's number, outs, plan): outs lists the packets the push
+    settles as (offset from the push time, delay or None for a loss), and
+    plan is the push on values (``Decoder.move``), or None for a move made
+    without one.  Moves name states by number, so a table holds no
+    reference cycle and goes with its last decoder."""
 
     __slots__ = ("ids", "rows", "number", "moves")
 
@@ -238,23 +218,17 @@ class _State:
         self.moves = None if number is None else [None, None]
 
 
-# The state of a decoder past the cap that has left the states it keys:
-# only its rows hold its system, until nothing is unresolved.
-_LIVE = _State(((), ()), None)
-
-
 class Transitions:
     """The transition table that a decoder shares with its forks: the states
-    they met, by ``_key`` and by number, each with its recorded moves.  It
-    counts the moves it recorded and the pushes that replayed one.  With
-    ``plans`` false a move keeps only its next state and its outcomes, and
-    no push replays it."""
+    they met, by key and by number, each with its recorded moves.  It counts
+    the moves it recorded and the pushes that replayed one."""
 
-    def __init__(self):
+    def __init__(self, code):
+        self.code = code
         self.index, self.states = {}, []
         self.clean = self.state(((), ()))
-        self.plans = True
-        self.terms = None           # the parity templates, as ``_Recorder.parity`` reads them
+        # each parity template as (id relative to the push time, coeff) terms
+        self.terms = tuple(tuple([(j - d * code.k, c) for j, d, c in tp]) for tp in code.templates)
         self.recorded = 0
         self.replayed = 0
 
@@ -270,106 +244,22 @@ class Transitions:
                 self.states.append(st)
         return st
 
-
-def _key(dec):
-    """The decoder's state: its unresolved ids and its rows by pivot, every
-    id shifted by -next_t*k.  Its rows are in reduced echelon form with
-    smallest-id pivots, which is unique, so equal keys have equal futures
-    on equal values."""
-    rows, missing = dec.rows, dec.missing
-    if not missing and not rows:
-        return (), ()
-    k, known = dec.k, dec.known
-    base = dec.next_t * k
-    ids = [t * k + j - base for t in sorted(missing) for j, v in enumerate(known[t]) if v is None]
-    key_rows = []
-    for p in sorted(rows):
-        cf = rows[p][0]
-        key_rows.append(tuple([(i - base, cf[i]) for i in sorted(cf)]))
-    return tuple(ids), tuple(key_rows)
-
-
-class _Recorder:
-    """Records the plan of one push while the decoder eliminates, for
-    ``_State`` moves.  The plan works on values in slots: the rhs of the
-    state's rows, then one input per parity, then one slot per scaled row.
-    The recorder holds the decoder's row kernels for the push and logs the
-    rhs of every row operation in slots; the push reports its parities,
-    checks and writes."""
-
-    def __init__(self, dec, rows):
-        self.dec = dec
-        # every logged row, the state's first in its order, held so that
-        # no two of them share an id
-        self.held = [rows[p] for p in sorted(rows)]
-        self.slot = {id(row): i for i, row in enumerate(self.held)}
-        self.base = len(self.held)          # parity p's input is in slot base + p
-        self.scaled = 0
-        self.ops, self.reads, self.parities, self.checks, self.writes = [], [], [], [], []
-        self.written = set()                # the ids this push resolved
-        self.replayable = True
-        self.prep, self.neg = dec.code.field.prep, dec.code.field.neg
-        self.row_sub, self.row_scale = dec._row_sub, dec._row_scale
-        dec._row_sub, dec._row_scale = self.sub, self.scale
-
-    def sub(self, row, f, pivot):
-        self.row_sub(row, f, pivot)
-        self.ops.append((self.slot[id(row)], self.prep(self.neg(f)), self.slot[id(pivot)], True))
-
-    def scale(self, row, s):
-        new = self.row_scale(row, s)
-        self.held.append(new)
-        self.slot[id(new)] = dst = self.base + self.dec.n - self.dec.k + self.scaled
-        self.scaled += 1
-        self.ops.append((dst, self.prep(s), self.slot[id(row)], False))
-        return new
-
-    def close(self):
-        self.dec._row_sub, self.dec._row_scale = self.row_sub, self.row_scale
-
-    def parity(self, p, t, coeffs, row):
-        """Parity p's row at time t: its value less every term of its
-        template whose id is not among the unresolved `coeffs`; a term
-        before time 0 reads 0.  A plan reads them all before it writes, so
-        a term this push resolved leaves the push without one."""
-        dec, table = self.dec, self.dec.table
-        if table.terms is None:             # (id - t*k, (delta, j), -c) per term
-            k, prep, neg = dec.k, self.prep, self.neg
-            table.terms = [[(j - d * k, (d, j), prep(neg(c))) for j, d, c in tp] for tp in dec.code.templates]
-        self.held.append(row)
-        self.slot[id(row)] = self.base + p
-        tk, reads = t * dec.k, self.reads
-        terms = [term for term in table.terms[p] if tk + term[0] not in coeffs]
-        if self.written and any(tk + term[0] in self.written for term in terms):
-            self.replayable = False
-        first = dec.n - dec.k + len(reads)
-        reads += [term[1] for term in terms]
-        self.parities.append(((p, *range(first, first + len(terms))),
-                              (self.prep(1), *[term[2] for term in terms])))
-
-    def check(self, row):
-        self.checks.append(self.slot[id(row)])
-
-    def write(self, sid, t, row, fills):
-        # a plan writes every value after all its row operations, which is
-        # the push's order only where each write fills an unresolved symbol
-        u, j = divmod(sid, self.dec.k)
-        self.writes.append((u - t, j, self.slot[id(row)]))
-        self.written.add(sid)
-        self.replayable = self.replayable and fills
-
-    def plan(self, order):
-        """The plan, for the next state's rows in `order`: (reads, parities,
-        ops, scaled, rows, checks, writes).  A received packet's parities
-        read its parity values, then the symbols (delta, j) of reads, each
-        the record t - delta's symbol j, or 0 before time 0, and parities
-        sums them (``dots``) into the parity inputs.  ops are the row
-        operations on slots (``run_ops``), which add `scaled` slots; rows
-        are the slots of the next state's rhs values, checks those of
-        values that must be 0, and writes (offset, j, slot) resolve a
-        record's symbol."""
-        return (tuple(self.reads), tuple(self.parities), tuple(self.ops), self.scaled,
-                tuple([self.slot[id(row)] for row in order]), tuple(self.checks), tuple(self.writes))
+    @functools.cached_property
+    def inputs(self):
+        """What a received push reads for its parities, the same for every
+        move: the symbols (delta, j) of every template term, each the record
+        t - delta's symbol j, or 0 before time 0, where an unresolved
+        symbol's None reads as 0; and the sums (``dots``) that give each
+        parity p its input, its value (slot p) less its terms (slots n-k
+        on)."""
+        code = self.code
+        field, reads, sums = code.field, [], []
+        for p, tp in enumerate(code.templates):
+            first = code.n - code.k + len(reads)
+            reads += [(d, j) for j, d, _ in tp]
+            sums.append(((p, *range(first, first + len(tp))),
+                         (field.prep(1), *[field.prep(field.neg(c)) for _, _, c in tp])))
+        return tuple(reads), tuple(sums)
 
 
 class Decoder(Echelon):
@@ -389,9 +279,9 @@ class Decoder(Echelon):
 
     The system's coefficients are ``state``, a state of the decoder's
     ``table``; the decoder holds the values, its records and the rhs of
-    each of the state's rows.  A push replays the move its table recorded
-    for (state, flag), or else eliminates and records it (see the module
-    notes).
+    each of the state's rows.  A push takes the move its table recorded for
+    (state, flag), or else computes it from the state (``move``), and
+    replays the move's plan on the values (see the module notes).
     """
 
     def __init__(self, code):
@@ -403,7 +293,7 @@ class Decoder(Echelon):
         self.next_t = 0
         self.known = {}          # t -> list of k symbols, None where unresolved
         self.missing = set()     # t whose record still holds a None
-        self.table = Transitions()
+        self.table = Transitions(code)
         self.state = self.table.clean
         # the rhs of the state's rows, in its order, while ``rows`` is not
         # built; once it is, the rows hold them
@@ -414,8 +304,7 @@ class Decoder(Echelon):
     @functools.cached_property
     def rows(self):
         """pivot id t*k + j -> [coeff dict, rhs]: the system, built from the
-        state and the values when first read.  An elimination works on it
-        and keeps it; a replay drops it."""
+        state and the values when first read; the next push drops it."""
         base = self.next_t * self.k
         return {base + row[0][0]: [{base + i: c for i, c in row}, v]
                 for row, v in zip(self.state.rows, self._rhs)}
@@ -432,31 +321,12 @@ class Decoder(Echelon):
         c = object.__new__(type(self))
         c.__dict__.update(self.__dict__)
         system = c.__dict__.pop("rows", None)
-        if self.state is _LIVE:
-            c.rows = {p: [dict(cf), v] for p, (cf, v) in system.items()}
-        elif system is not None:
+        if system is not None:
             c._rhs = [system[p][1] for p in sorted(system)]
         c.known = known = self.known.copy()
         for t in self.missing:
             known[t] = known[t][:]
         c.missing = set(self.missing)
-        return c
-
-    def at(self, state, t):
-        """A decoder of this one's class and table in `state`, a state the
-        table stores, at time t on the all-zero stream: every resolved
-        symbol and every rhs is 0."""
-        c = object.__new__(type(self))
-        c.__dict__.update(self.__dict__)
-        k, base = self.k, t * self.k
-        c.__dict__.pop("rows", None)
-        c.next_t, c.state, c._rhs = t, state, [0] * len(state.rows)
-        c.known = {u: [0] * k for u in range(max(0, t - self.tau - 1), t)}
-        c.missing = set()
-        for i in state.ids:
-            u, j = divmod(base + i, k)
-            c.known[u][j] = None
-            c.missing.add(u)
         return c
 
     def push(self, t, symbols) -> list[PacketOutcome]:
@@ -465,32 +335,109 @@ class Decoder(Echelon):
                              f"expected t={self.next_t}, got t={t!r}")
         if symbols is not None:
             self.code.field.check(symbols, self.n)
-        moves = self.state.moves
-        move = moves and moves[symbols is None]
+        system = self.__dict__.pop("rows", None)
+        if system is not None:
+            self._rhs = [system[p][1] for p in sorted(system)]
+        state, erased = self.state, symbols is None
+        move = state.moves and state.moves[erased]
         if move and move[2] is not None:
-            return self._replay(t, symbols, move)
-        return self._eliminate(t, symbols, moves)
+            self.table.replayed += 1
+            return self._replay(t, symbols, self.table.states[move[0]], move[1], move[2])
+        return self._replay(t, symbols, *self.move(state, erased, True))
 
-    def _replay(self, t, symbols, move):
-        """Push by a recorded move, on the values alone."""
-        self.table.replayed += 1
-        nxt, outs, (reads, parities, ops, scaled, rows, checks, writes) = move
+    def move(self, state, erased, plans):
+        """The move of a push from `state` of a packet erased or not, from
+        the state's ids and rows alone, with no values: (the next state,
+        outs, plan or None), recorded where the table stores both states.
+        Ids are relative to the push time t.  The push retires packet
+        t-tau-1; it adds the k ids of an erased packet, or else inserts each
+        parity's row over the ids unresolved at its start, then resolves
+        every row left with one id.  The rows run through this decoder's
+        ``insert`` as its ``rows``, with the slot of each row's rhs in
+        row[2].
+
+        With `plans` the move gets its plan on values in slots: the rhs of
+        the state's rows, then one input per parity (``Transitions.inputs``),
+        then one per scaled row.  A plan is (ops, scaled, rows, checks,
+        writes): the row operations (``run_ops``), which add `scaled` slots;
+        the slots of the next state's rhs values; those of values that must
+        be 0; and (offset, j, slot) per symbol resolved."""
+        k, srows = self.k, state.rows
+        cut = -self.tau * k                 # the retired packet's ids lie below
+        ids, outs, kept = state.ids, [], range(len(srows))
+        if ids and ids[0] < cut:
+            # exact: each id of the retired packet is the smallest live id
+            # (see Echelon), and no later parity reads it; a row's pivot is
+            # its smallest id, so only the retired rows hold retired ids
+            outs.append((-self.tau - 1, None))
+            ids = [i for i in ids if i >= cut]
+            kept = [s for s in kept if srows[s][0][0] >= cut]
+        if erased:
+            ids = [*ids, *range(k)]
+            rows = tuple([tuple([(i - k, c) for i, c in srows[s]]) for s in kept])
+            plan = ((), 0, tuple(kept), (), ()) if plans else None
+        else:
+            outs.append((0, 0))
+            system = {srows[s][0][0]: [dict(srows[s]), 0, s] for s in kept}
+            live, base, ops, scaled, checks = set(ids), len(srows), [], [], []
+            row_sub, row_scale = self._row_sub, self._row_scale
+            if plans:
+                first, prep, neg = base + self.n - k, self.code.field.prep, self.code.field.neg
+
+                def sub(row, f, pivot):
+                    row_sub(row, f, pivot)
+                    ops.append((row[2], prep(neg(f)), pivot[2], True))
+
+                def scale(row, s):
+                    new = row_scale(row, s)
+                    new.append(first + len(scaled))
+                    scaled.append(new)
+                    ops.append((new[2], prep(s), row[2], False))
+                    return new
+
+                self._row_sub, self._row_scale = sub, scale
+            self.rows = system
+            try:
+                for p, terms in enumerate(self.table.terms):
+                    if not self.insert([{i: c for i, c in terms if i in live}, 0, base + p]):
+                        checks.append(base + p)
+            finally:
+                del self.rows
+                self._row_sub, self._row_scale = row_sub, row_scale
+            resolved = sorted([p for p, row in system.items() if len(row[0]) == 1])
+            singles = [system.pop(p) for p in resolved]
+            if resolved:
+                live.difference_update(resolved)
+                left = {i // k for i in live}
+                outs += [(u, -u) for u in sorted({p // k for p in resolved}) if u not in left]
+            ids = sorted(live)
+            order = sorted(system)
+            rows = tuple([tuple(sorted([(i - k, c) for i, c in system[p][0].items()])) for p in order])
+            plan = (tuple(ops), len(scaled), tuple([system[p][2] for p in order]), tuple(checks),
+                    tuple([(*divmod(p, k), row[2]) for p, row in zip(resolved, singles)])) if plans else None
+        nxt = self.table.state((tuple([i - k for i in ids]), rows))
+        outs = tuple(outs)
+        if state.moves is not None and nxt.moves is not None:
+            state.moves[erased] = (nxt.number, outs, plan)
+            self.table.recorded += 1
+        return nxt, outs, plan
+
+    def _replay(self, t, symbols, nxt, outs, plan):
+        """Push by a move into state `nxt`, on the values alone."""
+        ops, scaled, rows, checks, writes = plan
         k, known, missing = self.k, self.known, self.missing
         self.next_t = t + 1
         known.pop(t - self.tau - 1, None)
-        system = self.__dict__.pop("rows", None)
-        if system is None:
-            x = self._rhs
-        else:
-            x = [system[p][1] for p in sorted(system)]
+        x = self._rhs
         if symbols is None:
             known[t] = [None] * k
             missing.add(t)
         else:
             msg = tuple(symbols[:k])
             known[t] = list(msg)
+            reads, sums = self.table.inputs
             got = list(symbols[k:]) + [known[t - d][j] if t >= d else 0 for d, j in reads]
-            x = x + self._dots(parities, got)
+            x = x + self._dots(sums, got)
             if ops:
                 x += [0] * scaled
                 self._run_ops(ops, x)
@@ -500,7 +447,7 @@ class Decoder(Echelon):
             for off, j, i in writes:
                 known[t + off][j] = x[i]
         self._rhs = [x[i] for i in rows]
-        self.state = self.table.states[nxt]
+        self.state = nxt
         out = []
         for off, delay in outs:
             u = t + off
@@ -512,72 +459,6 @@ class Decoder(Echelon):
                 out.append(PacketOutcome(u, True, delay, tuple(known[u])))
             else:
                 out.append(PacketOutcome(t, True, 0, msg))
-        return out
-
-    def _eliminate(self, t, symbols, moves):
-        """Push by elimination on the state's rows, built with this decoder's
-        values.  Where the table stores this state and the next, record the
-        move, with its plan where the table keeps plans (``_Recorder``)."""
-        k, known, missing, table = self.k, self.known, self.missing, self.table
-        rows = self.rows
-        rec = _Recorder(self, rows) if moves is not None and table.plans else None
-        self.next_t = t + 1
-        out = []
-        try:
-            dead = t - self.tau - 1
-            record = known.pop(dead, None)
-            if dead in missing:
-                # exact: each id of packet dead in turn is the smallest live id
-                # (see Echelon), and no later parity reads it
-                missing.remove(dead)
-                out.append(PacketOutcome(dead, False))
-                for j, v in enumerate(record):
-                    if v is None:
-                        rows.pop(dead * k + j, None)
-            if symbols is None:
-                known[t] = [None] * k
-                missing.add(t)
-            else:
-                field = self.code.field
-                msg = tuple(symbols[:k])
-                known[t] = list(msg)
-                out.append(PacketOutcome(t, True, 0, msg))
-                for p, (template, value) in enumerate(zip(self.code.templates, symbols[k:])):
-                    coeffs, acc = parity_terms(field, template, t, known, k)
-                    row = [coeffs, field.sub(value, acc)]
-                    if rec is not None:
-                        rec.parity(p, t, coeffs, row)
-                    touched = self.insert(row)
-                    if not touched:
-                        if rec is not None:
-                            rec.check(row)
-                        if row[1]:
-                            raise DecodeError("received parity inconsistent with resolved symbols")
-                    for qid in touched:
-                        if len(rows[qid][0]) == 1:
-                            row = rows.pop(qid)
-                            u, j = divmod(qid, k)
-                            record = known[u]
-                            if u not in missing:        # whole, so maybe a fork's too
-                                known[u] = record = record[:]
-                            if rec is not None:
-                                rec.write(qid, t, row, record[j] is None)
-                            record[j] = row[1]
-                            if None not in record:
-                                missing.discard(u)
-                                out.append(PacketOutcome(u, True, t - u, tuple(record)))
-        finally:
-            if rec is not None:
-                rec.close()
-        if moves is None and missing:
-            self.state = _LIVE
-            return out
-        key = _key(self)
-        self.state = nxt = table.index.get(key) or table.state(key)
-        if moves is not None and nxt.moves is not None and (rec is None or rec.replayable):
-            moves[symbols is None] = (nxt.number, tuple([(ev.t - t, ev.delay) for ev in out]),
-                                      rec and rec.plan([rows[p] for p in sorted(rows)]))
-            table.recorded += 1
         return out
 
     def resume(self, messages):

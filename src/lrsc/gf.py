@@ -376,7 +376,7 @@ class TowerField:
     def dots(self, sums, xs):
         """For each (indices, coefficients) in sums, the sum of c*xs[i] over
         its pairs, the coefficients as ``prep`` gives them: a list, one
-        value per sum."""
+        value per sum.  An x of None adds nothing, as 0 does."""
         exp, log, zech = self._exp, self._log, self._zech
         out = []
         for idx, lcs in sums:
@@ -472,7 +472,8 @@ class TowerField:
     def _pair_dot(self, cs, xs):
         acc = 0
         for c, x in zip(cs, xs):
-            acc = self._pair_add(acc, self._pair_mul(c, x))
+            if c and x:
+                acc = self._pair_add(acc, self._pair_mul(c, x))
         return acc
 
     def _pair_prep(self, c):

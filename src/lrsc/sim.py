@@ -7,9 +7,10 @@ steps depend only on which packets are erased, never on symbol values, so
 a run stands for the all-zero stream and draws no messages.  On that stream
 the decoder is a finite automaton over erasure flags: a run walks the
 transition table of one decoder (``codec.Transitions``), built for the
-call, and pushes a decoder only where the table lacks a move.  While
-nothing is unresolved, a received packet settles at delay 0, so a run
-counts each clean stretch straight from the channel.
+call, and where the table lacks a move it computes the move from the
+state alone, pushing no decoder.  While nothing is unresolved, a received
+packet settles at delay 0, so a run counts each clean stretch straight
+from the channel.
 """
 
 from __future__ import annotations
@@ -92,13 +93,6 @@ def _percentile(hist, total, frac):
     return None
 
 
-def _step(dec, packet):
-    """Push the packet at the decoder's next time; its outcomes as
-    (offset from that time, delay or None for a loss)."""
-    now = dec.next_t
-    return tuple([(ev.t - now, ev.delay) for ev in dec.push(now, packet)])
-
-
 def _walk(code, erased, end):
     """Settle the all-zero stream of times 0..end-1 over the channel's
     ``erased``.  Yields (t, run, outs) per step: the `run` packets before t
@@ -107,18 +101,14 @@ def _walk(code, erased, end):
     None for a loss) in outs.  The last step may have t = end and no push.
 
     The steps walk the transition table of one decoder, built through the
-    module name ``Decoder``, from state to state by their recorded moves;
-    the walk reads only a move's next state and outcomes, so the table
-    keeps no plans.  A missing move is recorded by a push of a decoder
-    placed in the state (``Decoder.at``), which is pushed on while the
-    moves it meets are missing.  Where the table is full and a push leads
-    to a state it does not store, that decoder goes on, one push at a time,
-    until nothing is unresolved."""
+    module name ``Decoder``, from state to state by their recorded moves,
+    reading only a move's next state and outcomes.  No decoder is pushed: a
+    missing move is computed from its state alone (``Decoder.move``), with
+    no plan, and recorded where the table stores both states; past its
+    cap, the walk steps through transient states the same way."""
     root = Decoder(code)
-    root.table.plans = False
-    clean, states = root.state, root.table.states
-    zeros = (0,) * code.n
-    state, t, dec = clean, 0, root
+    clean, states, move = root.state, root.table.states, root.move
+    state, t = clean, 0
     while t < end:
         run = 0
         if state is clean:
@@ -132,22 +122,12 @@ def _walk(code, erased, end):
             flag = True
         else:
             flag = erased(t)
-        move = state.moves[flag]
-        if move is None:
-            if dec.state is not state or dec.next_t != t:
-                dec = root.at(state, t)
-            got = dec.push(t, None if flag else zeros)
-            move = state.moves[flag]
-            if move is None:
-                yield t, run, tuple([(ev.t - t, ev.delay) for ev in got])
-                while dec.state.moves is None and t + 1 < end:
-                    t += 1
-                    yield t, 0, _step(dec, None if erased(t) else zeros)
-                state = dec.state
-                t += 1
-                continue
-        state = states[move[0]]
-        yield t, run, move[1]
+        step = state.moves and state.moves[flag]
+        if step:
+            state, outs = states[step[0]], step[1]
+        else:
+            state, outs, _ = move(state, flag, False)
+        yield t, run, outs
         t += 1
 
 
@@ -159,8 +139,8 @@ def run_sim(code, channel, packets: int, seed: int = 0) -> SimResult:
     `seed` changes no outcome; it is only reported.
 
     The run sums the steps of ``_walk``: each clean stretch is counted
-    straight from the channel scan, and a decoder is pushed only where the
-    walk's table of decoder states, built for this call, lacks a move."""
+    straight from the channel scan, and a move is computed only where the
+    walk's table of decoder states, built for this call, lacks it."""
     if packets.__class__ is not int or packets < 1:
         raise ValueError(f"packets must be an int of at least 1, got {packets!r}")
     if seed.__class__ is not int:

@@ -304,7 +304,7 @@ def _plain_run(code, channel, packets):
 @pytest.mark.parametrize("make,args", _SIM_CODES, ids=lambda x: getattr(x, "__name__", str(x)))
 def test_run_sim_equals_a_plain_decoder_loop(monkeypatch, make, args):
     # with the real state cap, and with caps of 1 and 8, past which a run
-    # pushes a live decoder until it meets a stored state
+    # steps through transient states and rejoins the table where it can
     code = make(*args)
     caps = (lrsc.codec._STATE_CAP, 1, 8)
     for ch, packets, seed in _channels(code, (0.02, 0.15, 0.35, 0.5)):
@@ -315,24 +315,46 @@ def test_run_sim_equals_a_plain_decoder_loop(monkeypatch, make, args):
             assert (res.lost, res.delay_hist) == want, (ch, cap)
 
 
+def _decoder_key(dec):
+    """A decoder's unresolved symbols, read from its records, and its rows
+    by pivot, every id shifted by -next_t*k."""
+    k, base = dec.k, dec.next_t * dec.k
+    ids = tuple(t * k + j - base for t in sorted(dec.missing) for j, v in enumerate(dec.known[t]) if v is None)
+    rows = tuple(tuple((i - base, cf[i]) for i in sorted(cf)) for cf, _ in (dec.rows[p] for p in sorted(dec.rows)))
+    return ids, rows
+
+
 @pytest.mark.parametrize("code,states", [(make_lrsc(2, 3, 1), 12), (make_lrsc(2, 5, 2), 169),
                                          (MdsDeCode(2, 5), 160)], ids=lambda x: getattr(x, "label", x))
 def test_state_keys_are_canonical(code, states):
-    # every state reachable from clean under any flags, one decoder pushed
-    # per move: a key that told apart two equal states would count more
+    # every state reachable from clean under any flags, counted twice: by
+    # pushing one decoder per move and keying it from its records and rows,
+    # and by walking the table's moves from clean with no decoder pushed.
+    # A key that told apart two equal states would count more
     zeros = (0,) * code.n
     root = Decoder(code)
-    reached, todo = {lrsc.codec._key(root): root}, [lrsc.codec._key(root)]
+    reached, todo = {_decoder_key(root): root}, [_decoder_key(root)]
     while todo and len(reached) <= states:
         dec = reached[todo.pop()]
         for packet in (None, zeros):
             nxt = dec.fork()
             nxt.push(nxt.next_t, packet)
-            key = lrsc.codec._key(nxt)
+            key = _decoder_key(nxt)
             if key not in reached:
                 reached[key] = nxt
                 todo.append(key)
     assert len(reached) == states
+    root = Decoder(code)
+    seen, todo = {root.state}, [root.state]
+    while todo and len(seen) <= states:
+        state = todo.pop()
+        for erased in (True, False):
+            nxt = root.move(state, erased, False)[0]
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    assert len(seen) == len(root.table.states) == states
+    assert root.table.replayed == 0 and root.next_t == 0
 
 
 def test_run_sim_encodes_nothing_and_ignores_its_seed(monkeypatch):

@@ -51,7 +51,7 @@ class VerificationReport:
     pattern_count: int = 0
     failures: list = dc_field(default_factory=list)
     max_delay: dict = dc_field(default_factory=dict)
-    transitions: int = 0        # decoder moves recorded by elimination
+    transitions: int = 0        # decoder moves computed and recorded
     replays: int = 0            # pushes that replayed a recorded move
 
     @property

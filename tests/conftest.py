@@ -17,8 +17,8 @@ on a ``ReplayChannel`` of fixed erasure times, and
 ``verify_stream_reference`` replays every oracle pattern on a fresh decoder
 of its own (``anchor_recovery_reference``), the run that ``verify_stream``'s
 one forked decoder walk per anchor stands for.  ``pushes_through`` records a
-decoder's outcomes and rows push by push, so that a decoder replaying its
-table's plans can be held to one that eliminates.  ``log_tables_reference``
+decoder's outcomes and rows push by push, so that a fork replaying the
+plans of a filled table can be held to a fresh decoder.  ``log_tables_reference``
 finds each field's generator by walking its candidates' powers until they
 return to 1, the search that the library's order test stands for.
 """

@@ -349,9 +349,9 @@ def test_walk_matches_per_pattern_replay(monkeypatch, args, budget, deadline, tr
 @pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 8, 2),
                                   lambda: MdsDeCode(2, 5)], ids=["lrsc-2-5-2", "lrsc-3-8-2", "mds-de-2-5"])
 def test_a_mutant_replays_the_plans_of_its_own_pushes(make, mutant):
-    # a plan holds whatever the recording push did: the no-clear mutant's
-    # own _pivot, rows and all, replays on a fork as a fresh mutant
-    # eliminates it
+    # a move is computed through the decoder's own insert and _pivot: the
+    # no-clear mutant's moves, rows and all, replay on a fork of a filled
+    # table as a fresh mutant computes them
     code = make()
     rng = random.Random(17)
     enc = Encoder(code)

@@ -8,9 +8,8 @@ the constructions live in the tests as the independent reference.
 
 The decoder keeps one record per live packet, its k message symbols with
 None where unresolved, beside one global linear system over the unresolved
-symbols in ``matrix.Echelon``, the reduced-echelon system that ``rank`` and
-``in_span`` also run on.  A packet is recovered the moment the system pins
-its last unresolved symbol, which serves the single-erasure deadline, the
+symbols.  A packet is recovered the moment the system pins its last
+unresolved symbol, which serves the single-erasure deadline, the
 full-budget deadline, and best-effort recovery past the guarantee.
 
 The code is linear, so no coefficient of the system, and no move of the
@@ -18,11 +17,13 @@ decoder, depends on a symbol value.  The coefficients are the decoder's
 state in a transition table (``Transitions``), which a decoder built by
 ``Decoder(code)`` starts and shares with every fork of itself; the table
 lives as long as they do, one ``verify_stream`` or ``run_sim`` call, and
-code objects stay immutable.  A move, the push of a received or an erased
-packet from a state, is computed once from the state's ids and rows alone
-(``Decoder.move``): the next state, the packets the push settles, and a
-plan on values, made of the rhs row operations, the zero checks and the
-writes.  Values only ever replay: every push, by any fork, checks its
+code objects stay immutable.  The table computes each move, the push of a
+received or an erased packet from a state, once from the state's ids and
+rows alone (``Transitions.move``), reducing them in ``matrix.Echelon``, the
+reduced-echelon system that ``rank`` and ``in_span`` also run on: the next
+state, the packets the push settles, and a plan on values, made of the rhs
+row operations, the zero checks and the writes.  The decoder holds only
+values, and they only ever replay: every push, by any fork, checks its
 packet, reads every term of each parity template and runs the plan, with
 no coefficient dict.  A term before time 0 reads 0, as does an unresolved
 symbol, so one plan holds at any time.
@@ -206,8 +207,8 @@ class _State:
     None until recorded; a transient state has neither.  A move is (the
     next state's number, outs, plan): outs lists the packets the push
     settles as (offset from the push time, delay or None for a loss), and
-    plan is the push on values (``Decoder.move``), or None for a move made
-    without one.  Moves name states by number, so a table holds no
+    plan is the push on values (``Transitions.move``), or None for a move
+    made without one.  Moves name states by number, so a table holds no
     reference cycle and goes with its last decoder."""
 
     __slots__ = ("ids", "rows", "number", "moves")
@@ -218,12 +219,15 @@ class _State:
         self.moves = None if number is None else [None, None]
 
 
-class Transitions:
+class Transitions(Echelon):
     """The transition table that a decoder shares with its forks: the states
-    they met, by key and by number, each with its recorded moves.  It counts
-    the moves it recorded and the pushes that replayed one."""
+    they met, by key and by number, each with its recorded moves.  It
+    computes each move (``move``), its ``rows`` the working system of the
+    move being computed, and counts the moves it recorded and the pushes
+    that replayed one."""
 
     def __init__(self, code):
+        super().__init__(code.field)
         self.code = code
         self.index, self.states = {}, []
         self.clean = self.state(((), ()))
@@ -261,90 +265,6 @@ class Transitions:
                          (field.prep(1), *[field.prep(field.neg(c)) for _, _, c in tp])))
         return tuple(reads), tuple(sums)
 
-
-class Decoder(Echelon):
-    """Sliding-window decoder over one packet stream.
-
-    Push each coded packet, the tuple of its n symbols as ``Encoder.push``
-    returns it (or None for an erasure), in time order starting at 0, and
-    ``resume`` on a run of received packets whenever nothing is unresolved.
-    Each push returns the packets whose fate was settled by it: a recovered
-    outcome the moment the record ``known[t]`` holds all k message symbols,
-    or a lost outcome once time moves past the t+tau deadline.  The window
-    is the last tau+1 packets, as far back as a parity reaches: the push at
-    t retires packet t-tau-1, reporting it lost if it is unresolved, and
-    drops its record and its unresolved symbols' rows.
-
-    Every received packet's parities are read, and so checked.
-
-    The system's coefficients are ``state``, a state of the decoder's
-    ``table``; the decoder holds the values, its records and the rhs of
-    each of the state's rows.  A push takes the move its table recorded for
-    (state, flag), or else computes it from the state (``move``), and
-    replays the move's plan on the values (see the module notes).
-    """
-
-    def __init__(self, code):
-        super().__init__(code.field)
-        self.code = code
-        self.k = code.k
-        self.n = code.n
-        self.tau = code.tau
-        self.next_t = 0
-        self.known = {}          # t -> list of k symbols, None where unresolved
-        self.missing = set()     # t whose record still holds a None
-        self.table = Transitions(code)
-        self.state = self.table.clean
-        # the rhs of the state's rows, in its order, while ``rows`` is not
-        # built; once it is, the rows hold them
-        self._rhs = []
-        del self.rows            # Echelon's own; ``rows`` builds from the state
-        self._dots, self._run_ops = code.field.dots, code.field.run_ops
-
-    @functools.cached_property
-    def rows(self):
-        """pivot id t*k + j -> [coeff dict, rhs]: the system, built from the
-        state and the values when first read; the next push drops it."""
-        base = self.next_t * self.k
-        return {base + row[0][0]: [{base + i: c for i, c in row}, v]
-                for row, v in zip(self.state.rows, self._rhs)}
-
-    @property
-    def unknowns(self):
-        """The unresolved symbols (t, j), derived from the records."""
-        return {(t, j) for t in self.missing for j, v in enumerate(self.known[t]) if v is None}
-
-    def fork(self):
-        """An independent decoder in the same state; keeps the class and
-        shares the table, and the records that are whole, which no push
-        changes."""
-        c = object.__new__(type(self))
-        c.__dict__.update(self.__dict__)
-        system = c.__dict__.pop("rows", None)
-        if system is not None:
-            c._rhs = [system[p][1] for p in sorted(system)]
-        c.known = known = self.known.copy()
-        for t in self.missing:
-            known[t] = known[t][:]
-        c.missing = set(self.missing)
-        return c
-
-    def push(self, t, symbols) -> list[PacketOutcome]:
-        if t != self.next_t or t.__class__ is not int:
-            raise ValueError(f"packets must be pushed in time order as ints; "
-                             f"expected t={self.next_t}, got t={t!r}")
-        if symbols is not None:
-            self.code.field.check(symbols, self.n)
-        system = self.__dict__.pop("rows", None)
-        if system is not None:
-            self._rhs = [system[p][1] for p in sorted(system)]
-        state, erased = self.state, symbols is None
-        move = state.moves and state.moves[erased]
-        if move and move[2] is not None:
-            self.table.replayed += 1
-            return self._replay(t, symbols, self.table.states[move[0]], move[1], move[2])
-        return self._replay(t, symbols, *self.move(state, erased, True))
-
     def move(self, state, erased, plans):
         """The move of a push from `state` of a packet erased or not, from
         the state's ids and rows alone, with no values: (the next state,
@@ -352,24 +272,25 @@ class Decoder(Echelon):
         Ids are relative to the push time t.  The push retires packet
         t-tau-1; it adds the k ids of an erased packet, or else inserts each
         parity's row over the ids unresolved at its start, then resolves
-        every row left with one id.  The rows run through this decoder's
+        every row left with one id.  The rows run through this table's
         ``insert`` as its ``rows``, with the slot of each row's rhs in
         row[2].
 
         With `plans` the move gets its plan on values in slots: the rhs of
-        the state's rows, then one input per parity (``Transitions.inputs``),
-        then one per scaled row.  A plan is (ops, scaled, rows, checks,
-        writes): the row operations (``run_ops``), which add `scaled` slots;
-        the slots of the next state's rhs values; those of values that must
-        be 0; and (offset, j, slot) per symbol resolved."""
-        k, srows = self.k, state.rows
-        cut = -self.tau * k                 # the retired packet's ids lie below
+        the state's rows, then one input per parity (``inputs``), then one
+        per scaled row.  A plan is (ops, scaled, rows, checks, writes): the
+        row operations (``run_ops``), which add `scaled` slots; the slots of
+        the next state's rhs values; those of values that must be 0; and
+        (offset, j, slot) per symbol resolved."""
+        code, srows = self.code, state.rows
+        k, tau = code.k, code.tau
+        cut = -tau * k                      # the retired packet's ids lie below
         ids, outs, kept = state.ids, [], range(len(srows))
         if ids and ids[0] < cut:
             # exact: each id of the retired packet is the smallest live id
             # (see Echelon), and no later parity reads it; a row's pivot is
             # its smallest id, so only the retired rows hold retired ids
-            outs.append((-self.tau - 1, None))
+            outs.append((-tau - 1, None))
             ids = [i for i in ids if i >= cut]
             kept = [s for s in kept if srows[s][0][0] >= cut]
         if erased:
@@ -378,11 +299,11 @@ class Decoder(Echelon):
             plan = ((), 0, tuple(kept), (), ()) if plans else None
         else:
             outs.append((0, 0))
-            system = {srows[s][0][0]: [dict(srows[s]), 0, s] for s in kept}
+            self.rows = system = {srows[s][0][0]: [dict(srows[s]), 0, s] for s in kept}
             live, base, ops, scaled, checks = set(ids), len(srows), [], [], []
             row_sub, row_scale = self._row_sub, self._row_scale
             if plans:
-                first, prep, neg = base + self.n - k, self.code.field.prep, self.code.field.neg
+                first, prep, neg = base + code.n - k, code.field.prep, code.field.neg
 
                 def sub(row, f, pivot):
                     row_sub(row, f, pivot)
@@ -396,13 +317,11 @@ class Decoder(Echelon):
                     return new
 
                 self._row_sub, self._row_scale = sub, scale
-            self.rows = system
             try:
-                for p, terms in enumerate(self.table.terms):
+                for p, terms in enumerate(self.terms):
                     if not self.insert([{i: c for i, c in terms if i in live}, 0, base + p]):
                         checks.append(base + p)
             finally:
-                del self.rows
                 self._row_sub, self._row_scale = row_sub, row_scale
             resolved = sorted([p for p, row in system.items() if len(row[0]) == 1])
             singles = [system.pop(p) for p in resolved]
@@ -415,26 +334,105 @@ class Decoder(Echelon):
             rows = tuple([tuple(sorted([(i - k, c) for i, c in system[p][0].items()])) for p in order])
             plan = (tuple(ops), len(scaled), tuple([system[p][2] for p in order]), tuple(checks),
                     tuple([(*divmod(p, k), row[2]) for p, row in zip(resolved, singles)])) if plans else None
-        nxt = self.table.state((tuple([i - k for i in ids]), rows))
+        nxt = self.state((tuple([i - k for i in ids]), rows))
         outs = tuple(outs)
         if state.moves is not None and nxt.moves is not None:
             state.moves[erased] = (nxt.number, outs, plan)
-            self.table.recorded += 1
+            self.recorded += 1
         return nxt, outs, plan
 
+
+class Decoder:
+    """Sliding-window decoder over one packet stream.
+
+    Push each coded packet, the tuple of its n symbols as ``Encoder.push``
+    returns it (or None for an erasure), in time order starting at 0, and
+    ``resume`` on a run of received packets whenever nothing is unresolved.
+    Each push returns the packets whose fate was settled by it: a recovered
+    outcome the moment the record ``known[t]`` holds all k message symbols,
+    or a lost outcome once time moves past the t+tau deadline.  The window
+    is the last tau+1 packets, as far back as a parity reaches: the push at
+    t retires packet t-tau-1, reporting it lost if it is unresolved, and
+    drops its record and its unresolved symbols' rows.
+
+    Every received packet's parities are read, and so checked.  A push that
+    raises, a ``DecodeError`` included, leaves the decoder as it was.
+
+    The system's coefficients are ``state``, a state of the decoder's
+    ``table``; the decoder holds only values, its records and the rhs of
+    each of the state's rows.  A push takes the move its table recorded
+    for (state, flag), or else has the table compute it
+    (``Transitions.move``), and replays the move's plan on the values (see
+    the module notes).  ``rows``, ``missing`` and ``unknowns`` are views of
+    the state.
+    """
+
+    def __init__(self, code):
+        self.code = code
+        self.k = code.k
+        self.n = code.n
+        self.tau = code.tau
+        self.next_t = 0
+        self.known = {}          # t -> list of k symbols, None where unresolved
+        self.table = Transitions(code)
+        self.state = self.table.clean
+        self._rhs = []           # the rhs of the state's rows, in its order
+        self._dots, self._run_ops = code.field.dots, code.field.run_ops
+
+    @property
+    def rows(self):
+        """pivot id t*k + j -> [coeff dict, rhs]: the system, built from the
+        state and the values."""
+        base = self.next_t * self.k
+        return {base + row[0][0]: [{base + i: c for i, c in row}, v]
+                for row, v in zip(self.state.rows, self._rhs)}
+
+    @property
+    def missing(self):
+        """The packets whose record still holds an unresolved symbol."""
+        return {self.next_t + i // self.k for i in self.state.ids}
+
+    @property
+    def unknowns(self):
+        """The unresolved symbols (t, j)."""
+        return {divmod(self.next_t * self.k + i, self.k) for i in self.state.ids}
+
+    def fork(self):
+        """An independent decoder in the same state; keeps the class and
+        shares the table, and the records that are whole, which no push
+        changes."""
+        c = object.__new__(type(self))
+        c.__dict__.update(self.__dict__)
+        c.known = known = self.known.copy()
+        for t in self.missing:
+            known[t] = known[t][:]
+        return c
+
+    def push(self, t, symbols) -> list[PacketOutcome]:
+        if t != self.next_t or t.__class__ is not int:
+            raise ValueError(f"packets must be pushed in time order as ints; "
+                             f"expected t={self.next_t}, got t={t!r}")
+        if symbols is not None:
+            self.code.field.check(symbols, self.n)
+        state, erased = self.state, symbols is None
+        move = state.moves and state.moves[erased]
+        if move and move[2] is not None:
+            self.table.replayed += 1
+            return self._replay(t, symbols, self.table.states[move[0]], move[1], move[2])
+        return self._replay(t, symbols, *self.table.move(state, erased, True))
+
     def _replay(self, t, symbols, nxt, outs, plan):
-        """Push by a move into state `nxt`, on the values alone."""
+        """Push by a move into state `nxt`, on the values alone.  The plan
+        runs and its checks pass before the decoder changes: a parity reads
+        no record of time t, its delta being at least 1, nor of t-tau-1."""
         ops, scaled, rows, checks, writes = plan
-        k, known, missing = self.k, self.known, self.missing
-        self.next_t = t + 1
-        known.pop(t - self.tau - 1, None)
+        k, known = self.k, self.known
         x = self._rhs
         if symbols is None:
-            known[t] = [None] * k
-            missing.add(t)
+            record = [None] * k
         else:
             msg = tuple(symbols[:k])
-            known[t] = list(msg)
+            record = list(msg)
             reads, sums = self.table.inputs
             got = list(symbols[k:]) + [known[t - d][j] if t >= d else 0 for d, j in reads]
             x = x + self._dots(sums, got)
@@ -444,18 +442,19 @@ class Decoder(Echelon):
             for i in checks:
                 if x[i]:
                     raise DecodeError("received parity inconsistent with resolved symbols")
-            for off, j, i in writes:
-                known[t + off][j] = x[i]
+        self.next_t = t + 1
+        known.pop(t - self.tau - 1, None)
+        known[t] = record
+        for off, j, i in writes:
+            known[t + off][j] = x[i]
         self._rhs = [x[i] for i in rows]
         self.state = nxt
         out = []
         for off, delay in outs:
             u = t + off
             if delay is None:
-                missing.remove(u)
                 out.append(PacketOutcome(u, False))
             elif off:
-                missing.discard(u)
                 out.append(PacketOutcome(u, True, delay, tuple(known[u])))
             else:
                 out.append(PacketOutcome(t, True, 0, msg))

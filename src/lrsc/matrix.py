@@ -2,9 +2,9 @@
 
 Matrices are tuples/lists of row sequences holding field ints, with the
 owning TowerField passed alongside.  One incremental reduced-echelon system
-(``Echelon``) is shared by the decoder, ``rank`` and ``in_span``.  The
-superregularity of a constructed matrix is checked by ranking every square
-submatrix rather than trusted from theory.
+(``Echelon``) is shared by the decoder's transition table, ``rank`` and
+``in_span``.  The superregularity of a constructed matrix is checked by
+ranking every square submatrix rather than trusted from theory.
 """
 
 from __future__ import annotations
@@ -31,36 +31,32 @@ class Echelon:
         self.rows = {}
 
     def insert(self, row):
-        """Reduce row [coeffs, rhs], store it under its smallest id and
-        return the ids of the rows this changed, in pivot order, its own
-        last; a row reducing to nothing returns [], its rhs in row[1]."""
+        """Reduce row [coeffs, rhs] and store it under its smallest id:
+        True, or False for a row reducing to nothing, its rhs in row[1]."""
         rows, row_sub, coeffs = self.rows, self._row_sub, row[0]
         for pid in [p for p in coeffs if p in rows]:
             # the pivot's 1 at pid cancels the row's coefficient there
             row_sub(row, coeffs[pid], rows[pid])
         if not coeffs:
-            return []
-        return self._pivot(row, min(coeffs))
+            return False
+        self._pivot(row, min(coeffs))
+        return True
 
     def _pivot(self, row, pid):
         """Scale row [coeffs, rhs] to 1 at id pid, clear pid from every
-        stored row with it and store it under pid; returns the ids of the
-        rows this changed, in pivot order, pid last.  Only a row of a
-        smaller pivot can hold pid."""
+        stored row with it and store it under pid.  Only a row of a smaller
+        pivot can hold pid."""
         s = self._inv(row[0][pid])
         if s != 1:
             row = self._row_scale(row, s)
-        rows, row_sub, touched = self.rows, self._row_sub, []
+        rows, row_sub = self.rows, self._row_sub
         for qid in sorted(rows):
             if qid > pid:
                 break
             qc = rows[qid][0]
             if pid in qc:
                 row_sub(rows[qid], qc[pid], row)
-                touched.append(qid)
         rows[pid] = row
-        touched.append(pid)
-        return touched
 
 
 def _sparse(row):
@@ -70,7 +66,7 @@ def _sparse(row):
 def rank(field, rows):
     """Number of linearly independent rows."""
     ech = Echelon(field)
-    return sum(bool(ech.insert([_sparse(r), 0])) for r in rows)
+    return sum(ech.insert([_sparse(r), 0]) for r in rows)
 
 
 def in_span(field, vec, vectors):

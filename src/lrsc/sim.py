@@ -103,11 +103,11 @@ def _walk(code, erased, end):
     The steps walk the transition table of one decoder, built through the
     module name ``Decoder``, from state to state by their recorded moves,
     reading only a move's next state and outcomes.  No decoder is pushed: a
-    missing move is computed from its state alone (``Decoder.move``), with
-    no plan, and recorded where the table stores both states; past its
-    cap, the walk steps through transient states the same way."""
+    missing move is computed from its state alone (``Transitions.move``),
+    with no plan, and recorded where the table stores both states; past
+    its cap, the walk steps through transient states the same way."""
     root = Decoder(code)
-    clean, states, move = root.state, root.table.states, root.move
+    clean, states, move = root.state, root.table.states, root.table.move
     state, t = clean, 0
     while t < end:
         run = 0

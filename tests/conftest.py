@@ -7,7 +7,7 @@ permutations.  Both exist so that construction checks inside the library
 (elimination-based) are cross-examined by a different route here.  ``rref``
 and ``pinned_coordinates`` are the dense Gauss-Jordan reference for the
 library's one sparse incremental elimination, ``matrix.Echelon``, which
-``rank``, ``in_span`` and the decoder all run on.  The closed-form parity expressions read the
+``rank``, ``in_span`` and the decoder's transition table all run on.  The closed-form parity expressions read the
 constructions' diagonal sums straight off the message history, as the
 reference for the coefficient templates that the encoder and decoder use.
 ``value_path_outcomes`` is the encoder-and-decoder run on random messages
@@ -312,10 +312,12 @@ def subfield_perturbation(tower, nrows, ncols, seed):
 def check_decoder_invariants(dec):
     """Assert the decoder's rows are in reduced echelon form over its live
     unknowns: each row is 1 at its own pivot, its smallest id, which no
-    other row holds, and stores no zero coefficient.  The missing packets are exactly those whose record
-    holds an unresolved symbol, and the records are those of the last tau+1
-    times."""
+    other row holds, and stores no zero coefficient.  The unresolved
+    symbols and missing packets, read from the state, are exactly the None
+    symbols of the records and the packets whose record holds one, and the
+    records are those of the last tau+1 times."""
     assert sorted(dec.known) == list(range(max(0, dec.next_t - dec.tau - 1), dec.next_t))
+    assert dec.unknowns == {(t, j) for t, s in dec.known.items() for j, v in enumerate(s) if v is None}
     assert dec.missing == {t for t, s in dec.known.items() if None in s}
     for pid, (coeffs, _) in dec.rows.items():
         assert coeffs.get(pid) == 1

@@ -208,6 +208,42 @@ def test_corrupted_parity_on_a_clean_stream_raises(make, at):
         dec.push(at, bad)
 
 
+@pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 8, 2),
+                                  lambda: MdsDeCode(2, 5)], ids=["lrsc-2-5-2", "lrsc-3-8-2", "mds-de-2-5"])
+def test_a_decode_error_refuses_the_packet(make):
+    # at each received packet while something is unresolved, a fork takes
+    # the packet with every parity corrupted; where that raises DecodeError
+    # the fork is as it was, and pushing the same time as an erasure, then
+    # the rest of the stream, gives what a decoder that saw the erasure
+    # from the start gives
+    code = make()
+    f, k, end = code.field, code.k, 40
+    rng = random.Random(29)
+    coded = _coded(code, random_stream(rng, f.order, k, end))
+    erased = {t for t in range(end) if rng.random() < 0.3}
+    dec, raised = Decoder(code), 0
+    for t in range(end):
+        if dec.missing and t not in erased:
+            fork = dec.fork()
+            before = copy.deepcopy(_state(fork))
+            try:
+                fork.push(t, coded[t][:k] + tuple(f.add(s, 1) for s in coded[t][k:]))
+            except DecodeError:
+                raised += 1
+                assert _state(fork) == before, t
+                check_decoder_invariants(fork)
+                stream = [None if u in erased or u == t else coded[u] for u in range(end)]
+                ref, want = Decoder(code), []
+                for u in range(end):
+                    out = ref.push(u, stream[u])
+                    want += out if u >= t else []
+                got = [ev for u in range(t, end) for ev in fork.push(u, stream[u])]
+                assert got == want and _state(fork) == _state(ref), t
+                check_decoder_invariants(fork)
+        dec.push(t, None if t in erased else coded[t])
+    assert raised
+
+
 def test_inconsistent_parity_raises_under_optimize():
     # the check must not be an assert: run it with python -O
     script = textwrap.dedent("""

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lrsc.oracle
-from lrsc.codec import Decoder, Encoder, MdsDeCode, make_lrsc
+from lrsc.codec import Decoder, Encoder, MdsDeCode, Transitions, make_lrsc
 from lrsc.gf import make_tower
 from lrsc.matrix import parity_weights, stacked_parity_check, superregular_matrix
 from lrsc.oracle import verify_scalar, verify_stream
@@ -254,12 +254,20 @@ class _WrongSymbolDecoder(Decoder):
                 if ev.recovered else ev for ev in super().push(t, packet)]
 
 
-class _NoClearDecoder(Decoder):
+class _NoClearTable(Transitions):
     """Scales a new pivot row but leaves the pivot in the stored rows."""
 
     def _pivot(self, row, pid):
         self.rows[pid] = self._row_scale(row, self._inv(row[0][pid]))
-        return [pid]
+
+
+class _NoClearDecoder(Decoder):
+    """Computes its moves in a no-clear table, which its forks share."""
+
+    def __init__(self, code):
+        super().__init__(code)
+        self.table = _NoClearTable(code)
+        self.state = self.table.clean
 
 
 @pytest.mark.parametrize("mutant", [_LateDecoder, _WrongSymbolDecoder, _NoClearDecoder],
@@ -349,7 +357,7 @@ def test_walk_matches_per_pattern_replay(monkeypatch, args, budget, deadline, tr
 @pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 8, 2),
                                   lambda: MdsDeCode(2, 5)], ids=["lrsc-2-5-2", "lrsc-3-8-2", "mds-de-2-5"])
 def test_a_mutant_replays_the_plans_of_its_own_pushes(make, mutant):
-    # a move is computed through the decoder's own insert and _pivot: the
+    # a move is computed through its table's insert and _pivot: the
     # no-clear mutant's moves, rows and all, replay on a fork of a filled
     # table as a fresh mutant computes them
     code = make()

@@ -9,7 +9,7 @@ import pytest
 import lrsc.codec
 import lrsc.sim
 from conftest import ReplayChannel, explain_losses_reference, value_path_outcomes
-from lrsc.codec import Decoder, MdsDeCode, make_lrsc
+from lrsc.codec import Decoder, MdsDeCode, Transitions, make_lrsc
 from lrsc.oracle import verify_stream
 from lrsc.sim import (CSV_HEADER, PecChannel, csv_rows,
                       explain_losses, hist_rows, run_sim, splitmix64, sweep)
@@ -319,7 +319,7 @@ def _decoder_key(dec):
     """A decoder's unresolved symbols, read from its records, and its rows
     by pivot, every id shifted by -next_t*k."""
     k, base = dec.k, dec.next_t * dec.k
-    ids = tuple(t * k + j - base for t in sorted(dec.missing) for j, v in enumerate(dec.known[t]) if v is None)
+    ids = tuple(t * k + j - base for t in sorted(dec.known) for j, v in enumerate(dec.known[t]) if v is None)
     rows = tuple(tuple((i - base, cf[i]) for i in sorted(cf)) for cf, _ in (dec.rows[p] for p in sorted(dec.rows)))
     return ids, rows
 
@@ -329,7 +329,7 @@ def _decoder_key(dec):
 def test_state_keys_are_canonical(code, states):
     # every state reachable from clean under any flags, counted twice: by
     # pushing one decoder per move and keying it from its records and rows,
-    # and by walking the table's moves from clean with no decoder pushed.
+    # and by walking a table's moves from clean with no decoder built.
     # A key that told apart two equal states would count more
     zeros = (0,) * code.n
     root = Decoder(code)
@@ -344,17 +344,17 @@ def test_state_keys_are_canonical(code, states):
                 reached[key] = nxt
                 todo.append(key)
     assert len(reached) == states
-    root = Decoder(code)
-    seen, todo = {root.state}, [root.state]
+    table = Transitions(code)
+    seen, todo = {table.clean}, [table.clean]
     while todo and len(seen) <= states:
         state = todo.pop()
         for erased in (True, False):
-            nxt = root.move(state, erased, False)[0]
+            nxt = table.move(state, erased, False)[0]
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
-    assert len(seen) == len(root.table.states) == states
-    assert root.table.replayed == 0 and root.next_t == 0
+    assert len(seen) == len(table.states) == states
+    assert table.replayed == 0
 
 
 def test_run_sim_encodes_nothing_and_ignores_its_seed(monkeypatch):

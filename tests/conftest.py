@@ -7,9 +7,10 @@ permutations.  Both exist so that construction checks inside the library
 (elimination-based) are cross-examined by a different route here.  ``rref``
 and ``pinned_coordinates`` are the dense Gauss-Jordan reference for the
 library's one sparse incremental elimination, ``matrix.Echelon``, which
-``rank``, ``in_span`` and the decoder's transition table all run on.  The closed-form parity expressions read the
-constructions' diagonal sums straight off the message history, as the
-reference for the coefficient templates that the encoder and decoder use.
+``rank``, ``in_span`` and the decoder's transition table all run on.  The
+closed-form parity expressions read the constructions' diagonal sums
+straight off the message history, as the reference for the coefficient
+templates that the encoder and decoder use.
 ``value_path_outcomes`` is the encoder-and-decoder run on random messages
 that the simulator's all-zero stream stands for, on a Bernoulli channel or
 on a ``ReplayChannel`` of fixed erasure times, and

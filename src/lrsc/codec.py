@@ -2,8 +2,10 @@
 sliding-window decoder.
 
 Every parity symbol is a fixed linear combination of message symbols, held
-once per code as a time-invariant coefficient template.  The encoder and the
-decoder both read those templates; the closed-form diagonal expressions of
+once per code as a time-invariant coefficient template.  One parity route,
+``parity_inputs``, turns the templates into the symbols a parity reads and
+the sums over them: the encoder evaluates those sums and every received
+push of the decoder checks them.  The closed-form diagonal expressions of
 the constructions live in the tests as the independent reference.
 
 The decoder keeps one record per live packet, its k message symbols with
@@ -31,7 +33,6 @@ symbol, so one plan holds at any time.
 
 from __future__ import annotations
 
-import collections
 import functools
 from dataclasses import dataclass
 
@@ -168,6 +169,22 @@ def make_lrsc(a: int, tau: int, r: int, q_override: int | None = None) -> LrscCo
     return LrscCode(derive_params(a, tau, r, q_override))
 
 
+def parity_inputs(code):
+    """What a parity check reads, the same at every time t: the symbols
+    (delta, j) of every template term, each message t - delta's symbol j,
+    or 0 before time 0; and the sums (``dots``) that give each parity p
+    its input, its value (slot p) less its terms (slots n-k on).  A
+    received push checks these inputs; the encoder, reading each parity as
+    0, negates them."""
+    field, reads, sums = code.field, [], []
+    for p, tp in enumerate(code.templates):
+        first = code.n - code.k + len(reads)
+        reads += [(d, j) for j, d, _ in tp]
+        sums.append(((p, *range(first, first + len(tp))),
+                     (field.prep(1), *[field.prep(field.neg(c)) for _, _, c in tp])))
+    return tuple(reads), tuple(sums)
+
+
 class Encoder:
     """Systematic streaming encoder; retains the last tau+1 message packets."""
 
@@ -175,6 +192,7 @@ class Encoder:
         self.code = code
         self.history = {}
         self.next_t = 0
+        self._inputs = parity_inputs(code)
 
     def push(self, message) -> tuple:
         """The next coded packet: its n symbols, k message then n-k parity."""
@@ -185,11 +203,11 @@ class Encoder:
         self.next_t += 1
         history = self.history
         history[t] = msg
+        reads, sums = self._inputs
         # a term before time 0 reads 0
-        parities = tuple(field.dot([c for _, _, c in tp], [history[t - d][j] if d <= t else 0 for j, d, _ in tp])
-                         for tp in code.templates)
+        xs = [0] * (code.n - code.k) + [history[t - d][j] if d <= t else 0 for d, j in reads]
         history.pop(t - code.tau - 1, None)
-        return msg + parities
+        return msg + tuple(map(field.neg, field.dots(sums, xs)))
 
 
 # The most states one transition table stores.  Past it, a move into a
@@ -250,20 +268,9 @@ class Transitions(Echelon):
 
     @functools.cached_property
     def inputs(self):
-        """What a received push reads for its parities, the same for every
-        move: the symbols (delta, j) of every template term, each the record
-        t - delta's symbol j, or 0 before time 0, where an unresolved
-        symbol's None reads as 0; and the sums (``dots``) that give each
-        parity p its input, its value (slot p) less its terms (slots n-k
-        on)."""
-        code = self.code
-        field, reads, sums = code.field, [], []
-        for p, tp in enumerate(code.templates):
-            first = code.n - code.k + len(reads)
-            reads += [(d, j) for j, d, _ in tp]
-            sums.append(((p, *range(first, first + len(tp))),
-                         (field.prep(1), *[field.prep(field.neg(c)) for _, _, c in tp])))
-        return tuple(reads), tuple(sums)
+        """What a received push reads for its parities (``parity_inputs``),
+        where an unresolved symbol's None reads as 0."""
+        return parity_inputs(self.code)
 
     def move(self, state, erased, plans):
         """The move of a push from `state` of a packet erased or not, from
@@ -346,14 +353,14 @@ class Decoder:
     """Sliding-window decoder over one packet stream.
 
     Push each coded packet, the tuple of its n symbols as ``Encoder.push``
-    returns it (or None for an erasure), in time order starting at 0, and
-    ``resume`` on a run of received packets whenever nothing is unresolved.
-    Each push returns the packets whose fate was settled by it: a recovered
-    outcome the moment the record ``known[t]`` holds all k message symbols,
-    or a lost outcome once time moves past the t+tau deadline.  The window
-    is the last tau+1 packets, as far back as a parity reaches: the push at
-    t retires packet t-tau-1, reporting it lost if it is unresolved, and
-    drops its record and its unresolved symbols' rows.
+    returns it (or None for an erasure), in time order starting at 0: a
+    push is the one way in.  Each push returns the packets whose fate was
+    settled by it: a recovered outcome the moment the record ``known[t]``
+    holds all k message symbols, or a lost outcome once time moves past the
+    t+tau deadline.  The window is the last tau+1 packets, as far back as a
+    parity reaches: the push at t retires packet t-tau-1, reporting it lost
+    if it is unresolved, and drops its record and its unresolved symbols'
+    rows.
 
     Every received packet's parities are read, and so checked.  A push that
     raises, a ``DecodeError`` included, leaves the decoder as it was.
@@ -459,29 +466,3 @@ class Decoder:
             else:
                 out.append(PacketOutcome(t, True, 0, msg))
         return out
-
-    def resume(self, messages):
-        """Take the next packets as received, given by their k message
-        symbols (a coded packet's first k), in one pass over the iterable
-        `messages`, and return nothing.
-
-        The state is the one pushing them would leave but for the parities,
-        which are not read: each packet settles at delay 0, nothing earlier
-        settles, and only the last tau+1 records are kept.  Every message is
-        checked before any is taken.  Only a decoder with nothing unresolved
-        can resume; a fresh one has nothing unresolved.
-        """
-        if self.state is not self.table.clean:
-            raise ValueError(f"resume needs nothing unresolved; packets {sorted(self.missing)} are")
-        k, check = self.k, self.code.field.check
-        window = collections.deque(maxlen=self.tau + 1)
-        t = self.next_t
-        for msg in messages:
-            check(msg, k)
-            window.append(msg)
-            t += 1
-        known, cut = self.known, t - self.tau - 1
-        for old in [u for u in known if u < cut]:
-            del known[old]
-        known.update(zip(range(t - len(window), t), map(list, window)))
-        self.next_t = t

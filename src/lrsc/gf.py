@@ -24,9 +24,9 @@ order s^2 takes s+1 quadratic products to reach N = g^(s+1), which lies
 in the level below, and reads every other power g^(a(s+1)+b) = N^a g^b
 from the tables below; its order test reads the log of N there too.  A
 larger field uses the quadratic product over the level below directly.
-The decoder's inner loops, a parity's sum of products, a row update or
-scaling, and a replayed plan's sums and row operations, are one call
-each (``dot``, ``row_sub``, ``row_scale``, ``dots``, ``run_ops``) over the
+The codec's inner loops, a row update or scaling, and the parity sums
+and row operations that the encoder and every replayed plan run, are one
+call each (``row_sub``, ``row_scale``, ``dots``, ``run_ops``) over the
 same tables, or over the pair arithmetic above 2^16.
 
 Construction is deterministic: the base irreducible and every level
@@ -312,7 +312,7 @@ class TowerField:
                 self._log = None
                 self.add, self.sub, self.neg = self._pair_add, self._pair_sub, self._pair_neg
                 self.mul, self.pow = self._pair_mul, functools.partial(_power, self._pair_mul)
-                self.dot, self.row_sub, self.row_scale = self._pair_dot, self._pair_row_sub, self._pair_row_scale
+                self.row_sub, self.row_scale = self._pair_row_sub, self._pair_row_scale
                 self.prep, self.dots, self.run_ops = self._pair_prep, self._pair_dots, self._pair_run_ops
                 return
             powers = self._pair_powers(self._pair_generator(below), below)
@@ -350,23 +350,9 @@ class TowerField:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.pow(x, self.order - 2)
 
-    # -- the decoder's inner loops, one call per parity or row: a product's
+    # -- the codec's inner loops, one call per parity or row: a product's
     # log, a sum of two logs, is below 2n-1, and its difference from a log
     # below n lies in (-n, 2n-1), where zech reads
-
-    def dot(self, cs, xs):
-        """The sum of c*x over the pairs of cs and xs."""
-        exp, log, zech = self._exp, self._log, self._zech
-        acc = 0
-        for c, x in zip(cs, xs):
-            if c and x:
-                lt = log[c] + log[x]
-                if acc:
-                    la = log[acc]
-                    acc = exp[la + zech[lt - la]]
-                else:
-                    acc = exp[lt]
-        return acc
 
     def prep(self, c):
         """A nonzero coefficient in the form ``dots`` and ``run_ops`` take:
@@ -469,18 +455,19 @@ class TowerField:
         hi = sub(add(mul(x0, y1), mul(x1, y0)), mul(self._lin, p11))
         return lo + hi * s
 
-    def _pair_dot(self, cs, xs):
-        acc = 0
-        for c, x in zip(cs, xs):
-            if c and x:
-                acc = self._pair_add(acc, self._pair_mul(c, x))
-        return acc
-
     def _pair_prep(self, c):
         return c
 
     def _pair_dots(self, sums, xs):
-        return [self._pair_dot(cs, [xs[i] for i in idx]) for idx, cs in sums]
+        add, mul, out = self._pair_add, self._pair_mul, []
+        for idx, cs in sums:
+            acc = 0
+            for i, c in zip(idx, cs):
+                x = xs[i]
+                if x:
+                    acc = add(acc, mul(c, x))
+            out.append(acc)
+        return out
 
     def _pair_run_ops(self, ops, xs):
         for dst, g, src, own in ops:

@@ -10,18 +10,19 @@ Two layers of ground truth:
   random stream and every erasure pattern anchored at mid-horizon times
   (plus an anchor at t=0 to exercise the zero prehistory), asserting the
   anchored packet comes back correct within the deadline.  One clean
-  decoder per trial walks forward through the anchors, resuming on the
-  messages since the last, the state pushing them would leave, and
-  ``walk`` runs a fork of it down the tree of erased/received flags from
-  the erased anchor, forking at each time an erasure is still in budget.
-  A path settles once the anchored packet is recovered or the deadline
+  decoder per trial walks forward through the anchors, pushing the coded
+  packets since the last, every parity read and checked, and ``walk``
+  runs a fork of it down the tree of erased/received flags from the
+  erased anchor, forking at each time an erasure is still in budget.  A
+  path settles once the anchored packet is recovered or the deadline
   passes, and every pattern that agrees with the settled node up to its
   time takes the node's outcome, the one replaying it alone would give.
-  The forks share the decoder's transition table: the first anchor's walk
-  records every (state, flag) move it meets, and every later anchor's
-  pushes replay those plans on its own values, so each pattern is still
-  decoded through ``Decoder.push`` and its value checked.  The report
-  counts the moves recorded and replayed.
+  The forks share the decoder's transition table: each (state, flag) move
+  is recorded the first time a push meets it, in the first anchor's walk
+  or the clean push after it, and every later push replays those plans on
+  its own values, so each pattern is still decoded through
+  ``Decoder.push`` and its value checked.  The report counts the moves
+  recorded and replayed.
 
 Pattern enumeration counts are checked against the closed-form binomial
 totals, and each anchor's patterns for distinctness, raising RuntimeError
@@ -99,7 +100,7 @@ def _random_stream(code, horizon, seed, trial):
 
 def walk(dec, coded, anchor, end, budget):
     """Walk every path of erased/received flags from the erased anchor to
-    `end`, with at most `budget` erasures, on `dec` resumed on the clean
+    `end`, with at most `budget` erasures, on `dec` pushed the clean
     prefix, forking it at each erased branch.  Yields each settled node as
     (erasure times, t, outcome): at t the anchored packet came back as
     outcome = (delay, message), or t is `end` and outcome is None."""
@@ -145,7 +146,8 @@ def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationRepor
         # anchor's walk starts from a fork of it: all share one table
         dec, at = Decoder(code), 0
         for anchor in anchors:
-            dec.resume(messages[at:anchor])
+            for t in range(at, anchor):
+                dec.push(t, coded[t])
             at, end = anchor, anchor + deadline
             # a node (E, t) stands for E plus any later erasures in (t, end],
             # up to the budget

@@ -498,14 +498,13 @@ def explain_losses_reference(erased_times, lost_times, a, tau):
 
 # -- the per-pattern replay that verify_stream's decoder walk stands for --
 
-def anchor_recovery_reference(code, messages, coded, erased, anchor, deadline, decoder=Decoder):
-    """Resume a fresh decoder on the clean prefix before the anchor, then push
-    up to anchor+deadline with the times in ``erased`` erased; return
-    (delay, message) for the anchored packet or None if it never resolved in
-    time."""
+def anchor_recovery_reference(code, coded, erased, anchor, deadline, decoder=Decoder):
+    """Push every packet from time 0 into a fresh decoder, up to
+    anchor+deadline, with the times in ``erased`` erased, every received
+    parity checked; return (delay, message) for the anchored packet or None
+    if it never resolved in time."""
     dec = decoder(code)
-    dec.resume(messages[:anchor])
-    for t in range(anchor, anchor + deadline + 1):
+    for t in range(anchor + deadline + 1):
         for ev in dec.push(t, None if t in erased else coded[t]):
             if ev.t == anchor and ev.recovered:
                 return ev.delay, ev.message
@@ -527,7 +526,7 @@ def verify_stream_reference(code, budget, deadline, trials=1, seed=0, decoder=De
                 for extra in itertools.combinations(range(anchor + 1, anchor + deadline + 1), size - 1):
                     pattern = (anchor,) + extra
                     report.pattern_count += 1
-                    got = anchor_recovery_reference(code, messages, coded, frozenset(pattern),
+                    got = anchor_recovery_reference(code, coded, frozenset(pattern),
                                                     anchor, deadline, decoder)
                     if got is None:
                         report.failures.append(Failure(

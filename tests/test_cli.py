@@ -142,6 +142,20 @@ def test_verify_passes_and_exits_zero():
     assert "scalar" in res.output
 
 
+def test_verify_prints_each_stream_suites_decoder_table():
+    # under each stream suite, never under the scalar one: the moves its
+    # trial decoder's table recorded, and the pushes that replayed one
+    res = _run("verify", "2", "5", "2")
+    assert res.exit_code == 0
+    assert res.output.splitlines() == [
+        "scalar a=2 r=2: patterns=15 failures=0",
+        "stream lrsc-2-5-2 budget=2 deadline=5: patterns=42 failures=0 max_delay[1]=2 max_delay[2]=5",
+        "  decoder table: transitions=13 replays=82",
+        "stream lrsc-2-5-2 budget=1 deadline=2: patterns=7 failures=0 max_delay[1]=2",
+        "  decoder table: transitions=4 replays=28",
+    ]
+
+
 def test_verify_failure_exits_one():
     res = _run("verify", "1", "2", "--code", "mds", "--budget", "2", "--deadline", "5")
     assert res.exit_code == 1

@@ -192,19 +192,27 @@ def test_codes_take_only_int_parameters(build, args):
     lambda: make_lrsc(3, 7, 2),
     lambda: make_lrsc(3, 8, 3),
     lambda: MdsDeCode(2, 5),
+    lambda: make_lrsc(4, 11, 2),        # GF(625), from the tables
+    lambda: make_lrsc(4, 9, 2, 17),     # GF(83521), pair arithmetic
 ])
 def test_templates_match_closed_forms(make):
+    # the encoder and the decoder share one parity route, so only this
+    # scalar sum over the templates can catch a wrong coefficient or sign
+    # in it
     code = make()
     f = code.field
     msgs = random_stream(random.Random(8), f.order, code.k, 40)
     hist = dict(enumerate(msgs))
+    enc = Encoder(code)
     for t in range(40):
+        parities = enc.push(msgs[t])[code.k:]
         for i in range(code.n - code.k):
             via_terms = 0
             for j, d, c in code.templates[i]:
                 if d <= t:
                     via_terms = f.add(via_terms, f.mul(c, msgs[t - d][j]))
             assert via_terms == closed_form_parity(code, i, hist, t)
+            assert parities[i] == via_terms, (t, i)
 
 
 def test_templates_sorted_by_time_then_symbol():

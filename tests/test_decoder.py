@@ -3,7 +3,6 @@
 import contextlib
 import copy
 import functools
-import itertools
 import os
 import random
 import subprocess
@@ -414,16 +413,16 @@ def test_hypothesis_replay_matches_elimination(name, seed, warm, flags, start, c
     order, k = code.field.order, code.k
     warm_coded = _coded(code, random_stream(rng, order, k, len(warm)))
     msgs = random_stream(rng, order, k, start + len(flags))
-    coded = _coded(code, msgs)[start:]
+    coded = _coded(code, msgs)
     if corrupt is not None and corrupt < len(flags):
-        pkt = coded[corrupt]
-        coded[corrupt] = pkt[:k] + (code.field.add(pkt[k], 1),) + pkt[k + 1:]
-    run = [None if f else pkt for f, pkt in zip(flags, coded)]
+        pkt = coded[start + corrupt]
+        coded[start + corrupt] = pkt[:k] + (code.field.add(pkt[k], 1),) + pkt[k + 1:]
+    run = [None if f else pkt for f, pkt in zip(flags, coded[start:])]
     root = Decoder(code)
     pushes_through(root.fork(), [None if f else pkt for f, pkt in zip(warm, warm_coded)])
     forked, fresh = root.fork(), Decoder(code)
     for dec in (forked, fresh):
-        dec.resume(msgs[:start])
+        pushes_through(dec, coded[:start])
     assert forked.table is root.table and fresh.table is not root.table
     assert pushes_through(forked, run) == pushes_through(fresh, run)
     if warm[:1] == flags[:1]:
@@ -483,128 +482,6 @@ def _check_against_dense(code, seed, erased):
 
 def _state(dec):
     return dec.known, dec.missing, dec.rows, dec.next_t
-
-
-@pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 7, 2),
-                                  lambda: MdsDeCode(2, 5)], ids=["lrsc-2-5-2", "lrsc-3-7-2", "mds-de-2-5"])
-def test_resume_equals_pushing_the_clean_prefix(make):
-    code = make()
-    a = code.params.a if code.params else code.a
-    tau = code.tau
-    window = tau + 1
-    msgs = random_stream(random.Random(21), code.field.order, code.k, 3 * window)
-    coded = _coded(code, msgs)
-    for length in range(3 * window + 1):
-        pushed, _ = _drive(code, coded, set(), upto=length)
-        resumed = Decoder(code)
-        assert resumed.resume(msgs[:length]) is None
-        assert resumed.known == pushed.known
-        assert resumed.missing == pushed.missing == set()
-        assert resumed.rows == pushed.rows == {}
-        assert resumed.next_t == pushed.next_t == length
-        check_decoder_invariants(resumed)
-
-    # mid-stream: a recovered erasure, then a burst of a+1 that loses a
-    # packet whose record leaves the window at its deadline; resume at every
-    # t with nothing unresolved, then push one tail opening with a burst of a
-    # into both
-    burst = range(tau + 1, tau + 2 + a)
-    prefix = burst[-1] + window + 3
-    clean, tail = 2 * window + 1, a + tau + 1     # the burst settles by then
-    msgs = random_stream(random.Random(23), code.field.order, code.k, prefix + clean + tail)
-    coded = _coded(code, msgs)
-    erased = {2, *burst}
-    dec = Decoder(code)
-    lost, resumed_at = [], []
-    for t in range(prefix + 1):
-        if not dec.missing:
-            resumed_at.append(t)
-            pushed = dec.fork()
-            for length in range(clean + 1):
-                if length:
-                    pushed.push(t + length - 1, coded[t + length - 1])
-                resumed = dec.fork()
-                resumed.resume(iter(msgs[t:t + length]))       # one pass over any iterable
-                assert _state(resumed) == _state(pushed), (t, length)
-                check_decoder_invariants(resumed)
-                start = t + length
-                outcomes = []
-                for d in (resumed, pushed.fork()):
-                    outcomes.append([ev for u in range(start, start + tail)
-                                     for ev in d.push(u, None if u - start < a else coded[u])])
-                assert outcomes[0] == outcomes[1], (t, length)
-        if t < prefix:
-            lost += [ev.t for ev in dec.push(t, None if t in erased else coded[t]) if not ev.recovered]
-    assert lost and max(resumed_at) > max(lost) + window, resumed_at
-
-
-def test_resume_validation():
-    code = make_lrsc(2, 5, 2)
-    msgs = random_stream(random.Random(22), 3, 2, 16)
-    coded = _coded(code, msgs)
-    dec, _ = _drive(code, coded, set(), upto=2)
-    assert dec.resume(msgs[2:4]) is None          # after clean pushes
-    for t in range(4, 8):
-        dec.push(t, None if t in (4, 5, 7) else coded[t])
-    assert dec.missing and dec.rows
-    before = copy.deepcopy(_state(dec))
-    with pytest.raises(ValueError, match="nothing unresolved"):
-        dec.resume(msgs[8:10])
-    assert _state(dec) == before
-    t = 8
-    while dec.missing:
-        dec.push(t, coded[t])
-        t += 1
-    dec.resume(msgs[t:t + 2])
-    assert dec.next_t == t + 2 and dec.known[t + 1] == list(msgs[t + 1])
-    # a bad message late in a one-pass iterable leaves the state as it was
-    before = copy.deepcopy(_state(dec))
-    with pytest.raises(ValueError, match="expected 2 symbols, got 3"):
-        dec.resume(iter(msgs[:3] + [(1, 2, 0)]))
-    assert _state(dec) == before
-    for bad in [(7, 1), (1, "x")]:      # 7 is outside GF(3), "x" is no element
-        with pytest.raises(ValueError, match="not an element"):
-            Decoder(code).resume(msgs[:3] + [bad])
-
-
-def test_resume_checks_every_message_and_keeps_the_last_window():
-    # every message is checked before any is taken, a repeated tuple each
-    # time it comes; however long the run, the decoder then holds the
-    # records of the last tau+1 times, mid-stream too
-    code = make_lrsc(2, 5, 2)
-    field, zero, window = code.field, (0, 0), code.tau + 1
-    checked = []
-    field.check = lambda symbols, count: (checked.append(symbols), type(field).check(field, symbols, count))
-    dec = Decoder(code)
-    dec.resume(itertools.repeat(zero, 500))
-    assert checked == [zero] * 500 and dec.next_t == 500
-    assert sorted(dec.known) == list(range(500 - window, 500))
-    before = copy.deepcopy(_state(dec))
-    with pytest.raises(ValueError, match="not an element"):
-        dec.resume(itertools.chain(itertools.repeat(zero, 1000), [zero, (0, 3)]))
-    assert _state(dec) == before
-    assert len(checked) == 1502
-    coded_zero = (0,) * code.n
-    dec.push(500, None)
-    dec.push(501, coded_zero)
-    dec.push(502, coded_zero)
-    assert not dec.missing
-    for length in (0, 1, window - 1, window, window + 1, 300):
-        now = dec.next_t + length
-        dec.resume(itertools.repeat(zero, length))
-        assert sorted(dec.known) == list(range(now - window, now)), length
-        check_decoder_invariants(dec)
-
-    def one_list():
-        msg = [0, 0]
-        yield msg
-        msg[1] = 3          # outside GF(3)
-        yield msg
-
-    before = copy.deepcopy(_state(dec))
-    with pytest.raises(ValueError, match="not an element"):
-        dec.resume(one_list())
-    assert _state(dec) == before
 
 
 class _TaggedDecoder(Decoder):

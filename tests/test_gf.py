@@ -481,13 +481,32 @@ def test_kernels_match_the_scalar_path(q, levels):
     def row(width):
         return [{i: elem(True) for i in rng.sample(range(12), rng.randrange(width))}, elem()]
 
+    def value():
+        return rng.choice((None, 0)) if rng.random() < 0.25 else elem()
+
     for _ in range(300):
-        m = rng.randrange(8)
-        cs, xs = [elem() for _ in range(m)], [elem() for _ in range(m)]
-        want = 0
-        for c, x in zip(cs, xs):
-            want = f.add(want, f.mul(c, x))
-        assert f.dot(cs, xs) == want, (cs, xs)
+        # sums over shared values, None and 0 among them, an index maybe
+        # repeated, with nonzero coefficients as prep gives them
+        xs, sums, want = [value() for _ in range(10)], [], []
+        for _ in range(rng.randrange(4)):
+            idx = [rng.randrange(10) for _ in range(rng.randrange(8))]
+            cs = [elem(True) for _ in idx]
+            acc = 0
+            for i, c in zip(idx, cs):
+                acc = f.add(acc, f.mul(c, xs[i] or 0))
+            sums.append((tuple(idx), tuple(map(f.prep, cs))))
+            want.append(acc)
+        assert f.dots(sums, xs) == want, (sums, xs)
+        # a sequence of row operations, each reading the values the last left
+        xs = [value() or 0 for _ in range(6)]
+        ops, want = [], xs[:]
+        for _ in range(rng.randrange(8)):
+            dst, g, src, own = rng.randrange(6), elem(True), rng.randrange(6), rng.random() < 0.5
+            v = f.mul(g, want[src])
+            want[dst] = f.add(want[dst], v) if own else v
+            ops.append((dst, f.prep(g), src, own))
+        f.run_ops(ops, xs)
+        assert xs == want, ops
         r, pivot, fac = row(9), row(9), elem(True)
         want = _row_sub_reference(f, r, fac, pivot)
         f.row_sub(r, fac, pivot)
@@ -503,9 +522,17 @@ def test_kernels_cancel_to_zero(q, levels):
     f = TowerField(q, levels)
     for c in _edge_elements(f):
         for x in _edge_elements(f):
-            # c*x + c*(-x) = 0, then a term after the cancellation
-            assert f.dot([c, c], [x, f.neg(x)]) == 0
-            assert f.dot([c, c, x], [x, f.neg(x), c]) == f.mul(c, x)
+            # c*x + c*(-x) = 0, then terms after the cancellation, None and
+            # 0 adding nothing
+            pc, px = f.prep(c), f.prep(x)
+            assert f.dots([((0, 1), (pc, pc)), ((0, 1, 2, 3, 4), (pc, pc, pc, pc, px))],
+                          [x, f.neg(x), None, 0, c]) == [0, f.mul(c, x)]
+            # (-c)*x cancels c*x in place; dst equal to src; a zero source
+            # writes 0, or with own leaves dst as it was
+            xs = [f.mul(c, x), x, c]
+            f.run_ops([(0, f.prep(f.neg(c)), 1, True), (1, pc, 1, True),
+                       (2, px, 0, False), (1, pc, 0, True)], xs)
+            assert xs == [0, f.add(x, f.mul(c, x)), 0], (c, x)
             # row - fac * (row / fac) is empty, rhs included
             row = [{3: c, 5: x, 8: f.mul(c, x)}, x]
             pivot = f.row_scale(row, f.inv(c))

@@ -300,8 +300,7 @@ def test_every_anchor_gives_the_same_outcomes(make):
             vector = []
             for size in range(1, budget + 1):
                 for extra in itertools.combinations(range(anchor + 1, anchor + tau + 1), size - 1):
-                    got = anchor_recovery_reference(code, msgs, coded, frozenset((anchor,) + extra),
-                                                    anchor, tau)
+                    got = anchor_recovery_reference(code, coded, frozenset((anchor,) + extra), anchor, tau)
                     vector.append(None if got is None else got[0])
                     assert got is None or got[1] == msgs[anchor]
             vectors.add(tuple(vector))
@@ -386,8 +385,10 @@ def _battery():
 
 def test_the_first_anchor_records_every_transition(monkeypatch):
     # the decoder table holds a move per (state, flag): verify_stream's
-    # first anchor meets them all and every later anchor replays them, so
-    # a suite records a fixed number of transitions, independent of seed
+    # first anchor's walk meets every one a walk takes, the clean pushes
+    # to the next anchor add one, the clean received move, and every later
+    # push replays them, so a suite records a fixed number of transitions,
+    # independent of seed
     per_anchor = []
     walk = lrsc.oracle.walk
 
@@ -401,13 +402,13 @@ def test_the_first_anchor_records_every_transition(monkeypatch):
     for args, budget, deadline in _battery():
         per_anchor.clear()
         rep = verify_stream(make_lrsc(*args), budget, deadline)
-        assert rep.transitions == per_anchor[0] and not any(per_anchor[1:]), (args, budget, deadline)
+        assert rep.transitions == per_anchor[0] + 1 and not any(per_anchor[1:]), (args, budget, deadline)
         recorded[args, budget, deadline] = rep.transitions, rep.replays
-    assert recorded[(2, 5, 2), 2, 5] == (12, 72)
-    assert recorded[(4, 11, 2), 4, 11][0] == 222
-    assert recorded[(4, 15, 3), 4, 15][0] == 831
+    assert recorded[(2, 5, 2), 2, 5] == (13, 82)
+    assert recorded[(4, 11, 2), 4, 11][0] == 223
+    assert recorded[(4, 15, 3), 4, 15][0] == 832
     rep = verify_stream(make_lrsc(2, 5, 2), 2, 5, trials=2, seed=9)
-    assert (rep.transitions, rep.replays) == (24, 144)     # one table per trial
+    assert (rep.transitions, rep.replays) == (26, 164)     # one table per trial
 
 
 def test_verify_all_output_is_golden():

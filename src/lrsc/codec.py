@@ -18,17 +18,18 @@ The code is linear, so no coefficient of the system, and no move of the
 decoder, depends on a symbol value.  The coefficients are the decoder's
 state in a transition table (``Transitions``), which a decoder built by
 ``Decoder(code)`` starts and shares with every fork of itself; the table
-lives as long as they do, one ``verify_stream`` or ``run_sim`` call, and
-code objects stay immutable.  The table computes each move, the push of a
-received or an erased packet from a state, once from the state's ids and
-rows alone (``Transitions.move``), reducing them in ``matrix.Echelon``, the
-reduced-echelon system that ``rank`` and ``in_span`` also run on: the next
-state, the packets the push settles, and a plan on values, made of the rhs
-row operations, the zero checks and the writes.  The decoder holds only
-values, and they only ever replay: every push, by any fork, checks its
-packet, reads every term of each parity template and runs the plan, with
-no coefficient dict.  A term before time 0 reads 0, as does an unresolved
-symbol, so one plan holds at any time.
+lives as long as they do, one ``verify_stream`` call, and code objects stay
+immutable.  ``run_sim`` walks a bare table of its own, with no decoder.
+The table computes each move, the push of a received or an erased packet
+from a state, once from the state's ids and rows alone
+(``Transitions.move``), reducing them in a ``matrix.Echelon`` system of
+the move's own, the reduced-echelon system that ``rank`` and ``in_span``
+also run on: the next state, the packets the push settles, and a plan on
+values, made of the rhs row operations, the zero checks and the writes.
+The decoder holds only values, and they only ever replay: every push, by
+any fork, checks its packet, reads every term of each parity template and
+runs the plan, with no coefficient dict.  A term before time 0 reads 0, as
+does an unresolved symbol, so one plan holds at any time.
 """
 
 from __future__ import annotations
@@ -225,9 +226,10 @@ class _State:
     None until recorded; a transient state has neither.  A move is (the
     next state's number, outs, plan): outs lists the packets the push
     settles as (offset from the push time, delay or None for a loss), and
-    plan is the push on values (``Transitions.move``), or None for a move
-    made without one.  Moves name states by number, so a table holds no
-    reference cycle and goes with its last decoder."""
+    plan is the push on values (``Transitions.move``): every move in a
+    decoder's table has one, and every move in the bare table that
+    ``sim._walk`` walks has None.  Moves name states by number, so a table
+    holds no reference cycle and goes with its last reader."""
 
     __slots__ = ("ids", "rows", "number", "moves")
 
@@ -237,15 +239,15 @@ class _State:
         self.moves = None if number is None else [None, None]
 
 
-class Transitions(Echelon):
-    """The transition table that a decoder shares with its forks: the states
-    they met, by key and by number, each with its recorded moves.  It
-    computes each move (``move``), its ``rows`` the working system of the
-    move being computed, and counts the moves it recorded and the pushes
-    that replayed one."""
+class Transitions:
+    """A transition table of decoder states: the states met, by key and by
+    number, each with its recorded moves.  A decoder shares its table with
+    its forks, and records there only moves with a plan; ``sim._walk``
+    walks a bare table of its own, with no plans.  The table computes each
+    move (``move``), and counts the moves it recorded and the pushes that
+    replayed one."""
 
     def __init__(self, code):
-        super().__init__(code.field)
         self.code = code
         self.index, self.states = {}, []
         self.clean = self.state(((), ()))
@@ -279,16 +281,17 @@ class Transitions(Echelon):
         Ids are relative to the push time t.  The push retires packet
         t-tau-1; it adds the k ids of an erased packet, or else inserts each
         parity's row over the ids unresolved at its start, then resolves
-        every row left with one id.  The rows run through this table's
-        ``insert`` as its ``rows``, with the slot of each row's rhs in
-        row[2].
+        every row left with one id.  The kept rows are the ``rows`` of a
+        fresh ``Echelon`` of the move's own, which each parity's row is
+        inserted into, with the slot of each row's rhs in row[2].
 
         With `plans` the move gets its plan on values in slots: the rhs of
-        the state's rows, then one input per parity (``inputs``), then one
-        per scaled row.  A plan is (ops, scaled, rows, checks, writes): the
-        row operations (``run_ops``), which add `scaled` slots; the slots of
-        the next state's rhs values; those of values that must be 0; and
-        (offset, j, slot) per symbol resolved."""
+        the state's rows, then one input per parity (``inputs``).  The
+        system's two row kernels record each row operation they make; the
+        scaling of a row to 1 at its pivot runs in place, in the row's own
+        slot.  A plan is (ops, rows, checks, writes): the row operations
+        (``run_ops``); the slots of the next state's rhs values; those of
+        values that must be 0; and (offset, j, slot) per symbol resolved."""
         code, srows = self.code, state.rows
         k, tau = code.k, code.tau
         cut = -tau * k                      # the retired packet's ids lie below
@@ -303,33 +306,31 @@ class Transitions(Echelon):
         if erased:
             ids = [*ids, *range(k)]
             rows = tuple([tuple([(i - k, c) for i, c in srows[s]]) for s in kept])
-            plan = ((), 0, tuple(kept), (), ()) if plans else None
+            plan = ((), tuple(kept), (), ()) if plans else None
         else:
             outs.append((0, 0))
-            self.rows = system = {srows[s][0][0]: [dict(srows[s]), 0, s] for s in kept}
-            live, base, ops, scaled, checks = set(ids), len(srows), [], [], []
-            row_sub, row_scale = self._row_sub, self._row_scale
+            ech = Echelon(code.field)
+            ech.rows = system = {srows[s][0][0]: [dict(srows[s]), 0, s] for s in kept}
+            live, base, ops, checks = set(ids), len(srows), [], []
             if plans:
-                first, prep, neg = base + code.n - k, code.field.prep, code.field.neg
+                prep, neg = code.field.prep, code.field.neg
+                row_sub, row_scale = ech._row_sub, ech._row_scale
 
                 def sub(row, f, pivot):
                     row_sub(row, f, pivot)
                     ops.append((row[2], prep(neg(f)), pivot[2], True))
 
                 def scale(row, s):
+                    # in place on the values: the row keeps its slot
                     new = row_scale(row, s)
-                    new.append(first + len(scaled))
-                    scaled.append(new)
-                    ops.append((new[2], prep(s), row[2], False))
+                    new.append(row[2])
+                    ops.append((row[2], prep(s), row[2], False))
                     return new
 
-                self._row_sub, self._row_scale = sub, scale
-            try:
-                for p, terms in enumerate(self.terms):
-                    if not self.insert([{i: c for i, c in terms if i in live}, 0, base + p]):
-                        checks.append(base + p)
-            finally:
-                self._row_sub, self._row_scale = row_sub, row_scale
+                ech._row_sub, ech._row_scale = sub, scale
+            for p, terms in enumerate(self.terms):
+                if not ech.insert([{i: c for i, c in terms if i in live}, 0, base + p]):
+                    checks.append(base + p)
             resolved = sorted([p for p, row in system.items() if len(row[0]) == 1])
             singles = [system.pop(p) for p in resolved]
             if resolved:
@@ -339,7 +340,7 @@ class Transitions(Echelon):
             ids = sorted(live)
             order = sorted(system)
             rows = tuple([tuple(sorted([(i - k, c) for i, c in system[p][0].items()])) for p in order])
-            plan = (tuple(ops), len(scaled), tuple([system[p][2] for p in order]), tuple(checks),
+            plan = (tuple(ops), tuple([system[p][2] for p in order]), tuple(checks),
                     tuple([(*divmod(p, k), row[2]) for p, row in zip(resolved, singles)])) if plans else None
         nxt = self.state((tuple([i - k for i in ids]), rows))
         outs = tuple(outs)
@@ -370,8 +371,7 @@ class Decoder:
     each of the state's rows.  A push takes the move its table recorded
     for (state, flag), or else has the table compute it
     (``Transitions.move``), and replays the move's plan on the values (see
-    the module notes).  ``rows``, ``missing`` and ``unknowns`` are views of
-    the state.
+    the module notes).  ``rows`` and ``unknowns`` are views of the state.
     """
 
     def __init__(self, code):
@@ -395,11 +395,6 @@ class Decoder:
                 for row, v in zip(self.state.rows, self._rhs)}
 
     @property
-    def missing(self):
-        """The packets whose record still holds an unresolved symbol."""
-        return {self.next_t + i // self.k for i in self.state.ids}
-
-    @property
     def unknowns(self):
         """The unresolved symbols (t, j)."""
         return {divmod(self.next_t * self.k + i, self.k) for i in self.state.ids}
@@ -411,7 +406,7 @@ class Decoder:
         c = object.__new__(type(self))
         c.__dict__.update(self.__dict__)
         c.known = known = self.known.copy()
-        for t in self.missing:
+        for t in {self.next_t + i // self.k for i in self.state.ids}:
             known[t] = known[t][:]
         return c
 
@@ -423,7 +418,7 @@ class Decoder:
             self.code.field.check(symbols, self.n)
         state, erased = self.state, symbols is None
         move = state.moves and state.moves[erased]
-        if move and move[2] is not None:
+        if move:
             self.table.replayed += 1
             return self._replay(t, symbols, self.table.states[move[0]], move[1], move[2])
         return self._replay(t, symbols, *self.table.move(state, erased, True))
@@ -432,7 +427,7 @@ class Decoder:
         """Push by a move into state `nxt`, on the values alone.  The plan
         runs and its checks pass before the decoder changes: a parity reads
         no record of time t, its delta being at least 1, nor of t-tau-1."""
-        ops, scaled, rows, checks, writes = plan
+        ops, rows, checks, writes = plan
         k, known = self.k, self.known
         x = self._rhs
         if symbols is None:
@@ -444,7 +439,6 @@ class Decoder:
             got = list(symbols[k:]) + [known[t - d][j] if t >= d else 0 for d, j in reads]
             x = x + self._dots(sums, got)
             if ops:
-                x += [0] * scaled
                 self._run_ops(ops, x)
             for i in checks:
                 if x[i]:

@@ -5,12 +5,12 @@ comes from a splitmix64 mix of the two, so runs are reproducible across
 machines and order independent.  The codes are linear and the decoder's
 steps depend only on which packets are erased, never on symbol values, so
 a run stands for the all-zero stream and draws no messages.  On that stream
-the decoder is a finite automaton over erasure flags: a run walks the
-transition table of one decoder (``codec.Transitions``), built for the
-call, and where the table lacks a move it computes the move from the
-state alone, pushing no decoder.  While nothing is unresolved, a received
-packet settles at delay 0, so a run counts each clean stretch straight
-from the channel.
+the decoder is a finite automaton over erasure flags: a run walks a bare
+transition table of decoder states (``codec.Transitions``), built for the
+call with no decoder, and where the table lacks a move it computes the
+move from the state alone, with no plan on values.  While nothing is
+unresolved, a received packet settles at delay 0, so a run counts each
+clean stretch straight from the channel.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .codec import Decoder, Encoder  # Encoder: unused, but perfbench's traced run rebinds it
+# Decoder, Encoder: unused, but perfbench's traced run rebinds them
+from .codec import Decoder, Encoder, Transitions
 
 _M64 = (1 << 64) - 1
 
@@ -100,14 +101,14 @@ def _walk(code, erased, end):
     the push at t settles the packets t + offset for each (offset, delay or
     None for a loss) in outs.  The last step may have t = end and no push.
 
-    The steps walk the transition table of one decoder, built through the
-    module name ``Decoder``, from state to state by their recorded moves,
-    reading only a move's next state and outcomes.  No decoder is pushed: a
-    missing move is computed from its state alone (``Transitions.move``),
-    with no plan, and recorded where the table stores both states; past
-    its cap, the walk steps through transient states the same way."""
-    root = Decoder(code)
-    clean, states, move = root.state, root.table.states, root.table.move
+    The steps walk a bare transition table, built here with no decoder,
+    from state to state by their recorded moves, reading only a move's next
+    state and outcomes.  A missing move is computed from its state alone
+    (``Transitions.move``), with no plan, and recorded where the table
+    stores both states; past its cap, the walk steps through transient
+    states the same way."""
+    table = Transitions(code)
+    clean, states, move = table.clean, table.states, table.move
     state, t = clean, 0
     while t < end:
         run = 0

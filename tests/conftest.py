@@ -19,7 +19,8 @@ on a ``ReplayChannel`` of fixed erasure times, and
 of its own (``anchor_recovery_reference``), the run that ``verify_stream``'s
 one forked decoder walk per anchor stands for.  ``pushes_through`` records a
 decoder's outcomes and rows push by push, so that a fork replaying the
-plans of a filled table can be held to a fresh decoder.  ``log_tables_reference``
+plans of a filled table can be held to a fresh decoder, and ``missing``
+reads a decoder's unresolved packets off its state.  ``log_tables_reference``
 finds each field's generator by walking its candidates' powers until they
 return to 1, the search that the library's order test stands for.
 """
@@ -319,7 +320,7 @@ def check_decoder_invariants(dec):
     records are those of the last tau+1 times."""
     assert sorted(dec.known) == list(range(max(0, dec.next_t - dec.tau - 1), dec.next_t))
     assert dec.unknowns == {(t, j) for t, s in dec.known.items() for j, v in enumerate(s) if v is None}
-    assert dec.missing == {t for t, s in dec.known.items() if None in s}
+    assert missing(dec) == {t for t, s in dec.known.items() if None in s}
     for pid, (coeffs, _) in dec.rows.items():
         assert coeffs.get(pid) == 1
         assert pid == min(coeffs)
@@ -328,6 +329,12 @@ def check_decoder_invariants(dec):
         for qid, (qc, _) in dec.rows.items():
             if qid != pid:
                 assert pid not in qc
+
+
+def missing(dec):
+    """The packets that still have an unresolved symbol, read from the
+    decoder's state."""
+    return {dec.next_t + i // dec.k for i in dec.state.ids}
 
 
 def pushes_through(dec, packets):

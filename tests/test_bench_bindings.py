@@ -20,7 +20,8 @@ BOUND = [
     ("lrsc.codec", "superregular_matrix"),
     ("lrsc.codec", "is_superregular"),
     # rebound by the traced runs, which swap in counting codec classes;
-    # run_sim never calls Encoder, but the traced run rebinds it all the same
+    # run_sim calls neither Encoder nor Decoder, but the traced run rebinds
+    # both all the same
     ("lrsc.sim", "Encoder"),
     ("lrsc.sim", "Decoder"),
     ("lrsc.oracle", "Encoder"),

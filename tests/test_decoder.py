@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import lrsc
 from lrsc.codec import DecodeError, Decoder, Encoder, MdsDeCode, make_lrsc
 
-from conftest import check_decoder_invariants, pinned_coordinates, pushes_through, random_stream
+from conftest import check_decoder_invariants, missing, pinned_coordinates, pushes_through, random_stream
 
 
 def _coded(code, msgs):
@@ -222,7 +222,7 @@ def test_a_decode_error_refuses_the_packet(make):
     erased = {t for t in range(end) if rng.random() < 0.3}
     dec, raised = Decoder(code), 0
     for t in range(end):
-        if dec.missing and t not in erased:
+        if missing(dec) and t not in erased:
             fork = dec.fork()
             before = copy.deepcopy(_state(fork))
             try:
@@ -326,7 +326,7 @@ def test_unknown_retention_horizon_prunes():
         assert all(u >= t - tau for (u, _) in dec.unknowns | {divmod(p, dec.k) for p in dec.rows}), t
         check_decoder_invariants(dec)
         with_rows += bool(dec.rows)
-    assert lost and with_rows and not dec.missing and not dec.rows
+    assert lost and with_rows and not missing(dec) and not dec.rows
 
 
 def test_long_regime_decoding():
@@ -481,7 +481,7 @@ def _check_against_dense(code, seed, erased):
 
 
 def _state(dec):
-    return dec.known, dec.missing, dec.rows, dec.next_t
+    return dec.known, missing(dec), dec.rows, dec.next_t
 
 
 class _TaggedDecoder(Decoder):

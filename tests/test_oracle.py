@@ -7,13 +7,15 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import lrsc.codec
 import lrsc.oracle
-from lrsc.codec import Decoder, Encoder, MdsDeCode, Transitions, make_lrsc
+from lrsc.codec import Decoder, Encoder, MdsDeCode, make_lrsc
 from lrsc.gf import make_tower
-from lrsc.matrix import parity_weights, stacked_parity_check, superregular_matrix
+from lrsc.matrix import Echelon, parity_weights, stacked_parity_check, superregular_matrix
 from lrsc.oracle import verify_scalar, verify_stream
 
 from conftest import (anchor_recovery_reference, mat_vec, pushes_through, random_stream, rref,
@@ -254,7 +256,7 @@ class _WrongSymbolDecoder(Decoder):
                 if ev.recovered else ev for ev in super().push(t, packet)]
 
 
-class _NoClearTable(Transitions):
+class _NoClearEchelon(Echelon):
     """Scales a new pivot row but leaves the pivot in the stored rows."""
 
     def _pivot(self, row, pid):
@@ -262,12 +264,12 @@ class _NoClearTable(Transitions):
 
 
 class _NoClearDecoder(Decoder):
-    """Computes its moves in a no-clear table, which its forks share."""
+    """Computes the moves of its pushes in no-clear systems; its forks keep
+    the class, and so stay mutant."""
 
-    def __init__(self, code):
-        super().__init__(code)
-        self.table = _NoClearTable(code)
-        self.state = self.table.clean
+    def push(self, t, packet):
+        with mock.patch.object(lrsc.codec, "Echelon", _NoClearEchelon):
+            return super().push(t, packet)
 
 
 @pytest.mark.parametrize("mutant", [_LateDecoder, _WrongSymbolDecoder, _NoClearDecoder],
@@ -356,9 +358,9 @@ def test_walk_matches_per_pattern_replay(monkeypatch, args, budget, deadline, tr
 @pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: make_lrsc(3, 8, 2),
                                   lambda: MdsDeCode(2, 5)], ids=["lrsc-2-5-2", "lrsc-3-8-2", "mds-de-2-5"])
 def test_a_mutant_replays_the_plans_of_its_own_pushes(make, mutant):
-    # a move is computed through its table's insert and _pivot: the
-    # no-clear mutant's moves, rows and all, replay on a fork of a filled
-    # table as a fresh mutant computes them
+    # a move is computed through the insert and _pivot of a system of its
+    # own: the no-clear mutant's moves, rows and all, replay on a fork of a
+    # filled table as a fresh mutant computes them
     code = make()
     rng = random.Random(17)
     enc = Encoder(code)
@@ -388,22 +390,27 @@ def test_the_first_anchor_records_every_transition(monkeypatch):
     # first anchor's walk meets every one a walk takes, the clean pushes
     # to the next anchor add one, the clean received move, and every later
     # push replays them, so a suite records a fixed number of transitions,
-    # independent of seed
-    per_anchor = []
+    # independent of seed; a decoder's table holds only moves with a plan
+    per_anchor, tables = [], {}
     walk = lrsc.oracle.walk
 
     def counted(dec, *args):
+        tables[id(dec.table)] = dec.table
         before = dec.table.recorded
         yield from walk(dec, *args)
         per_anchor.append(dec.table.recorded - before)
 
     monkeypatch.setattr(lrsc.oracle, "walk", counted)
-    recorded = {}
+    recorded, total = {}, 0
     for args, budget, deadline in _battery():
         per_anchor.clear()
         rep = verify_stream(make_lrsc(*args), budget, deadline)
         assert rep.transitions == per_anchor[0] + 1 and not any(per_anchor[1:]), (args, budget, deadline)
         recorded[args, budget, deadline] = rep.transitions, rep.replays
+        total += rep.transitions
+    moves = [m for table in tables.values() for st in table.states for m in st.moves if m]
+    assert len(moves) == total == 2165
+    assert all(m[2] is not None for m in moves)
     assert recorded[(2, 5, 2), 2, 5] == (13, 82)
     assert recorded[(4, 11, 2), 4, 11][0] == 223
     assert recorded[(4, 15, 3), 4, 15][0] == 832

@@ -357,10 +357,12 @@ def test_state_keys_are_canonical(code, states):
 
 
 def test_run_sim_encodes_nothing_and_ignores_its_seed(monkeypatch):
+    # run_sim walks a bare table: it builds neither an encoder nor a decoder
     def refuse(code):
-        raise AssertionError("run_sim built an encoder")
+        raise AssertionError("run_sim built an encoder or a decoder")
 
     monkeypatch.setattr(lrsc.sim, "Encoder", refuse)
+    monkeypatch.setattr(lrsc.sim, "Decoder", refuse)
     code = make_lrsc(2, 5, 2)
     r1 = run_sim(code, PecChannel(0.2, 3), 600, seed=4)
     r2 = run_sim(code, PecChannel(0.2, 3), 600, seed=5)

@@ -2,7 +2,10 @@
 
 The channel is a pure function of (seed, t): each packet's erasure decision
 comes from a splitmix64 mix of the two, so runs are reproducible across
-machines and order independent.  The codes are linear and the decoder's
+machines and order independent.  It computes the decisions a block of
+consecutive t at a time, in the lanes of one int, bit-identical to the
+one-at-a-time rule, and caches only its last block, so the cache keeps it
+a pure function of (seed, t).  The codes are linear and the decoder's
 steps depend only on which packets are erased, never on symbol values, so
 a run stands for the all-zero stream and draws no messages.  On that stream
 the decoder is a finite automaton over erasure flags: a run walks a bare
@@ -24,6 +27,15 @@ from .codec import Decoder, Encoder, Transitions
 
 _M64 = (1 << 64) - 1
 
+# A channel block holds the decisions for _LANES consecutive t, t >> 4 its
+# number and t & 15 its lane (the shift and mask spell out 16 for speed);
+# lane i is bits 128i to 128i+127 of one int.
+_LANES = 16
+_ONES = sum(1 << (128 * i) for i in range(_LANES))      # 1 in every lane
+_LANE_T = sum(i << (128 * i) for i in range(_LANES))    # i in lane i
+_LANE_M64 = _M64 * _ONES
+_LANE_BIT64 = _ONES << 64
+
 
 def splitmix64(z: int) -> int:
     z = (z + 0x9E3779B97F4A7C15) & _M64
@@ -34,8 +46,13 @@ def splitmix64(z: int) -> int:
 
 @dataclass(frozen=True)
 class PecChannel:
-    """Memoryless erasure channel: packet t is erased iff the (seed, t) mix
-    falls below eps."""
+    """Memoryless erasure channel: packet t is erased iff
+    splitmix64(splitmix64(seed) ^ t) < int(eps * 2**64).
+
+    The decisions are computed for a block of 16 consecutive t at once,
+    each t in its own 128-bit lane of one int, bit for bit as the rule
+    gives them.  The channel caches only its last block, so it stays a pure
+    function of (seed, t): any order of calls gets the same answers."""
     eps: float
     seed: int = 0
 
@@ -45,14 +62,31 @@ class PecChannel:
         if self.seed.__class__ is not int:
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         object.__setattr__(self, "_key", splitmix64(self.seed))
-        object.__setattr__(self, "_cut", int(self.eps * 2.0 ** 64))
+        object.__setattr__(self, "_cut", int(self.eps * 2.0 ** 64) * _ONES)
+        self._draw(0)
+
+    def _draw(self, block):
+        """Cache and return block's decisions, one byte a t: 1 if received.
+        Lane i mixes key ^ (t mod 2**64) for t = 16 * block + i; each
+        xor-shift is masked back to 64 bits per lane before its multiply,
+        and z < cut reads as a borrow from the guard bit at lane bit 64."""
+        z = ((((self._key ^ (block << 4)) & _M64) * _ONES ^ _LANE_T)
+             + 0x9E3779B97F4A7C15 * _ONES) & _LANE_M64
+        z = ((z ^ (z >> 30)) & _LANE_M64) * 0xBF58476D1CE4E5B9 & _LANE_M64
+        z = ((z ^ (z >> 27)) & _LANE_M64) * 0x94D049BB133111EB & _LANE_M64
+        z ^= z >> 31
+        # byte 8 of a lane's 16 holds its bit 64
+        kept = (((z | _LANE_BIT64) - self._cut) & _LANE_BIT64).to_bytes(16 * _LANES, "little")[8::16]
+        # one tuple, read once by erased(), so threads sharing a channel
+        # never see a block number with another block's decisions
+        object.__setattr__(self, "_block", (block, kept))
+        return kept
 
     def erased(self, t: int) -> bool:
-        # splitmix64(key ^ t), written out: the walk calls this once a packet
-        z = ((self._key ^ t) + 0x9E3779B97F4A7C15) & _M64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return z ^ (z >> 31) < self._cut
+        block, kept = self._block
+        if block != t >> 4:
+            kept = self._draw(t >> 4)
+        return not kept[t & 15]
 
 
 @dataclass(slots=True)

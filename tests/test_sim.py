@@ -1,6 +1,9 @@
 """Channel simulation: determinism, conservation, and loss accounting."""
 
+import copy
 import random
+import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -92,6 +95,11 @@ def _erased_by_rule(eps, seed, t):
     return splitmix64(splitmix64(seed) ^ t) < int(eps * 2.0 ** 64)
 
 
+def _check_walk(ch, ts):
+    for t in ts:
+        assert ch.erased(t) == _erased_by_rule(ch.eps, ch.seed, t), (ch, t)
+
+
 def test_channel_decisions_match_the_written_out_rule():
     rng = random.Random(11)
     for _ in range(2000):
@@ -99,6 +107,90 @@ def test_channel_decisions_match_the_written_out_rule():
         seed = rng.choice([rng.randrange(-2 ** 70, 2 ** 70), rng.randrange(2 ** 64)])
         t = rng.randrange(10 ** 7)
         assert PecChannel(eps, seed).erased(t) == _erased_by_rule(eps, seed, t), (eps, seed, t)
+    # one long-lived channel, whose cached block must never answer for
+    # another t: walks across blocks both ways and in jumps, a block's first
+    # and last lanes, t outside [0, 2**64), and t near 2**64 where t mod
+    # 2**64 wraps to the first block
+    for eps, seed in [(0.5, 7), (0.37, -2 ** 66 - 5), (rng.random(), rng.randrange(2 ** 64))]:
+        ch = PecChannel(eps, seed)
+        _check_walk(ch, range(-20, 16 * 5 + 3))
+        _check_walk(ch, reversed(range(-20, 16 * 5 + 3)))
+        _check_walk(ch, [rng.randrange(-2 ** 66, 2 ** 66) for _ in range(300)])
+        _check_walk(ch, [rng.randrange(-100, 100) for _ in range(300)])
+        blocks = [0, 1, 7, -1, -2, 2 ** 60 - 1, 2 ** 60, 2 ** 60 + 1, -2 ** 60, 2 ** 70]
+        _check_walk(ch, [16 * b + lane for b in blocks for lane in (0, 15, 15, 0)])
+        _check_walk(ch, [2 ** 64 + d for d in range(-40, 40)] + [-2 ** 64 + d for d in range(-40, 40)])
+        _check_walk(ch, [2 ** 65 - 1, 2 ** 65, -1, 0, 2 ** 64 - 1, 2 ** 64, 15, 16])
+
+
+def test_a_shared_channel_serves_interleaved_walkers_and_copies():
+    ch = PecChannel(0.5, 23)
+    # two walkers on one channel, each block by block in turn, one of them
+    # descending across 2**64
+    ups, downs = iter(range(0, 16 * 8)), iter(reversed(range(2 ** 64 - 64, 2 ** 64 + 64)))
+    for _ in range(8):
+        _check_walk(ch, [next(ups) for _ in range(16)])
+        _check_walk(ch, [next(downs) for _ in range(16)])
+    # copies taken mid-block, each t asked of all of them in turn; a replace
+    # with another eps or seed decides by its own rule from its first call
+    _check_walk(ch, range(30, 37))
+    twins = [ch, copy.copy(ch), replace(ch), replace(ch, eps=0.25), replace(ch, seed=24)]
+    assert twins[1] == twins[2] == ch
+    for t in [*range(37, 70), *range(5, 0, -1), 1000, 38, 2 ** 64 + 37]:
+        for twin in twins:
+            _check_walk(twin, [t])
+
+
+def test_threads_sharing_a_channel_see_no_torn_block():
+    # four threads cycle through the same three blocks out of phase, so
+    # nearly every call draws a block that another thread may be reading;
+    # a block number read apart from its decisions would answer some t
+    # from another block
+    ch = PecChannel(0.5, 41)
+    walks = [[16 * ((j + w) % 3) + (7 * j + w) % 16 for j in range(3000)] for w in range(4)]
+    want = [[_erased_by_rule(0.5, 41, t) for t in walk] for walk in walks]
+    got = [None] * 4
+
+    def run(w):
+        got[w] = [ch.erased(t) for t in walks[w]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(w,)) for w in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == want
+
+
+class _RecordingChannel:
+    """Passes each erased(t) call to a channel and records its t."""
+
+    def __init__(self, channel):
+        self.eps, self.calls, self._channel = channel.eps, [], channel
+
+    def erased(self, t):
+        self.calls.append(t)
+        return self._channel.erased(t)
+
+
+@pytest.mark.parametrize("make,args", [(make_lrsc, (2, 5, 2)), (MdsDeCode, (2, 5))],
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+@pytest.mark.parametrize("eps", [0.0, 1.0, 0.2])
+def test_run_sim_asks_the_channel_once_per_t_in_ascending_order(make, args, eps):
+    # the walk's contract with a channel: erased(t) exactly once for each t
+    # in [0, packets + tau + 1), in ascending order, which a channel with
+    # state across calls relies on
+    code, packets = make(*args), 700
+    ch = _RecordingChannel(PecChannel(eps, 31))
+    res = run_sim(code, ch, packets, seed=4)
+    assert ch.calls == list(range(packets + code.tau + 1))
+    assert res == run_sim(code, PecChannel(eps, 31), packets, seed=4)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), 1.5, -0.2])

@@ -283,7 +283,7 @@ class Transitions:
         parity's row over the ids unresolved at its start, then resolves
         every row left with one id.  The kept rows are the ``rows`` of a
         fresh ``Echelon`` of the move's own, which each parity's row is
-        inserted into, with the slot of each row's rhs in row[2].
+        inserted into, with the slot of the row's value in row[1].
 
         With `plans` the move gets its plan on values in slots: the rhs of
         the state's rows, then one input per parity (``inputs``).  The
@@ -310,7 +310,7 @@ class Transitions:
         else:
             outs.append((0, 0))
             ech = Echelon(code.field)
-            ech.rows = system = {srows[s][0][0]: [dict(srows[s]), 0, s] for s in kept}
+            ech.rows = system = {srows[s][0][0]: [dict(srows[s]), s] for s in kept}
             live, base, ops, checks = set(ids), len(srows), [], []
             if plans:
                 prep, neg = code.field.prep, code.field.neg
@@ -318,18 +318,15 @@ class Transitions:
 
                 def sub(row, f, pivot):
                     row_sub(row, f, pivot)
-                    ops.append((row[2], prep(neg(f)), pivot[2], True))
+                    ops.append((row[1], prep(neg(f)), pivot[1], True))
 
                 def scale(row, s):
-                    # in place on the values: the row keeps its slot
-                    new = row_scale(row, s)
-                    new.append(row[2])
-                    ops.append((row[2], prep(s), row[2], False))
-                    return new
+                    row_scale(row, s)
+                    ops.append((row[1], prep(s), row[1], False))
 
                 ech._row_sub, ech._row_scale = sub, scale
             for p, terms in enumerate(self.terms):
-                if not ech.insert([{i: c for i, c in terms if i in live}, 0, base + p]):
+                if not ech.insert([{i: c for i, c in terms if i in live}, base + p]):
                     checks.append(base + p)
             resolved = sorted([p for p, row in system.items() if len(row[0]) == 1])
             singles = [system.pop(p) for p in resolved]
@@ -340,8 +337,8 @@ class Transitions:
             ids = sorted(live)
             order = sorted(system)
             rows = tuple([tuple(sorted([(i - k, c) for i, c in system[p][0].items()])) for p in order])
-            plan = (tuple(ops), tuple([system[p][2] for p in order]), tuple(checks),
-                    tuple([(*divmod(p, k), row[2]) for p, row in zip(resolved, singles)])) if plans else None
+            plan = (tuple(ops), tuple([system[p][1] for p in order]), tuple(checks),
+                    tuple([(*divmod(p, k), row[1]) for p, row in zip(resolved, singles)])) if plans else None
         nxt = self.state((tuple([i - k for i in ids]), rows))
         outs = tuple(outs)
         if state.moves is not None and nxt.moves is not None:

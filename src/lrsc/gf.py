@@ -398,8 +398,8 @@ class TowerField:
                 xs[dst] = 0
 
     def row_sub(self, row, f, pivot):
-        """row -= f*pivot in place, for a nonzero f and rows [coeff dict, rhs]
-        that store no zero coefficient; a coefficient that cancels is dropped."""
+        """row[0] -= f*pivot[0] in place, for a nonzero f and coeff dicts that
+        store no zero; a coefficient that cancels is dropped."""
         exp, log, zech = self._exp, self._log, self._zech
         lf = (log[f] + self._half) % (self.order - 1)      # log(-f)
         coeffs = row[0]
@@ -415,22 +415,13 @@ class TowerField:
                     del coeffs[cid]
             else:
                 coeffs[cid] = exp[lt]
-        x, y = row[1], pivot[1]
-        if y:
-            lt = lf + log[y]
-            if x:
-                lx = log[x]
-                row[1] = exp[lx + zech[lt - lx]]
-            else:
-                row[1] = exp[lt]
 
     def row_scale(self, row, s):
-        """The row [coeff dict, rhs], storing no zero coefficient, times a
-        nonzero s, as a new row."""
+        """row[0] *= s in place, for a nonzero s and a coeff dict that stores
+        no zero."""
         exp, log = self._exp, self._log
         ls = log[s]
-        return [{cid: exp[ls + log[cv]] for cid, cv in row[0].items()},
-                row[1] and exp[ls + log[row[1]]]]
+        row[0] = {cid: exp[ls + log[cv]] for cid, cv in row[0].items()}
 
     # -- arithmetic as pairs (x0, x1) = x0 + x1*t over the level below --
 
@@ -482,11 +473,10 @@ class TowerField:
                 coeffs[cid] = x
             else:
                 del coeffs[cid]
-        row[1] = sub(row[1], mul(f, pivot[1]))
 
     def _pair_row_scale(self, row, s):
         mul = self._pair_mul
-        return [{cid: mul(s, cv) for cid, cv in row[0].items()}, mul(s, row[1])]
+        row[0] = {cid: mul(s, cv) for cid, cv in row[0].items()}
 
     def _pair_generator(self, below):
         """The smallest generator g of this level, of order n = s^2 - 1 over

@@ -21,18 +21,19 @@ def _freeze(rows):
 
 class Echelon:
     """Sparse system in reduced row echelon form: ``rows`` maps pivot ids
-    (ints) to rows [coeff dict, rhs], storing no zero coefficient, 1 at a
-    pivot no other row holds.  A pivot is its row's smallest id, as clearing
-    a pivot adds only larger ids to a row; so popping the row of the smallest
-    id, if any, projects it out."""
+    (ints) to rows, lists led by a coeff dict storing no zero, 1 at a
+    pivot no other row holds; the row kernels touch nothing past it.  A
+    pivot is its row's smallest id, as clearing a pivot adds only larger
+    ids to a row; so popping the row of the smallest id, if any, projects
+    it out."""
 
     def __init__(self, field):
         self._inv, self._row_sub, self._row_scale = field.inv, field.row_sub, field.row_scale
         self.rows = {}
 
     def insert(self, row):
-        """Reduce row [coeffs, rhs] and store it under its smallest id:
-        True, or False for a row reducing to nothing, its rhs in row[1]."""
+        """Reduce the row and store it under its smallest id: True, or False
+        for a row reducing to nothing."""
         rows, row_sub, coeffs = self.rows, self._row_sub, row[0]
         for pid in [p for p in coeffs if p in rows]:
             # the pivot's 1 at pid cancels the row's coefficient there
@@ -43,12 +44,12 @@ class Echelon:
         return True
 
     def _pivot(self, row, pid):
-        """Scale row [coeffs, rhs] to 1 at id pid, clear pid from every
-        stored row with it and store it under pid.  Only a row of a smaller
-        pivot can hold pid."""
+        """Scale the row to 1 at id pid in place, clear pid from every stored
+        row with it and store it under pid.  Only a row of a smaller pivot
+        can hold pid."""
         s = self._inv(row[0][pid])
         if s != 1:
-            row = self._row_scale(row, s)
+            self._row_scale(row, s)
         rows, row_sub = self.rows, self._row_sub
         for qid in sorted(rows):
             if qid > pid:
@@ -66,17 +67,17 @@ def _sparse(row):
 def rank(field, rows):
     """Number of linearly independent rows."""
     ech = Echelon(field)
-    return sum(ech.insert([_sparse(r), 0]) for r in rows)
+    return sum(ech.insert([_sparse(r)]) for r in rows)
 
 
 def in_span(field, vec, vectors):
-    """True iff vec lies in the span of the given vectors (empty span = {0})."""
-    if not vectors:
-        return not any(vec)
-    ech = Echelon(field)
-    for coords, v in zip(zip(*vectors), vec):
-        row = [_sparse(coords), v]
-        if not ech.insert(row) and row[1]:
+    """True iff vec lies in the span of the given vectors (empty span = {0}).
+    vec is one more column, at id len(vectors), and the largest id: a row
+    reduced to that column alone reads 0 = nonzero."""
+    ech, last = Echelon(field), len(vectors)
+    for coords in zip(*vectors, vec):
+        ech.insert([_sparse(coords)])
+        if last in ech.rows:
             return False
     return True
 

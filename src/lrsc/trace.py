@@ -20,9 +20,9 @@ _ELEMENT = re.compile(r"\[[^\[\]]*\]")
 _GROUP = re.compile(rf"\s*{_ELEMENT.pattern}\s*(?:,\s*{_ELEMENT.pattern}\s*)*")
 
 
-def _cut(text, width=24):
-    """Input echoed in an error message: its first ``width`` characters."""
-    return text[:width] + "..." * (len(text) > width)
+def _cut(text):
+    """Input echoed in an error message: its first 24 characters."""
+    return text[:24] + "..." * (len(text) > 24)
 
 
 class TraceError(ValueError):

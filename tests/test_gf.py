@@ -463,7 +463,7 @@ def _row_sub_reference(f, row, fac, pivot):
     coeffs = dict(row[0])
     for cid, cv in pivot[0].items():
         coeffs[cid] = f.sub(coeffs.get(cid, 0), f.mul(fac, cv))
-    return [{cid: v for cid, v in coeffs.items() if v}, f.sub(row[1], f.mul(fac, pivot[1]))]
+    return [{cid: v for cid, v in coeffs.items() if v}]
 
 
 @pytest.mark.parametrize("q,levels", KERNEL_FIELDS,
@@ -479,7 +479,7 @@ def test_kernels_match_the_scalar_path(q, levels):
         return elem(nonzero) if nonzero and not x else x
 
     def row(width):
-        return [{i: elem(True) for i in rng.sample(range(12), rng.randrange(width))}, elem()]
+        return [{i: elem(True) for i in rng.sample(range(12), rng.randrange(width))}]
 
     def value():
         return rng.choice((None, 0)) if rng.random() < 0.25 else elem()
@@ -511,9 +511,12 @@ def test_kernels_match_the_scalar_path(q, levels):
         want = _row_sub_reference(f, r, fac, pivot)
         f.row_sub(r, fac, pivot)
         assert r == want, fac
-        s = elem(True)
-        want = [{cid: f.mul(s, v) for cid, v in pivot[0].items()}, f.mul(s, pivot[1])]
-        assert f.row_scale(pivot, s) == want, s
+        # in place, and only the dict: the rest of a row is the caller's
+        s, slot = elem(True), object()
+        want = [{cid: f.mul(s, v) for cid, v in pivot[0].items()}, slot]
+        pivot.append(slot)
+        assert f.row_scale(pivot, s) is None
+        assert pivot == want and pivot[1] is slot, s
 
 
 @pytest.mark.parametrize("q,levels", KERNEL_FIELDS,
@@ -533,8 +536,9 @@ def test_kernels_cancel_to_zero(q, levels):
             f.run_ops([(0, f.prep(f.neg(c)), 1, True), (1, pc, 1, True),
                        (2, px, 0, False), (1, pc, 0, True)], xs)
             assert xs == [0, f.add(x, f.mul(c, x)), 0], (c, x)
-            # row - fac * (row / fac) is empty, rhs included
-            row = [{3: c, 5: x, 8: f.mul(c, x)}, x]
-            pivot = f.row_scale(row, f.inv(c))
+            # row - fac * (row / fac) is empty
+            row = [{3: c, 5: x, 8: f.mul(c, x)}]
+            pivot = [dict(row[0])]
+            f.row_scale(pivot, f.inv(c))
             f.row_sub(row, c, pivot)
-            assert row == [{}, 0], (c, x)
+            assert row == [{}], (c, x)

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from lrsc.gf import make_tower
-from lrsc.matrix import (in_span, is_superregular, parity_weights, rank, stacked_parity_check,
-                         superregular_matrix)
+from lrsc.matrix import (Echelon, in_span, is_superregular, parity_weights, rank,
+                         stacked_parity_check, superregular_matrix)
 
 from conftest import (all_minors_nonzero, in_subfield, leibniz_det, mat_add, mat_vec,
                       pinned_coordinates, rref, subfield_perturbation)
@@ -128,8 +128,9 @@ def test_rank_full_iff_leibniz_det_nonzero():
         assert (rank(f, m) == n) == (leibniz_det(f, m) != 0)
 
 
-# GF(2), GF(5), GF(16) as an extension base, GF(81) and GF(625) as towers
-RANK_FIELDS = [(2, 2), (5, 2), (16, 2), (3, 4), (5, 4)]
+# GF(2), GF(5), GF(16) as an extension base, GF(81) and GF(625) as towers,
+# GF(17^4) = GF(83521) above the table limit, on its pair arithmetic
+RANK_FIELDS = [(2, 2), (5, 2), (16, 2), (3, 4), (5, 4), (17, 4)]
 
 
 @pytest.mark.parametrize("q,a", RANK_FIELDS)
@@ -152,6 +153,66 @@ def test_rank_matches_rref_pivot_count(q, a):
             c = rng.randrange(f.order)
             m[rng.randrange(nr)] = [f.mul(c, x) for x in m[rng.randrange(nr)]]
         assert rank(f, m) == len(rref(f, m)[2]), m
+
+
+# GF(2), GF(16), GF(625), and GF(83521) on its pair arithmetic
+SPAN_FIELDS = [(2, 2), (16, 2), (5, 4), (17, 4)]
+
+
+def _combination(f, rng, vectors, width):
+    """A random linear combination of the vectors, each of the given width."""
+    out = [0] * width
+    for v in vectors:
+        c = rng.randrange(f.order)
+        out = [f.add(x, f.mul(c, y)) for x, y in zip(out, v)]
+    return out
+
+
+@pytest.mark.parametrize("q,a", SPAN_FIELDS)
+def test_in_span_matches_rank(q, a):
+    """in_span reduces vec as one more column of the system; rank gives the
+    span by its definition: v lies in span(V) iff adding it keeps the rank.
+    Each V comes alone and with a combination of its own added, so
+    dependent; the empty V is among them, and v is 0, a combination of V
+    or random."""
+    f = make_tower(q, a)
+    rng = random.Random(q * 10 + a)
+    verdicts = set()
+    for i in range(40):
+        n = rng.randrange(1, 6)
+        vs = [[rng.randrange(f.order) for _ in range(n)] for _ in range(i % 4)]
+        for span in (vs, vs + [_combination(f, rng, vs, n)]):
+            for v in ([0] * n, _combination(f, rng, span, n),
+                      [rng.randrange(f.order) for _ in range(n)]):
+                got = in_span(f, v, span)
+                assert got == (rank(f, span + [v]) == rank(f, span)), (v, span)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q,a", SPAN_FIELDS)
+def test_echelon_holds_the_dense_reduced_rows(q, a):
+    """After each insert Echelon's rows, as sparse dicts by pivot, are the
+    nonzero rows of the dense Gauss-Jordan form of every row inserted so
+    far; a slot placed after a row's dict survives every subtraction and
+    scaling, kept or not."""
+    f = make_tower(q, a)
+    rng = random.Random(q * 7 + a)
+    for _ in range(30):
+        nc, ech, dense, made = rng.randrange(1, 7), Echelon(f), [], []
+        for slot in range(rng.randrange(1, 8)):
+            if dense and rng.random() < 0.3:
+                r = _combination(f, rng, dense, nc)
+            else:
+                r = [rng.randrange(f.order) if rng.random() < 0.6 else 0 for _ in range(nc)]
+            dense.append(r)
+            row = [{j: v for j, v in enumerate(r) if v}, ("slot", slot)]
+            made.append(row)
+            ech.insert(row)
+            work, _, pivots = rref(f, dense)
+            assert {pid: kept[0] for pid, kept in ech.rows.items()} == {
+                p: {j: v for j, v in enumerate(work[i]) if v} for i, p in enumerate(pivots)}, dense
+        assert [row[1:] for row in made] == [[("slot", i)] for i in range(len(made))]
 
 
 @pytest.mark.parametrize("q,a", [(3, 2), (4, 3), (5, 2), (7, 3)])

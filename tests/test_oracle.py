@@ -260,7 +260,8 @@ class _NoClearEchelon(Echelon):
     """Scales a new pivot row but leaves the pivot in the stored rows."""
 
     def _pivot(self, row, pid):
-        self.rows[pid] = self._row_scale(row, self._inv(row[0][pid]))
+        self._row_scale(row, self._inv(row[0][pid]))
+        self.rows[pid] = row
 
 
 class _NoClearDecoder(Decoder):

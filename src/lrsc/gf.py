@@ -16,14 +16,15 @@ leans on:
 
 Every field of order at most 2^16 computes with the same few reads of
 its exp, log and Zech tables, whatever p, m and level.  Each level builds
-them from the powers of its smallest generator g.  A prime field finds g
-by an order test and walks its powers mod p.  GF(p^m), m > 1, walks each
-candidate's powers by shift-and-reduce steps on the digit vector until
-they return to 1, and takes the first to need p^m - 1 steps.  A level of
-order s^2 takes s+1 quadratic products to reach N = g^(s+1), which lies
-in the level below, and reads every other power g^(a(s+1)+b) = N^a g^b
-from the tables below; its order test reads the log of N there too.  A
-larger field uses the quadratic product over the level below directly.
+them from the powers of its smallest generator g.  Level 1, GF(p^m),
+finds g by the order test over its own product, x*y mod p for a prime
+and the schoolbook product of the digit vectors reduced by the base
+irreducible for m > 1, and walks g's powers once by that product.  A
+level of order s^2 takes s+1 quadratic products to reach N = g^(s+1),
+which lies in the level below, and reads every other power
+g^(a(s+1)+b) = N^a g^b from the tables below; its order test reads the
+log of N there too.  A larger field uses the quadratic product over
+the level below directly.
 The codec's inner loops, a row update or scaling, and the parity sums
 and row operations that the encoder and every replayed plan run, are one
 call each (``row_sub``, ``row_scale``, ``dots``, ``run_ops``) over the
@@ -162,6 +163,18 @@ def _monic_irreducible(p: int, m: int):
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")
 
 
+def _base_mul(p, m, poly, x, y):
+    """x*y in GF(p^m) = GF(p)[t]/poly: the schoolbook product of the two
+    base-p digit vectors, reduced by poly."""
+    xd, yd = _digits(x, p, m), _digits(y, p, m)
+    prod = [0] * (2 * m - 1)
+    for i, a in enumerate(xd):
+        if a:
+            for j, b in enumerate(yd):
+                prod[i + j] += a * b
+    return _undigits(_poly_mod(prod, poly, p), p)
+
+
 def _order_exponents(n):
     """n // f for each prime f dividing n >= 1: the exponents of the order test."""
     out, m, f = [], n, 2
@@ -192,7 +205,9 @@ def _power(mul, x, e):
 def _generator(order, mul):
     """The smallest element of order n = order - 1, found by the order test:
     g^(n/f) != 1 for each prime f dividing n, each power by ``_power`` over
-    ``mul``."""
+    ``mul``.  This finds level 1's generator for every GF(p^m): for m > 1
+    the elements below p lie in GF(p), of order dividing p-1, and fail the
+    test at a prime f dividing (q-1)/(p-1) > 1."""
     exps = _order_exponents(order - 1)
     for g in range(min(2, order - 1), order):     # 1 has order 1, unless order is 2
         for e in exps:
@@ -235,37 +250,6 @@ def _find_quadratic(field):
     raise RuntimeError(f"no irreducible quadratic over GF({size})")
 
 
-def _base_powers(p, m, poly):
-    """g^0..g^(q-2) for the smallest generator g of GF(q) = GF(p)[t]/poly,
-    q = p^m with m > 1.  Each candidate's powers are walked until they
-    return to 1, and the first to take q-1 steps is g.  A step x -> x*g is
-    the sum of g's digits times x*t^i, each x*t one shift and one reduce
-    of the digit vector: t^m = -(poly's lower terms).  The last digit's
-    term skips its product where it is x itself."""
-    q, low = p ** m, [-c % p for c in poly[:m]]
-    for g in range(p, q):                   # below p lies GF(p), of order p-1
-        gd = _digits(g, p, m)
-        top = max(i for i, d in enumerate(gd) if d)
-        x, powers = [1] + [0] * (m - 1), [1]
-        while True:
-            acc = [0] * m
-            for i in range(top):
-                if gd[i]:
-                    acc = [(a + gd[i] * b) % p for a, b in zip(acc, x)]
-                c, x = x[-1], [0] + x[:-1]
-                if c:
-                    x = [(a + c * b) % p for a, b in zip(x, low)]
-            if any(acc) or gd[top] != 1:
-                x = [(a + gd[top] * b) % p for a, b in zip(acc, x)]
-            v = _undigits(x, p)
-            if v == 1:
-                break
-            powers.append(v)
-        if len(powers) == q - 1:
-            return powers
-    raise RuntimeError(f"no multiplicative generator of GF({q})")
-
-
 class TowerField:
     """Quadratic-extension tower of the given number of levels over GF(q).
 
@@ -294,13 +278,13 @@ class TowerField:
         self.order = order = sizes[levels]
         self.p, self.m = p, m
         self.dim_p = m << (levels - 1)   # over GF(p)
-        if levels == 1 and m > 1:
-            powers = _base_powers(p, m, _monic_irreducible(p, m))
-        elif levels == 1:
-            g = _generator(q, lambda x, y: x * y % p)
+        if levels == 1:
+            mul = ((lambda x, y: x * y % p) if m == 1
+                   else functools.partial(_base_mul, p, m, _monic_irreducible(p, m)))
+            g = _generator(q, mul)
             x, powers = 1, [1]
             for _ in range(q - 2):
-                x = x * g % p
+                x = mul(x, g)
                 powers.append(x)
         else:
             below = TowerField.__new__(TowerField)

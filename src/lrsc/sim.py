@@ -27,12 +27,10 @@ from .codec import Decoder, Encoder, Transitions
 
 _M64 = (1 << 64) - 1
 
-# A channel block holds the decisions for _LANES consecutive t, t >> 4 its
-# number and t & 15 its lane (the shift and mask spell out 16 for speed);
-# lane i is bits 128i to 128i+127 of one int.
-_LANES = 16
-_ONES = sum(1 << (128 * i) for i in range(_LANES))      # 1 in every lane
-_LANE_T = sum(i << (128 * i) for i in range(_LANES))    # i in lane i
+# A channel block holds the decisions for 16 consecutive t, t >> 4 its
+# number and t & 15 its lane; lane i is bits 128i to 128i+127 of one int.
+_ONES = sum(1 << (128 * i) for i in range(16))      # 1 in every lane
+_LANE_T = sum(i << (128 * i) for i in range(16))    # i in lane i
 _LANE_M64 = _M64 * _ONES
 _LANE_BIT64 = _ONES << 64
 
@@ -76,7 +74,7 @@ class PecChannel:
         z = ((z ^ (z >> 27)) & _LANE_M64) * 0x94D049BB133111EB & _LANE_M64
         z ^= z >> 31
         # byte 8 of a lane's 16 holds its bit 64
-        kept = (((z | _LANE_BIT64) - self._cut) & _LANE_BIT64).to_bytes(16 * _LANES, "little")[8::16]
+        kept = (((z | _LANE_BIT64) - self._cut) & _LANE_BIT64).to_bytes(256, "little")[8::16]
         # one tuple, read once by erased(), so threads sharing a channel
         # never see a block number with another block's decisions
         object.__setattr__(self, "_block", (block, kept))

@@ -427,10 +427,10 @@ def _prime_mul(p):
 
 
 def test_log_tables_match_the_reference():
-    # the order-tested generator, level 1's walk and the higher levels'
-    # N^a g^b build give the tables of the walk-until-1 search: level 1 by
-    # GF(q)'s own product, each level above by the pair product over the
-    # (already pinned) level below
+    # the order-tested generator, level 1's one power walk by its own
+    # product and the higher levels' N^a g^b build give the tables of the
+    # walk-until-1 search: level 1 by GF(q)'s own product, each level above
+    # by the pair product over the (already pinned) level below
     for q, levels in _table_shapes():
         f = TowerField(q, levels)
         if levels > 1:

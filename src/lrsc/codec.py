@@ -23,8 +23,8 @@ immutable.  ``run_sim`` walks a bare table of its own, with no decoder.
 The table computes each move, the push of a received or an erased packet
 from a state, once from the state's ids and rows alone
 (``Transitions.move``), reducing them in a ``matrix.Echelon`` system of
-the move's own, the reduced-echelon system that ``rank`` and ``in_span``
-also run on: the next state, the packets the push settles, and a plan on
+the move's own, the reduced-echelon system that ``in_span`` also runs
+on: the next state, the packets the push settles, and a plan on
 values, made of the rhs row operations, the zero checks and the writes.
 The decoder holds only values, and they only ever replay: every push, by
 any fork, checks its packet, reads every term of each parity template and
@@ -35,6 +35,7 @@ does an unresolved symbol, so one plan holds at any time.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 from .gf import make_tower, smallest_prime_power_at_least
@@ -245,11 +246,19 @@ class Transitions:
     its forks, and records there only moves with a plan; ``sim._walk``
     walks a bare table of its own, with no plans.  The table computes each
     move (``move``), and counts the moves it recorded and the pushes that
-    replayed one."""
+    replayed one.
+
+    Threads may push forks of one decoder: a new state is numbered and
+    stored in one step, under a lock taken only when its key is missing, so
+    a replay takes no lock.  The counts are not exact under threads: two
+    threads may compute and record one move both, counting it twice, and
+    ``recorded`` and ``replayed`` take no lock, so they may undercount
+    when two threads add to one at once."""
 
     def __init__(self, code):
         self.code = code
         self.index, self.states = {}, []
+        self._lock = threading.Lock()
         self.clean = self.state(((), ()))
         # each parity template as (id relative to the push time, coeff) terms
         self.terms = tuple(tuple([(j - d * code.k, c) for j, d, c in tp]) for tp in code.templates)
@@ -261,11 +270,15 @@ class Transitions:
         the table holds fewer than ``_STATE_CAP``."""
         st = self.index.get(key)
         if st is None:
-            n = len(self.states)
-            st = _State(key, n if n < _STATE_CAP else None)
-            if st.moves is not None:
-                self.index[key] = st
-                self.states.append(st)
+            with self._lock:
+                st = self.index.get(key)
+                if st is None:
+                    n = len(self.states)
+                    st = _State(key, n if n < _STATE_CAP else None)
+                    if st.moves is not None:
+                        # in ``states`` before a move can name it
+                        self.states.append(st)
+                        self.index[key] = st
         return st
 
     @functools.cached_property

@@ -20,11 +20,12 @@ them from the powers of its smallest generator g.  Level 1, GF(p^m),
 finds g by the order test over its own product, x*y mod p for a prime
 and the schoolbook product of the digit vectors reduced by the base
 irreducible for m > 1, and walks g's powers once by that product.  A
-level of order s^2 takes s+1 quadratic products to reach N = g^(s+1),
-which lies in the level below, and reads every other power
-g^(a(s+1)+b) = N^a g^b from the tables below; its order test reads the
-log of N there too.  A larger field uses the quadratic product over
-the level below directly.
+level of order s^2 reads N = g^(s+1), which lies in the level below, as
+the norm of g = x0 + x1 t, x0^2 - lin*x0*x1 + const*x1^2, and its order
+test reads the log of N there.  Its s+1 quadratic products g^1..g^(s+1)
+must reach N, and every other power g^(a(s+1)+b) = N^a g^b is read from
+the tables below.  A larger field uses the quadratic product over the
+level below directly.
 The codec's inner loops, a row update or scaling, and the parity sums
 and row operations that the encoder and every replayed plan run, are one
 call each (``row_sub``, ``row_scale``, ``dots``, ``run_ops``) over the
@@ -299,7 +300,7 @@ class TowerField:
                 self.row_sub, self.row_scale = self._pair_row_sub, self._pair_row_scale
                 self.prep, self.dots, self.run_ops = self._pair_prep, self._pair_dots, self._pair_run_ops
                 return
-            powers = self._pair_powers(self._pair_generator(below), below)
+            powers = self._pair_powers(*self._pair_generator(below), below)
         self._exp, self._log, self._zech, self._half = _log_tables(powers, p)
 
     # -- arithmetic from the tables --
@@ -465,33 +466,39 @@ class TowerField:
     def _pair_generator(self, below):
         """The smallest generator g of this level, of order n = s^2 - 1 over
         the level below of order s, by the order test read from the level
-        below.  Every x below s lies there, so the search starts at s.
-        N = g^(s+1) lies in the level below, and for a prime f dividing s-1,
-        g^(n/f) = N^((s-1)/f): those tests all pass iff log N is prime to
-        s-1.  For a prime f dividing s+1 alone, g^(n/f) = h^(s-1) with
-        h = g^((s+1)/f), which is 1 iff h lies in the level below."""
+        below, and N = g^(s+1).  Every x below s lies there, so the search
+        starts at s.  N is the norm of g = x0 + x1 t,
+        x0^2 - lin*x0*x1 + const*x1^2, in the level below, and for a prime
+        f dividing s-1, g^(n/f) = N^((s-1)/f): those tests all pass iff
+        log N is prime to s-1.  For a prime f dividing s+1 alone,
+        g^(n/f) = h^(s-1) with h = g^((s+1)/f), which is 1 iff h lies in
+        the level below."""
         s, mul = self._s, self._pair_mul
+        badd, bsub, bmul, blog = self._badd, self._bsub, self._bmul, below._log
         exps = [e for e in _order_exponents(s + 1) if (s - 1) % ((s + 1) // e)]
         for g in range(s, self.order):
-            big_n = _power(mul, g, s + 1)
-            if not 0 < big_n < s:
-                raise RuntimeError(f"g^{s + 1} = {big_n} is outside GF({s}): "
-                                   "a broken product or quadratic")
-            if math.gcd(below._log[big_n], s - 1) == 1 and all(_power(mul, g, e) >= s for e in exps):
-                return g
+            x1, x0 = divmod(g, s)
+            big_n = badd(bmul(x0, bsub(x0, bmul(self._lin, x1))), bmul(self._const, bmul(x1, x1)))
+            if math.gcd(blog[big_n], s - 1) == 1 and all(_power(mul, g, e) >= s for e in exps):
+                return g, big_n
         raise RuntimeError(f"no multiplicative generator of GF({self.order})")
 
-    def _pair_powers(self, g, below):
+    def _pair_powers(self, g, big_n, below):
         """g^0..g^(n-1) for a generator g of this level, n = s^2 - 1 over the
-        level below of order s.  N = g^(s+1) lies in the level below and
-        generates its group, so g^(a(s+1)+b) = N^a g^b for a < s-1 and b <= s.
-        N^a scales both halves of g^b = x0 + x1 t, so each power is two reads
-        of the tables below, from the logs of the halves of g^0..g^s."""
+        level below of order s, and N = g^(s+1), which lies in the level
+        below and generates its group, so g^(a(s+1)+b) = N^a g^b for
+        a < s-1 and b <= s.  The products g^1..g^(s+1) must reach N, or the
+        build raises.  N^a scales both halves of g^b = x0 + x1 t, so each
+        power is two reads of the tables below, from the logs of the halves
+        of g^0..g^s."""
         s = self._s
         gb = [1]
         for _ in range(s + 1):
             gb.append(self._pair_mul(gb[-1], g))
-        big_n = gb.pop()
+        if gb[-1] != big_n:
+            raise RuntimeError(f"g^{s + 1} = {gb[-1]} is outside GF({s}) or not the norm "
+                               f"{big_n}: a broken product or quadratic")
+        gb.pop()
         blog, bexp, nb = below._log, below._exp, s - 1
         zero = 2 * nb                       # a log that reads the zero tail of exp
         halves = [(blog[x % s] if x % s else zero, blog[x // s] if x // s else zero) for x in gb]

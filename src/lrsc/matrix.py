@@ -2,9 +2,9 @@
 
 Matrices are tuples/lists of row sequences holding field ints, with the
 owning TowerField passed alongside.  One incremental reduced-echelon system
-(``Echelon``) is shared by the decoder's transition table, ``rank`` and
-``in_span``.  The superregularity of a constructed matrix is checked by
-ranking every square submatrix rather than trusted from theory.
+(``Echelon``) is shared by the decoder's transition table and ``in_span``.
+The superregularity of a constructed matrix is checked on every square
+submatrix's determinant rather than trusted from theory.
 """
 
 from __future__ import annotations
@@ -60,39 +60,43 @@ class Echelon:
         rows[pid] = row
 
 
-def _sparse(row):
-    return {j: v for j, v in enumerate(row) if v}
-
-
-def rank(field, rows):
-    """Number of linearly independent rows."""
-    ech = Echelon(field)
-    return sum(ech.insert([_sparse(r)]) for r in rows)
-
-
 def in_span(field, vec, vectors):
     """True iff vec lies in the span of the given vectors (empty span = {0}).
     vec is one more column, at id len(vectors), and the largest id: a row
     reduced to that column alone reads 0 = nonzero."""
     ech, last = Echelon(field), len(vectors)
     for coords in zip(*vectors, vec):
-        ech.insert([_sparse(coords)])
+        ech.insert([{j: v for j, v in enumerate(coords) if v}])
         if last in ech.rows:
             return False
     return True
 
 
 def is_superregular(field, rows):
-    """Every square submatrix nonsingular, checked exhaustively."""
+    """Every square submatrix nonsingular, checked exhaustively in one pass
+    over the minor sizes: each z x z determinant is the cofactor expansion
+    along its first row over the (z-1) x (z-1) determinants, kept by (row
+    tuple, column tuple) from the size before."""
     if not all(all(row) for row in rows):      # the 1x1 minors
         return False
     nr, nc = len(rows), len(rows[0]) if rows else 0
-    for z in range(2, min(nr, nc) + 1):
+    add, sub, mul = field.add, field.sub, field.mul
+    dets = {((i,), (j,)): x for i, row in enumerate(rows) for j, x in enumerate(row)}
+    last = min(nr, nc)
+    for z in range(2, last + 1):
+        minors = {}
         for ii in itertools.combinations(range(nr), z):
+            row, rest = rows[ii[0]], ii[1:]
             for jj in itertools.combinations(range(nc), z):
-                sub = [[rows[i][j] for j in jj] for i in ii]
-                if rank(field, sub) < z:
+                det = 0
+                for x, j in enumerate(jj):
+                    term = mul(row[j], dets[rest, jj[:x] + jj[x + 1:]])
+                    det = sub(det, term) if x & 1 else add(det, term)
+                if not det:
                     return False
+                if z < last:
+                    minors[ii, jj] = det
+        dets = minors
     return True
 
 

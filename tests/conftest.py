@@ -7,7 +7,9 @@ permutations.  Both exist so that construction checks inside the library
 (elimination-based) are cross-examined by a different route here.  ``rref``
 and ``pinned_coordinates`` are the dense Gauss-Jordan reference for the
 library's one sparse incremental elimination, ``matrix.Echelon``, which
-``rank``, ``in_span`` and the decoder's transition table all run on.  The
+``in_span`` and the decoder's transition table run on; ``echelon_rank``
+counts the rows that system stores, its rank, for the tests to hold
+against them.  The
 closed-form parity expressions read the constructions' diagonal sums
 straight off the message history, as the reference for the coefficient
 templates that the encoder and decoder use.
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 
 from lrsc import gf
 from lrsc.codec import DecodeError, Decoder, Encoder
+from lrsc.matrix import Echelon
 from lrsc.oracle import Failure, VerificationReport, _random_stream
 
 
@@ -280,6 +283,13 @@ def rref(field, rows, rhs=None):
         if pr == nrows:
             break
     return work, b, pivots
+
+
+def echelon_rank(field, rows):
+    """The rank of the rows by ``matrix.Echelon``: the number of them whose
+    insert stores a row, inserted one by one."""
+    ech = Echelon(field)
+    return sum(ech.insert([{j: v for j, v in enumerate(r) if v}]) for r in rows)
 
 
 def pinned_coordinates(field, rows, rhs):

@@ -8,6 +8,8 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from unittest import mock
 
 import pytest
@@ -511,6 +513,58 @@ def test_fork_past_the_state_cap_is_an_independent_decoder(monkeypatch, make):
     # unresolved is in a transient state, which a fork shares with it
     monkeypatch.setattr(lrsc.codec, "_STATE_CAP", 1)
     _check_fork(make())
+
+
+class _YieldingState(lrsc.codec._State):
+    """A state that lets another thread run before it is made, where a table
+    that numbers a state apart from storing it would give two states one
+    number."""
+
+    def __init__(self, key, number):
+        time.sleep(0)
+        super().__init__(key, number)
+
+
+def test_threads_pushing_forks_share_one_table(monkeypatch):
+    # six threads push forks of one decoder through streams of their own,
+    # released at once, so they add states to the one table at once: each
+    # new state must take a number of its own, and each stream decode as it
+    # does alone; each round fills a table afresh
+    code = make_lrsc(3, 7, 2)
+    rng = random.Random(5)
+    coded = _coded(code, random_stream(rng, code.field.order, code.k, 200))
+    streams = [{t for t in range(len(coded)) if rng.random() < 0.3} for _ in range(6)]
+    want = [_drive(code, coded, erased)[1] for erased in streams]
+    monkeypatch.setattr(lrsc.codec, "_State", _YieldingState)
+
+    def run(root, start, got, w):
+        dec, events = root.fork(), []
+        start.wait()
+        try:
+            for t, pkt in enumerate(coded):
+                events.extend(dec.push(t, None if t in streams[w] else pkt))
+        except Exception as e:          # reported below, with the stream it broke
+            events.append(e)
+        got[w] = events
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            root, start, got = Decoder(code), threading.Barrier(6, timeout=60), [None] * 6
+            threads = [threading.Thread(target=run, args=(root, start, got, w)) for w in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in threads)
+            table = root.table
+            assert [st.number for st in table.states] == list(range(len(table.states)))
+            assert all(table.index[st.ids, st.rows] is st for st in table.states)
+            for w in range(6):
+                assert got[w] == want[w], w
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _check_fork(code):

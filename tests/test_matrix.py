@@ -6,11 +6,11 @@ import random
 import pytest
 
 from lrsc.gf import make_tower
-from lrsc.matrix import (Echelon, in_span, is_superregular, parity_weights, rank,
+from lrsc.matrix import (Echelon, in_span, is_superregular, parity_weights,
                          stacked_parity_check, superregular_matrix)
 
-from conftest import (all_minors_nonzero, in_subfield, leibniz_det, mat_add, mat_vec,
-                      pinned_coordinates, rref, subfield_perturbation)
+from conftest import (all_minors_nonzero, echelon_rank, in_subfield, leibniz_det, mat_add,
+                      mat_vec, pinned_coordinates, rref, subfield_perturbation)
 
 
 def test_superregular_2x2_matches_published_choice():
@@ -99,7 +99,7 @@ def test_stacked_parity_check_structure():
                 assert block == (0,) * r
         for i2 in range(a):
             assert pc[i][a * r + i2] == (f.neg(1) if i2 == i else 0)
-    assert rank(f, [list(row) for row in pc]) == 3
+    assert echelon_rank(f, [list(row) for row in pc]) == 3
 
 
 def test_stacked_parity_check_single_lag():
@@ -118,14 +118,15 @@ def test_in_span_empty():
 
 
 def test_rank_full_iff_leibniz_det_nonzero():
-    """rank runs on matrix.Echelon, the decoder's elimination kernel, so this
-    also pins that kernel against the Leibniz determinant."""
+    """Pins matrix.Echelon, the decoder's elimination kernel, against the
+    Leibniz determinant: n rows are independent iff the determinant is
+    nonzero."""
     f = make_tower(4, 3)
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randrange(1, 5)
         m = [[rng.randrange(16) for _ in range(n)] for _ in range(n)]
-        assert (rank(f, m) == n) == (leibniz_det(f, m) != 0)
+        assert (echelon_rank(f, m) == n) == (leibniz_det(f, m) != 0)
 
 
 # GF(2), GF(5), GF(16) as an extension base, GF(81) and GF(625) as towers,
@@ -135,8 +136,8 @@ RANK_FIELDS = [(2, 2), (5, 2), (16, 2), (3, 4), (5, 4), (17, 4)]
 
 @pytest.mark.parametrize("q,a", RANK_FIELDS)
 def test_rank_matches_rref_pivot_count(q, a):
-    """rank runs on matrix.Echelon, the decoder's elimination kernel, so this
-    also pins that kernel against dense Gauss-Jordan."""
+    """Pins matrix.Echelon, the decoder's elimination kernel, against dense
+    Gauss-Jordan: the rows it stores are as many as the pivots."""
     f = make_tower(q, a)
     rng = random.Random(q * 10 + a)
     for _ in range(60):
@@ -152,7 +153,7 @@ def test_rank_matches_rref_pivot_count(q, a):
             # a dependent row, so full rank is not the only outcome
             c = rng.randrange(f.order)
             m[rng.randrange(nr)] = [f.mul(c, x) for x in m[rng.randrange(nr)]]
-        assert rank(f, m) == len(rref(f, m)[2]), m
+        assert echelon_rank(f, m) == len(rref(f, m)[2]), m
 
 
 # GF(2), GF(16), GF(625), and GF(83521) on its pair arithmetic
@@ -170,8 +171,9 @@ def _combination(f, rng, vectors, width):
 
 @pytest.mark.parametrize("q,a", SPAN_FIELDS)
 def test_in_span_matches_rank(q, a):
-    """in_span reduces vec as one more column of the system; rank gives the
-    span by its definition: v lies in span(V) iff adding it keeps the rank.
+    """in_span reduces vec as one more column of the system; the rank by
+    Echelon gives the span by its definition: v lies in span(V) iff adding
+    it keeps the rank.
     Each V comes alone and with a combination of its own added, so
     dependent; the empty V is among them, and v is 0, a combination of V
     or random."""
@@ -185,7 +187,7 @@ def test_in_span_matches_rank(q, a):
             for v in ([0] * n, _combination(f, rng, span, n),
                       [rng.randrange(f.order) for _ in range(n)]):
                 got = in_span(f, v, span)
-                assert got == (rank(f, span + [v]) == rank(f, span)), (v, span)
+                assert got == (echelon_rank(f, span + [v]) == echelon_rank(f, span)), (v, span)
                 verdicts.add(got)
     assert verdicts == {True, False}
 
@@ -215,15 +217,31 @@ def test_echelon_holds_the_dense_reduced_rows(q, a):
         assert [row[1:] for row in made] == [[("slot", i)] for i in range(len(made))]
 
 
-@pytest.mark.parametrize("q,a", [(3, 2), (4, 3), (5, 2), (7, 3)])
+# GF(3), GF(5), GF(16) and GF(7^2) as towers, GF(16) as an extension base,
+# GF(625), and GF(83521) on its pair arithmetic
+@pytest.mark.parametrize("q,a", [(3, 2), (4, 3), (5, 2), (7, 3), (16, 2), (5, 4), (17, 4)])
 def test_is_superregular_matches_minor_oracle(q, a):
+    """Shapes up to 4x5, and 2x12, the a x k shape of MDS-DE; nonzero
+    entries from the base field, which keeps zero minors common at every
+    size, or from the whole field, then a zero entry or a singular 2x2 or
+    largest minor planted in some."""
     f = make_tower(q, a)
     rng = random.Random(q * 100 + a)
     verdicts = set()
-    for _ in range(40):
-        nr, nc = rng.randrange(1, 4), rng.randrange(1, 4)
-        # small entries keep zero minors common at every size
-        m = [[rng.randrange(min(f.order, q)) for _ in range(nc)] for _ in range(nr)]
+    for i in range(60):
+        nr, nc = (2, 12) if i % 8 == 0 else (rng.randrange(1, 5), rng.randrange(1, 6))
+        top = q if i % 2 else f.order
+        m = [[rng.randrange(1, top) for _ in range(nc)] for _ in range(nr)]
+        z = min(nr, nc)
+        if i % 5 == 4:
+            m[rng.randrange(nr)][rng.randrange(nc)] = 0
+        elif z > 1 and i % 3 == 0:
+            # a row of a z x z submatrix made a combination of its other rows
+            z = rng.choice([2, z])
+            ii, jj = rng.sample(range(nr), z), rng.sample(range(nc), z)
+            comb = _combination(f, rng, [[m[x][j] for j in jj] for x in ii[1:]], z)
+            for j, v in zip(jj, comb):
+                m[ii[0]][j] = v
         got = is_superregular(f, m)
         assert got == all_minors_nonzero(f, m), m
         verdicts.add(got)

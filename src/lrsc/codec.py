@@ -2,17 +2,25 @@
 sliding-window decoder.
 
 Every parity symbol is a fixed linear combination of message symbols, held
-once per code as a time-invariant coefficient template.  One parity route,
-``parity_inputs``, turns the templates into the symbols a parity reads and
-the sums over them: the encoder evaluates those sums and every received
-push of the decoder checks them.  The closed-form diagonal expressions of
-the constructions live in the tests as the independent reference.
+once per code as a time-invariant coefficient template.  The encoder and
+the decoder each hold the last tau+1 packets in one flat window: (tau+1)*k
+symbol slots, symbol j of packet t at slot (t mod (tau+1))*k + j, then n-k
+parity slots.  A slot not yet written holds 0, so a term before time 0
+reads 0 with no test of the time.  Every template delta lies in [1, tau],
+so the push at t stores packet t over packet t-tau-1, which retires it,
+and reads no slot it overwrites.  One parity route, ``parity_inputs``,
+turns the templates into phase sums: for each phase t mod (tau+1), each
+parity's value (its parity slot) less its terms, as indices straight into
+the window.  The encoder evaluates those sums with each parity slot read
+as 0, and every received push of the decoder checks them.  The
+closed-form diagonal expressions of the constructions live in the tests
+as the independent reference.
 
-The decoder keeps one record per live packet, its k message symbols with
-None where unresolved, beside one global linear system over the unresolved
-symbols.  A packet is recovered the moment the system pins its last
-unresolved symbol, which serves the single-erasure deadline, the
-full-budget deadline, and best-effort recovery past the guarantee.
+The decoder keeps its window beside one global linear system over the
+unresolved symbols, whose slots hold 0.  A packet is recovered the moment
+the system pins its last unresolved symbol, which serves the
+single-erasure deadline, the full-budget deadline, and best-effort
+recovery past the guarantee.
 
 The code is linear, so no coefficient of the system, and no move of the
 decoder, depends on a symbol value.  The coefficients are the decoder's
@@ -27,9 +35,9 @@ the move's own, the reduced-echelon system that ``in_span`` also runs
 on: the next state, the packets the push settles, and a plan on
 values, made of the rhs row operations, the zero checks and the writes.
 The decoder holds only values, and they only ever replay: every push, by
-any fork, checks its packet, reads every term of each parity template and
-runs the plan, with no coefficient dict.  A term before time 0 reads 0, as
-does an unresolved symbol, so one plan holds at any time.
+any fork, checks its packet, evaluates its phase's sums over the window
+and runs the plan, with no coefficient dict.  A term before time 0 reads
+0, as does an unresolved symbol, so one plan holds at any time.
 """
 
 from __future__ import annotations
@@ -172,44 +180,40 @@ def make_lrsc(a: int, tau: int, r: int, q_override: int | None = None) -> LrscCo
 
 
 def parity_inputs(code):
-    """What a parity check reads, the same at every time t: the symbols
-    (delta, j) of every template term, each message t - delta's symbol j,
-    or 0 before time 0; and the sums (``dots``) that give each parity p
-    its input, its value (slot p) less its terms (slots n-k on).  A
-    received push checks these inputs; the encoder, reading each parity as
-    0, negates them."""
-    field, reads, sums = code.field, [], []
-    for p, tp in enumerate(code.templates):
-        first = code.n - code.k + len(reads)
-        reads += [(d, j) for j, d, _ in tp]
-        sums.append(((p, *range(first, first + len(tp))),
-                     (field.prep(1), *[field.prep(field.neg(c)) for _, _, c in tp])))
-    return tuple(reads), tuple(sums)
+    """The phase sums (see the module notes): for each phase t mod (tau+1),
+    one (window indices, coefficients) sum (``dots``) per parity p, its
+    slot (tau+1)*k + p less its terms, each term (j, delta) at slot
+    ((t - delta) mod (tau+1))*k + j."""
+    field, k, span = code.field, code.k, code.tau + 1
+    lcs = [(field.prep(1), *[field.prep(field.neg(c)) for _, _, c in tp]) for tp in code.templates]
+    return tuple(tuple(((span * k + p, *[(phase - d) % span * k + j for j, d, _ in tp]), lc)
+                       for p, (tp, lc) in enumerate(zip(code.templates, lcs)))
+                 for phase in range(span))
 
 
 class Encoder:
-    """Systematic streaming encoder; retains the last tau+1 message packets."""
+    """Systematic streaming encoder; retains the last tau+1 message packets
+    in its window (see the module notes), its parity slots left at 0."""
 
     def __init__(self, code):
         self.code = code
-        self.history = {}
+        self.window = [0] * (code.tau * code.k + code.n)
         self.next_t = 0
-        self._inputs = parity_inputs(code)
+        self._sums = parity_inputs(code)
 
     def push(self, message) -> tuple:
         """The next coded packet: its n symbols, k message then n-k parity."""
         code, field = self.code, self.code.field
-        msg = tuple(message)
+        try:
+            msg = tuple(message)
+        except TypeError:
+            raise ValueError(f"expected a sequence of {code.k} symbols, "
+                             f"got an object of type {type(message).__name__}") from None
         field.check(msg, code.k)
-        t = self.next_t
+        k, phase = code.k, self.next_t % (code.tau + 1)
         self.next_t += 1
-        history = self.history
-        history[t] = msg
-        reads, sums = self._inputs
-        # a term before time 0 reads 0
-        xs = [0] * (code.n - code.k) + [history[t - d][j] if d <= t else 0 for d, j in reads]
-        history.pop(t - code.tau - 1, None)
-        return msg + tuple(map(field.neg, field.dots(sums, xs)))
+        self.window[phase * k:phase * k + k] = msg
+        return msg + tuple(map(field.neg, field.dots(self._sums[phase], self.window)))
 
 
 # The most states one transition table stores.  Past it, a move into a
@@ -283,8 +287,8 @@ class Transitions:
 
     @functools.cached_property
     def inputs(self):
-        """What a received push reads for its parities (``parity_inputs``),
-        where an unresolved symbol's None reads as 0."""
+        """The phase sums a received push evaluates over its decoder's
+        window (``parity_inputs``), where an unresolved symbol reads 0."""
         return parity_inputs(self.code)
 
     def move(self, state, erased, plans):
@@ -366,22 +370,23 @@ class Decoder:
     Push each coded packet, the tuple of its n symbols as ``Encoder.push``
     returns it (or None for an erasure), in time order starting at 0: a
     push is the one way in.  Each push returns the packets whose fate was
-    settled by it: a recovered outcome the moment the record ``known[t]``
-    holds all k message symbols, or a lost outcome once time moves past the
+    settled by it: a recovered outcome the moment all k message symbols of
+    the packet are resolved, or a lost outcome once time moves past the
     t+tau deadline.  The window is the last tau+1 packets, as far back as a
-    parity reaches: the push at t retires packet t-tau-1, reporting it lost
-    if it is unresolved, and drops its record and its unresolved symbols'
-    rows.
+    parity reaches: the push at t stores packet t in the slots of packet
+    t-tau-1, zeros for an erasure, and so retires it, reporting it lost if
+    it is unresolved and dropping its unresolved symbols' rows.
 
     Every received packet's parities are read, and so checked.  A push that
     raises, a ``DecodeError`` included, leaves the decoder as it was.
 
     The system's coefficients are ``state``, a state of the decoder's
-    ``table``; the decoder holds only values, its records and the rhs of
-    each of the state's rows.  A push takes the move its table recorded
-    for (state, flag), or else has the table compute it
-    (``Transitions.move``), and replays the move's plan on the values (see
-    the module notes).  ``rows`` and ``unknowns`` are views of the state.
+    ``table``; the decoder holds only values, its ``window`` (see the module
+    notes), where an unresolved symbol holds 0, and the rhs of each of the
+    state's rows.  A push takes the move its table recorded for (state,
+    flag), or else has the table compute it (``Transitions.move``), and
+    replays the move's plan on the values.  ``rows`` and ``unknowns`` are
+    views of the state.
     """
 
     def __init__(self, code):
@@ -390,7 +395,7 @@ class Decoder:
         self.n = code.n
         self.tau = code.tau
         self.next_t = 0
-        self.known = {}          # t -> list of k symbols, None where unresolved
+        self.window = [0] * (code.tau * code.k + code.n)
         self.table = Transitions(code)
         self.state = self.table.clean
         self._rhs = []           # the rhs of the state's rows, in its order
@@ -411,13 +416,10 @@ class Decoder:
 
     def fork(self):
         """An independent decoder in the same state; keeps the class and
-        shares the table, and the records that are whole, which no push
-        changes."""
+        shares the table, with a copy of the window."""
         c = object.__new__(type(self))
         c.__dict__.update(self.__dict__)
-        c.known = known = self.known.copy()
-        for t in {self.next_t + i // self.k for i in self.state.ids}:
-            known[t] = known[t][:]
+        c.window = self.window[:]
         return c
 
     def push(self, t, symbols) -> list[PacketOutcome]:
@@ -435,29 +437,28 @@ class Decoder:
 
     def _replay(self, t, symbols, nxt, outs, plan):
         """Push by a move into state `nxt`, on the values alone.  The plan
-        runs and its checks pass before the decoder changes: a parity reads
-        no record of time t, its delta being at least 1, nor of t-tau-1."""
+        runs and its checks pass before the decoder changes, but for the
+        window's parity slots, which every received push writes before it
+        reads them."""
         ops, rows, checks, writes = plan
-        k, known = self.k, self.known
+        k, span, window = self.k, self.tau + 1, self.window
+        phase = t % span
         x = self._rhs
         if symbols is None:
-            record = [None] * k
+            msg = (0,) * k
         else:
             msg = tuple(symbols[:k])
-            record = list(msg)
-            reads, sums = self.table.inputs
-            got = list(symbols[k:]) + [known[t - d][j] if t >= d else 0 for d, j in reads]
-            x = x + self._dots(sums, got)
+            window[span * k:] = symbols[k:]
+            x = x + self._dots(self.table.inputs[phase], window)
             if ops:
                 self._run_ops(ops, x)
             for i in checks:
                 if x[i]:
                     raise DecodeError("received parity inconsistent with resolved symbols")
         self.next_t = t + 1
-        known.pop(t - self.tau - 1, None)
-        known[t] = record
+        window[phase * k:phase * k + k] = msg
         for off, j, i in writes:
-            known[t + off][j] = x[i]
+            window[(t + off) % span * k + j] = x[i]
         self._rhs = [x[i] for i in rows]
         self.state = nxt
         out = []
@@ -466,7 +467,8 @@ class Decoder:
             if delay is None:
                 out.append(PacketOutcome(u, False))
             elif off:
-                out.append(PacketOutcome(u, True, delay, tuple(known[u])))
+                i = u % span * k
+                out.append(PacketOutcome(u, True, delay, tuple(window[i:i + k])))
             else:
                 out.append(PacketOutcome(t, True, 0, msg))
         return out

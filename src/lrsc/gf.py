@@ -347,7 +347,7 @@ class TowerField:
     def dots(self, sums, xs):
         """For each (indices, coefficients) in sums, the sum of c*xs[i] over
         its pairs, the coefficients as ``prep`` gives them: a list, one
-        value per sum.  An x of None adds nothing, as 0 does."""
+        value per sum."""
         exp, log, zech = self._exp, self._log, self._zech
         out = []
         for idx, lcs in sums:
@@ -529,8 +529,13 @@ class TowerField:
     def check(self, symbols, count):
         """Raise ValueError unless symbols holds exactly count elements of
         this field, each an int, not a bool, in [0, order)."""
-        if len(symbols) != count:
-            raise ValueError(f"expected {count} symbols, got {len(symbols)}")
+        try:
+            size = len(symbols)
+        except TypeError:
+            raise ValueError(f"expected a sequence of {count} symbols, "
+                             f"got an object of type {type(symbols).__name__}") from None
+        if size != count:
+            raise ValueError(f"expected {count} symbols, got {size}")
         order = self.order
         for s in symbols:
             # a plain int takes one class test; bool subclasses int but is no element

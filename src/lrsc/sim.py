@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Real
 
 # Decoder, Encoder: unused, but perfbench's traced run rebinds them
 from .codec import Decoder, Encoder, Transitions
@@ -55,7 +56,7 @@ class PecChannel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps.__class__ is bool or not 0 <= self.eps <= 1:
+        if self.eps.__class__ is bool or not isinstance(self.eps, Real) or not 0 <= self.eps <= 1:
             raise ValueError(f"eps must lie in [0, 1], got {self.eps!r}")
         if self.seed.__class__ is not int:
             raise ValueError(f"seed must be an int, got {self.seed!r}")

@@ -21,8 +21,9 @@ on a ``ReplayChannel`` of fixed erasure times, and
 of its own (``anchor_recovery_reference``), the run that ``verify_stream``'s
 one forked decoder walk per anchor stands for.  ``pushes_through`` records a
 decoder's outcomes and rows push by push, so that a fork replaying the
-plans of a filled table can be held to a fresh decoder, and ``missing``
-reads a decoder's unresolved packets off its state.  ``log_tables_reference``
+plans of a filled table can be held to a fresh decoder, ``missing``
+reads a decoder's unresolved packets off its state, and ``records``
+rebuilds each live packet's symbols from its window.  ``log_tables_reference``
 finds each field's generator by walking its candidates' powers until they
 return to 1, the search that the library's order test stands for.
 """
@@ -321,16 +322,25 @@ def subfield_perturbation(tower, nrows, ncols, seed):
     return tuple(rows)
 
 
+def records(dec):
+    """{t: record} for the last tau+1 times, rebuilt from the decoder's
+    window: symbol j of packet t from slot (t mod (tau+1))*k + j, None
+    where the state holds it unresolved."""
+    k, span, unknowns = dec.k, dec.tau + 1, dec.unknowns
+    return {t: [None if (t, j) in unknowns else dec.window[t % span * k + j] for j in range(k)]
+            for t in range(max(0, dec.next_t - span), dec.next_t)}
+
+
 def check_decoder_invariants(dec):
     """Assert the decoder's rows are in reduced echelon form over its live
     unknowns: each row is 1 at its own pivot, its smallest id, which no
     other row holds, and stores no zero coefficient.  The unresolved
-    symbols and missing packets, read from the state, are exactly the None
-    symbols of the records and the packets whose record holds one, and the
-    records are those of the last tau+1 times."""
-    assert sorted(dec.known) == list(range(max(0, dec.next_t - dec.tau - 1), dec.next_t))
-    assert dec.unknowns == {(t, j) for t, s in dec.known.items() for j, v in enumerate(s) if v is None}
-    assert missing(dec) == {t for t, s in dec.known.items() if None in s}
+    symbols lie in the last tau+1 times, and each one's window slot holds
+    0, as every parity sum reads it."""
+    k, span = dec.k, dec.tau + 1
+    assert len(dec.window) == span * k + dec.n - k
+    assert all(dec.next_t - span <= t < dec.next_t for t, _ in dec.unknowns)
+    assert all(dec.window[t % span * k + j] == 0 for t, j in dec.unknowns)
     for pid, (coeffs, _) in dec.rows.items():
         assert coeffs.get(pid) == 1
         assert pid == min(coeffs)

@@ -274,6 +274,35 @@ def test_encoder_validates_input():
         enc.push((True, 2))          # a bool is no field element, though bool subclasses int
 
 
+@pytest.mark.parametrize("message", [5, 1.5, None], ids=["int", "float", "none"])
+def test_encoder_refuses_a_message_that_is_no_sequence(message):
+    # each raised a bare TypeError from tuple(); refused, it takes no time
+    code = make_lrsc(2, 5, 2)
+    enc = Encoder(code)
+    with pytest.raises(ValueError, match="expected a sequence of 2 symbols"):
+        enc.push(message)
+    assert enc.next_t == 0 and enc.push((1, 2)) == _encode(code, [(1, 2)])[0]
+
+
+@pytest.mark.parametrize("make", [lambda: make_lrsc(2, 3, 1), lambda: make_lrsc(3, 7, 2),
+                                  lambda: MdsDeCode(2, 5)], ids=["lrsc-2-3-1", "lrsc-3-7-2", "mds-de-2-5"])
+def test_encoder_window_gives_the_closed_form_diagonal_parities(make):
+    # over 3(tau+1) pushes the window wraps twice: every packet is its
+    # message and the construction's diagonal sums, and the window holds
+    # the last tau+1 messages, packet t at slot (t mod (tau+1))*k, with
+    # its parity slots left at 0
+    code = make()
+    k, span = code.k, code.tau + 1
+    msgs = random_stream(random.Random(15), code.field.order, k, 3 * span)
+    hist = dict(enumerate(msgs))
+    enc = Encoder(code)
+    for t, m in enumerate(msgs):
+        assert enc.push(m) == m + tuple(closed_form_parity(code, i, hist, t) for i in range(code.n - k)), t
+        for u in range(max(0, t - code.tau), t + 1):
+            assert enc.window[u % span * k:u % span * k + k] == list(msgs[u]), (t, u)
+        assert enc.window[span * k:] == [0] * (code.n - k)
+
+
 def test_wrong_regime_symbol_count():
     short = derive_params(2, 4, 2)
     assert short.k == 3

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import lrsc
 from lrsc.codec import DecodeError, Decoder, Encoder, MdsDeCode, make_lrsc
 
-from conftest import check_decoder_invariants, missing, pinned_coordinates, pushes_through, random_stream
+from conftest import (check_decoder_invariants, missing, pinned_coordinates, pushes_through, random_stream,
+                      records)
 
 
 def _coded(code, msgs):
@@ -118,7 +119,7 @@ def test_late_resolution_strips_for_later_packets():
     burst, resolved = {9, 10, 11}, set()
     for now in range(30):
         dec.push(now, None if now in burst else coded[now])
-        for t, record in dec.known.items():
+        for t, record in records(dec).items():
             for j, val in enumerate(record):
                 if val is not None:
                     assert val == msgs[t][j], (now, t, j)
@@ -177,6 +178,21 @@ def test_decoder_packet_shape_validation():
     assert replay == _drive(code, coded, {3})[1][-len(replay):]
 
 
+@pytest.mark.parametrize("packet", [5, 1.5, iter((1, 2, 0))], ids=["int", "float", "iterator"])
+def test_decoder_refuses_a_packet_with_no_length(packet):
+    # each raised a bare TypeError from len(); refused, it leaves the
+    # decoder as it was
+    code = make_lrsc(2, 5, 2)
+    coded = _coded(code, random_stream(random.Random(4), 3, 2, 2))
+    dec = Decoder(code)
+    dec.push(0, coded[0])
+    before = copy.deepcopy(_state(dec))
+    with pytest.raises(ValueError, match="expected a sequence of 3 symbols"):
+        dec.push(1, packet)
+    assert _state(dec) == before
+    assert dec.push(1, coded[1])[0].message == coded[1][:2]
+
+
 def test_push_rejects_a_time_that_is_not_an_int():
     # True == 1 and 0.0 == 0, yet neither is a time: each is refused before
     # it settles a packet or keys a record
@@ -189,7 +205,7 @@ def test_push_rejects_a_time_that_is_not_an_int():
     for bad in (True, type("Time", (int,), {})(1)):
         with pytest.raises(ValueError, match="as ints"):
             dec.push(bad, coded[1])
-    assert dec.next_t == 1 and [t.__class__ for t in dec.known] == [int]
+    assert dec.next_t == 1 and list(records(dec)) == [0]
 
 
 @pytest.mark.parametrize("make", [lambda: make_lrsc(2, 5, 2), lambda: MdsDeCode(2, 5)],
@@ -324,7 +340,6 @@ def test_unknown_retention_horizon_prunes():
     lost, with_rows = [], 0
     for t in range(140):
         lost += [ev.t for ev in dec.push(t, None if t in erased else coded[t]) if not ev.recovered]
-        assert sorted(dec.known) == list(range(max(0, t - tau), t + 1)), t
         assert all(u >= t - tau for (u, _) in dec.unknowns | {divmod(p, dec.k) for p in dec.rows}), t
         check_decoder_invariants(dec)
         with_rows += bool(dec.rows)
@@ -477,13 +492,13 @@ def _check_against_dense(code, seed, erased):
         # symbols the dense system pins
         for t in erased:
             if now - tau <= t <= now:
-                resolved = {(t, j): v for j, v in enumerate(dec.known[t]) if v is not None}
+                resolved = {(t, j): v for j, v in enumerate(records(dec)[t]) if v is not None}
                 assert resolved == {sid: v for sid, v in pinned.items() if sid[0] == t}, (now, t)
     return dec
 
 
 def _state(dec):
-    return dec.known, missing(dec), dec.rows, dec.next_t
+    return records(dec), missing(dec), dec.rows, dec.next_t
 
 
 class _TaggedDecoder(Decoder):
@@ -601,3 +616,104 @@ def _check_fork(code):
                       for ev in fresh.push(t, None if t in tails[i] else coded[t])]
             assert outcomes[i] == replay, (cut, i)
     assert forked_with_rows >= 3
+
+
+# -- the window: symbol j of packet t in slot (t mod (tau+1))*k + j --
+
+_WINDOW_CODES = pytest.mark.parametrize(
+    "make", [lambda: make_lrsc(2, 3, 1), lambda: make_lrsc(3, 7, 2), lambda: MdsDeCode(2, 5)],
+    ids=["lrsc-2-3-1", "lrsc-3-7-2", "mds-de-2-5"])
+
+
+def _budget(code):
+    return code.params.a if code.params else code.a
+
+
+@_WINDOW_CODES
+def test_delayed_writes_into_wrapped_slots_match_the_dense_reference(make):
+    # bursts of a erasures after the window has wrapped twice and three
+    # times: each burst resolves by delayed writes into slots that earlier
+    # packets held, and the records hold what the dense system pins, over a
+    # run longer than 3(tau+1) packets
+    code = make()
+    a, span = _budget(code), code.tau + 1
+    erased = set(range(2 * span + 1, 2 * span + 1 + a)) | set(range(3 * span + 2, 3 * span + 2 + a))
+    assert max(erased) < 48 and 3 * span < 48
+    _check_against_dense(code, 11, erased)
+    _, events = _drive(code, _coded(code, random_stream(random.Random(11), code.field.order, code.k, 48)),
+                       erased)
+    late = {ev.t for ev in events if ev.recovered and ev.delay}
+    assert late == erased
+
+
+@_WINDOW_CODES
+@pytest.mark.parametrize("where", ["first", "spread"])
+def test_erasures_in_the_first_tau_packets_read_zero_before_time_0(make, where):
+    # a parity at t < tau reads terms before time 0 from slots no packet has
+    # written yet, which hold 0
+    code = make()
+    a = _budget(code)
+    erased = set(range(a)) if where == "first" else {0, code.tau - 1}
+    assert max(erased) < code.tau
+    dec = _check_against_dense(code, 12, erased)
+    _, events = _drive(code, _coded(code, random_stream(random.Random(12), code.field.order, code.k, 48)),
+                       erased)
+    assert {ev.t for ev in events if ev.recovered and ev.delay} == erased
+    assert not missing(dec)
+
+
+@_WINDOW_CODES
+def test_a_forks_pushes_and_writes_never_reach_its_parent(make):
+    # a fork resolves a burst in wrapped slots by delayed writes; its parent,
+    # still holding the burst unresolved, keeps its window, rows and time,
+    # and then decodes its own continuation as a fresh decoder does
+    code = make()
+    a, span = _budget(code), code.tau + 1
+    length = 5 * span
+    msgs = random_stream(random.Random(13), code.field.order, code.k, length)
+    coded = _coded(code, msgs)
+    burst = set(range(2 * span + 1, 2 * span + 1 + a))
+    cut = max(burst) + 1
+    dec, _ = _drive(code, coded, burst, upto=cut)
+    assert missing(dec) == burst
+    window, before = dec.window[:], copy.deepcopy(_state(dec))
+    fork = dec.fork()
+    got = [ev for t in range(cut, length) for ev in fork.push(t, coded[t])]
+    assert {ev.t: ev.message for ev in got if ev.delay} == {t: msgs[t] for t in burst}
+    assert dec.window == window and _state(dec) == before
+    tail = {cut + 1, cut + 3}
+    ref, _ = _drive(code, coded, burst, upto=cut)
+    got, want = ([ev for t in range(cut, length) for ev in d.push(t, None if t in tail else coded[t])]
+                 for d in (dec, ref))
+    assert got == want and {ev.t for ev in got} >= burst
+
+
+@_WINDOW_CODES
+def test_a_decode_error_leaves_records_rows_and_time(make):
+    # at every received packet past the first wrap, a fork takes it with
+    # every parity corrupted; where that raises DecodeError, the fork's
+    # records, rows and time are as they were, and the true packet then
+    # gives the outcomes it gives the decoder
+    code = make()
+    f, k, span = code.field, code.k, code.tau + 1
+    length = 4 * span
+    rng = random.Random(14)
+    coded = _coded(code, random_stream(rng, f.order, k, length))
+    erased = {span + 2, 2 * span + 1, 3 * span}
+    dec, raised = Decoder(code), set()
+    for t in range(length):
+        pkt = None if t in erased else coded[t]
+        if pkt is not None and t > span:
+            fork = dec.fork()
+            before = copy.deepcopy(_state(fork))
+            try:
+                fork.push(t, pkt[:k] + tuple(f.add(s, 1) for s in pkt[k:]))
+            except DecodeError:
+                raised.add(bool(missing(fork)))
+                assert _state(fork) == before, t
+                check_decoder_invariants(fork)
+                assert fork.push(t, pkt) == dec.push(t, pkt), t
+                assert _state(fork) == _state(dec), t
+                continue
+        dec.push(t, pkt)
+    assert False in raised and (True in raised or code.k == 1)

@@ -6,12 +6,13 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 
 import lrsc.codec
 import lrsc.sim
-from conftest import ReplayChannel, explain_losses_reference, value_path_outcomes
+from conftest import ReplayChannel, explain_losses_reference, records, value_path_outcomes
 from lrsc.codec import Decoder, MdsDeCode, Transitions, make_lrsc
 from lrsc.oracle import verify_stream
 from lrsc.sim import (CSV_HEADER, PecChannel, csv_rows,
@@ -193,9 +194,11 @@ def test_run_sim_asks_the_channel_once_per_t_in_ascending_order(make, args, eps)
     assert res == run_sim(code, PecChannel(eps, 31), packets, seed=4)
 
 
-@pytest.mark.parametrize("eps", [float("nan"), 1.5, -0.2])
+@pytest.mark.parametrize("eps", [float("nan"), 1.5, -0.2, "0.1", None, 0.1j, Decimal("0.1")])
 def test_channel_rejects_eps_outside_unit_interval(eps):
-    with pytest.raises(ValueError, match="eps"):
+    # a str, None and a complex raised a bare TypeError from the comparison,
+    # a Decimal from its product with a float
+    with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]"):
         PecChannel(eps, 3)
 
 
@@ -411,7 +414,7 @@ def _decoder_key(dec):
     """A decoder's unresolved symbols, read from its records, and its rows
     by pivot, every id shifted by -next_t*k."""
     k, base = dec.k, dec.next_t * dec.k
-    ids = tuple(t * k + j - base for t in sorted(dec.known) for j, v in enumerate(dec.known[t]) if v is None)
+    ids = tuple(t * k + j - base for t, s in sorted(records(dec).items()) for j, v in enumerate(s) if v is None)
     rows = tuple(tuple((i - base, cf[i]) for i in sorted(cf)) for cf, _ in (dec.rows[p] for p in sorted(dec.rows)))
     return ids, rows
 

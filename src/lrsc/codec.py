@@ -204,12 +204,8 @@ class Encoder:
     def push(self, message) -> tuple:
         """The next coded packet: its n symbols, k message then n-k parity."""
         code, field = self.code, self.code.field
-        try:
-            msg = tuple(message)
-        except TypeError:
-            raise ValueError(f"expected a sequence of {code.k} symbols, "
-                             f"got an object of type {type(message).__name__}") from None
-        field.check(msg, code.k)
+        field.check(message, code.k)
+        msg = tuple(message)
         k, phase = code.k, self.next_t % (code.tau + 1)
         self.next_t += 1
         self.window[phase * k:phase * k + k] = msg
@@ -423,33 +419,33 @@ class Decoder:
         return c
 
     def push(self, t, symbols) -> list[PacketOutcome]:
+        """Push packet t by the move of (state, flag), on the values alone.
+        The plan runs and its checks pass before the decoder changes, but
+        for the window's parity slots, which every received push writes
+        before it reads them."""
         if t != self.next_t or t.__class__ is not int:
             raise ValueError(f"packets must be pushed in time order as ints; "
                              f"expected t={self.next_t}, got t={t!r}")
         if symbols is not None:
             self.code.field.check(symbols, self.n)
-        state, erased = self.state, symbols is None
-        move = state.moves and state.moves[erased]
+        table, erased = self.table, symbols is None
+        move = self.state.moves and self.state.moves[erased]
         if move:
-            self.table.replayed += 1
-            return self._replay(t, symbols, self.table.states[move[0]], move[1], move[2])
-        return self._replay(t, symbols, *self.table.move(state, erased, True))
-
-    def _replay(self, t, symbols, nxt, outs, plan):
-        """Push by a move into state `nxt`, on the values alone.  The plan
-        runs and its checks pass before the decoder changes, but for the
-        window's parity slots, which every received push writes before it
-        reads them."""
+            table.replayed += 1
+            number, outs, plan = move
+            nxt = table.states[number]
+        else:
+            nxt, outs, plan = table.move(self.state, erased, True)
         ops, rows, checks, writes = plan
         k, span, window = self.k, self.tau + 1, self.window
         phase = t % span
         x = self._rhs
-        if symbols is None:
+        if erased:
             msg = (0,) * k
         else:
             msg = tuple(symbols[:k])
             window[span * k:] = symbols[k:]
-            x = x + self._dots(self.table.inputs[phase], window)
+            x = x + self._dots(table.inputs[phase], window)
             if ops:
                 self._run_ops(ops, x)
             for i in checks:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 
 _LOG_TABLE_MAX = 1 << 16
 _BASE_TABLE_MAX = 256
@@ -527,13 +528,13 @@ class TowerField:
         return 1 if j <= 1 else self.level_order(j - 1)
 
     def check(self, symbols, count):
-        """Raise ValueError unless symbols holds exactly count elements of
-        this field, each an int, not a bool, in [0, order)."""
-        try:
-            size = len(symbols)
-        except TypeError:
+        """Raise ValueError unless symbols is a sequence of exactly count
+        elements of this field, each an int, not a bool, in [0, order)."""
+        # a tuple takes one class test; a set or a dict has a length but no order
+        if symbols.__class__ is not tuple and not isinstance(symbols, Sequence):
             raise ValueError(f"expected a sequence of {count} symbols, "
-                             f"got an object of type {type(symbols).__name__}") from None
+                             f"got an object of type {type(symbols).__name__}")
+        size = len(symbols)
         if size != count:
             raise ValueError(f"expected {count} symbols, got {size}")
         order = self.order

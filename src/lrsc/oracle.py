@@ -15,18 +15,22 @@ Two layers of ground truth:
   runs a fork of it down the tree of erased/received flags from the
   erased anchor, forking at each time an erasure is still in budget.  A
   path settles once the anchored packet is recovered or the deadline
-  passes, and every pattern that agrees with the settled node up to its
-  time takes the node's outcome, the one replaying it alone would give.
-  The forks share the decoder's transition table: each (state, flag) move
-  is recorded the first time a push meets it, in the first anchor's walk
-  or the clean push after it, and every later push replays those plans on
-  its own values, so each pattern is still decoded through
-  ``Decoder.push`` and its value checked.  The report counts the moves
-  recorded and replayed.
+  passes.  A settled node stands for every pattern that agrees with it up
+  to its time, and each of them takes the node's outcome, the one
+  replaying it alone would give; so the node's outcome is checked once,
+  and only a failing node is expanded into its patterns.  The forks share
+  the decoder's transition table: each (state, flag) move is recorded the
+  first time a push meets it, in the first anchor's walk or the clean push
+  after it, and every later push replays those plans on its own values,
+  so each pattern is still decoded through ``Decoder.push``, one path per
+  node.  The report counts the moves recorded and replayed.
 
-Pattern enumeration counts are checked against the closed-form binomial
-totals, and each anchor's patterns for distinctness, raising RuntimeError
-also under ``python -O``, so a silent enumeration bug cannot pass as success.
+The scalar enumeration is counted against its closed-form binomial total.
+Each anchor's nodes are checked to partition its patterns: no two share
+their erasure times, none extends the erasure times of another that
+settled before its next erasure, and their pattern counts sum to the
+closed-form total.  Each check raises RuntimeError, also under
+``python -O``, so a silent enumeration bug cannot pass as success.
 """
 
 from __future__ import annotations
@@ -126,9 +130,10 @@ def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationRepor
     window [t, t+deadline] containing t, for anchors t across the middle
     third of a 3*(max(tau, deadline)+1) horizon and at t=0, over `trials`
     random message streams.  One ``walk`` per anchor settles every
-    pattern there; each pattern still gets its own check, in enumeration
-    order.  Each trial's decoder table adds its moves recorded and
-    replayed to the report's ``transitions`` and ``replays``."""
+    pattern there; each settled node's outcome is checked once, and a
+    failing node's patterns are reported in enumeration order.  Each
+    trial's decoder table adds its moves recorded and replayed to the
+    report's ``transitions`` and ``replays``."""
     if (any(v.__class__ is not int for v in (budget, deadline, trials, seed))
             or budget < 1 or deadline < 0 or trials < 1):
         raise ValueError(f"need budget >= 1, deadline >= 0, trials >= 1 and a seed, each an int; "
@@ -151,28 +156,43 @@ def verify_stream(code, budget, deadline, trials=1, seed=0) -> VerificationRepor
             at, end = anchor, anchor + deadline
             # a node (E, t) stands for E plus any later erasures in (t, end],
             # up to the budget
-            expanded = [(erased + extra, got)
-                        for erased, t, got in walk(dec.fork(), coded, anchor, end, budget)
-                        for size in range(budget - len(erased) + 1)
-                        for extra in itertools.combinations(range(t + 1, end + 1), size)]
-            outcomes = dict(expanded)
-            # every pattern starts at the anchor, ascends, stays inside the
-            # window and within the budget, so distinct patterns in the
-            # closed-form number are exactly the enumerated set
-            if len(outcomes) != per_anchor or len(expanded) != per_anchor:
-                raise RuntimeError(f"enumerated {len(expanded)} patterns ({len(outcomes)} "
-                                   f"distinct) at anchor {anchor}, expected {per_anchor}")
-            # by (size, times), the enumeration order
-            for pattern in sorted(sorted(outcomes), key=len):
-                got = outcomes[pattern]
+            nodes = {}
+            for erased, t, got in walk(dec.fork(), coded, anchor, end, budget):
+                if erased in nodes:
+                    raise RuntimeError(f"walk settled {erased} twice at anchor {anchor}")
+                nodes[erased] = t, got
+            count, failed = 0, []
+            for erased, (t, got) in nodes.items():
+                size = len(erased)
+                for j in range(1, size):
+                    prefix = nodes.get(erased[:j])
+                    if prefix is not None and prefix[0] < erased[j]:
+                        raise RuntimeError(f"walk node {erased} overlaps {erased[:j]}, settled at "
+                                           f"{prefix[0]}, at anchor {anchor}")
+                count += sum(math.comb(end - t, s) for s in range(budget - size + 1))
                 if got is None:
-                    report.failures.append(Failure(
-                        pattern, f"packet {anchor} not recovered by {end}"))
+                    detail = f"packet {anchor} not recovered by {end}"
                 elif got[1] != messages[anchor]:
-                    report.failures.append(Failure(
-                        pattern, f"packet {anchor} recovered with wrong symbols"))
-                elif got[0] > report.max_delay.get(len(pattern), -1):
-                    report.max_delay[len(pattern)] = got[0]
+                    detail = f"packet {anchor} recovered with wrong symbols"
+                else:
+                    for h in range(size, min(budget, size + end - t) + 1):
+                        if got[0] > report.max_delay.get(h, -1):
+                            report.max_delay[h] = got[0]
+                    continue
+                failed += [Failure(erased + extra, detail) for s in range(budget - size + 1)
+                           for extra in itertools.combinations(range(t + 1, end + 1), s)]
+            # two nodes share a pattern exactly when they share E, or one is
+            # a prefix of the other that settled before the other's next
+            # erasure; with neither, the nodes' patterns are disjoint, and
+            # each starts at the anchor, ascends, stays inside the window
+            # and within the budget, so their closed-form number proves
+            # they are exactly the enumerated set
+            if count != per_anchor:
+                raise RuntimeError(f"enumerated {count} patterns at anchor {anchor}, "
+                                   f"expected {per_anchor}")
+            # by (size, times), the enumeration order
+            failed.sort(key=lambda f: (len(f.pattern), f.pattern))
+            report.failures += failed
             report.pattern_count += per_anchor
         report.transitions += dec.table.recorded
         report.replays += dec.table.replayed

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrsc.codec import Encoder, LrscCode, MdsDeCode, make_lrsc
+from lrsc.codec import Decoder, Encoder, LrscCode, MdsDeCode, make_lrsc
 from lrsc.matrix import superregular_matrix
 from lrsc.oracle import verify_stream
 from lrsc.params import derive_params
@@ -282,6 +282,23 @@ def test_encoder_refuses_a_message_that_is_no_sequence(message):
     with pytest.raises(ValueError, match="expected a sequence of 2 symbols"):
         enc.push(message)
     assert enc.next_t == 0 and enc.push((1, 2)) == _encode(code, [(1, 2)])[0]
+
+
+@pytest.mark.parametrize("make", [set, frozenset, dict.fromkeys], ids=["set", "frozenset", "dict"])
+@pytest.mark.parametrize("side", ["encoder", "decoder"])
+def test_a_packet_with_a_length_but_no_order_is_no_sequence(side, make):
+    # each has a length and iterates: the decoder raised a bare TypeError
+    # from slicing it, and the encoder encoded a dict's keys as the
+    # message; refused, it takes no time
+    code = make_lrsc(2, 5, 2)
+    coded = _encode(code, [(1, 2)])[0]
+    enc, dec = Encoder(code), Decoder(code)
+    push, width = {"encoder": (enc.push, code.k), "decoder": (lambda p: dec.push(0, p), code.n)}[side]
+    packet = make(range(width))
+    with pytest.raises(ValueError, match=f"expected a sequence of {width} symbols, "
+                                         f"got an object of type {type(packet).__name__}$"):
+        push(packet)
+    assert enc.push((1, 2)) == coded and dec.push(0, coded)[0].message == (1, 2)
 
 
 @pytest.mark.parametrize("make", [lambda: make_lrsc(2, 3, 1), lambda: make_lrsc(3, 7, 2),

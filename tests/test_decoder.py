@@ -285,16 +285,20 @@ def test_inconsistent_parity_raises_under_optimize():
 
 def test_miscounted_enumeration_raises_under_optimize():
     # the oracle's enumeration checks must not be asserts either: the
-    # closed-form counts, a walk that settles nothing, and a walk that yields
-    # one node twice in place of another, so only distinctness can catch it
+    # closed-form counts, a walk that settles nothing, a walk that yields
+    # one node twice in place of another, and a walk whose nodes overlap
+    # though their counts sum to the total, so only the prefix test can
+    # catch it
     script = textwrap.dedent("""
         import math, types
         import lrsc.oracle as oracle
         from lrsc.codec import make_lrsc
+        # one pattern too many per binomial: at budget 2 and deadline 2 the
+        # total takes two, anchor 0's three nodes five
         oracle.math = types.SimpleNamespace(comb=lambda n, k: math.comb(n, k) + 1)
         code = make_lrsc(2, 5, 2)
         for check in (lambda: oracle.verify_scalar(code.weights),
-                      lambda: oracle.verify_stream(code, 1, 2)):
+                      lambda: oracle.verify_stream(code, 2, 2)):
             try:
                 check()
             except RuntimeError as e:
@@ -306,7 +310,14 @@ def test_miscounted_enumeration_raises_under_optimize():
             nodes = list(walk(*args))
             return iter(nodes[:-1] + nodes[:1])
 
-        for fake, budget in ((lambda *args: iter(()), 1), (twice, 2)):
+        def overlap(*args):
+            # anchor 0 settles at 2, where its forks at 1 and 2 settle too;
+            # settled at 1 it stands for (0,) and (0, 2), so the fork at 2
+            # shares a pattern, and the fork at 1 goes to keep the count
+            (root, t, got), fork, _ = walk(*args)
+            return iter([(root, t - 1, got), fork])
+
+        for fake, budget in ((lambda *args: iter(()), 1), (twice, 2), (overlap, 2)):
             oracle.walk = fake
             try:
                 oracle.verify_stream(code, budget, 2)
@@ -315,9 +326,13 @@ def test_miscounted_enumeration_raises_under_optimize():
     """)
     res = _run_optimized(script)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.count("RuntimeError: enumerated") == 4, res.stdout
-    assert "RuntimeError: enumerated 3 patterns (2 distinct) at anchor 0, expected 3" in res.stdout, \
-        res.stdout
+    assert res.stdout.splitlines() == [
+        "RuntimeError: enumerated 15 patterns, expected 16",
+        "RuntimeError: enumerated 7 patterns at anchor 0, expected 5",
+        "RuntimeError: enumerated 0 patterns at anchor 0, expected 1",
+        "RuntimeError: walk settled (0,) twice at anchor 0",
+        "RuntimeError: walk node (0, 2) overlaps (0,), settled at 1, at anchor 0",
+    ], res.stdout
 
 
 def _run_optimized(script):

@@ -325,6 +325,10 @@ def _walk_cases():
         ((2, 5, 2), 2, 0, 1, 0, None),
         ((2, 5, 2), 4, 2, 1, 0, None),              # budget past deadline+1
         ((3, 8, 2), 3, 8, 2, 3, None),
+        # long deadlines: nodes stand for many patterns each
+        ((2, 5, 2), 2, 14, 1, 0, None),
+        ((3, 8, 2), 3, 12, 1, 0, None),
+        ((2, 5), 3, 12, 1, 0, None),                # fails, expanded across many nodes
     ]
     for mutant in (_LateDecoder, _WrongSymbolDecoder, _NoClearDecoder):
         for args in [(2, 5, 2), (3, 8, 2), (2, 5)]:

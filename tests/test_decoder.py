@@ -294,7 +294,7 @@ def test_miscounted_enumeration_raises_under_optimize():
         import lrsc.oracle as oracle
         from lrsc.codec import make_lrsc
         # one pattern too many per binomial: at budget 2 and deadline 2 the
-        # total takes two, anchor 0's three nodes five
+        # total sums two of them, anchor 0's three node counts five
         oracle.math = types.SimpleNamespace(comb=lambda n, k: math.comb(n, k) + 1)
         code = make_lrsc(2, 5, 2)
         for check in (lambda: oracle.verify_scalar(code.weights),
